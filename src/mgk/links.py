@@ -258,23 +258,41 @@ def link_to_dict(link) -> dict:
     return out
 
 
+def _names(data: dict, key: str) -> tuple:
+    value = data[key]
+    if not isinstance(value, (list, tuple)) or \
+            not all(isinstance(v, str) for v in value):
+        raise LinkFormatError("link JSON %r must be a list of names" % key)
+    return tuple(value)
+
+
+def _text(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise LinkFormatError("%s must be a string, not %r" % (what, value))
+    return value
+
+
 def link_from_dict(data: dict):
-    try:
-        components = tuple(data["components"])
-        raw = data["longitudes"]
-    except (KeyError, TypeError) as exc:
-        raise LinkFormatError("link JSON needs 'components' and 'longitudes'") from exc
+    if not isinstance(data, dict) or "components" not in data \
+            or "longitudes" not in data:
+        raise LinkFormatError("link JSON needs 'components' and 'longitudes'")
+    components = _names(data, "components")
+    raw = data["longitudes"]
+    if not isinstance(raw, dict):
+        raise LinkFormatError("link JSON 'longitudes' must map components to words")
     prefix = "z" if "wedge" in data else "m"
-    meridians = tuple(data.get("meridians") or
-                      ("%s%d" % (prefix, i + 1) for i in range(len(components))))
+    meridians = _names(data, "meridians") if data.get("meridians") else \
+        tuple("%s%d" % (prefix, i + 1) for i in range(len(components)))
     try:
-        longitudes = tuple(Word.parse(raw[c]) for c in components)
+        longitudes = tuple(
+            Word.parse(_text(raw[c], "longitude of %r" % c)) for c in components)
     except KeyError as exc:
         raise LinkFormatError("missing longitude for component %s" % exc) from exc
     if "wedge" in data:
-        return SolidTorusLink(components, meridians, longitudes,
-                              wedge=Word.parse(data["wedge"]),
-                              core_symbol=data.get("core_symbol", "lambda"))
+        return SolidTorusLink(
+            components, meridians, longitudes,
+            wedge=Word.parse(_text(data["wedge"], "the wedge word")),
+            core_symbol=_text(data.get("core_symbol", "lambda"), "the core symbol"))
     return LinkModel(components, meridians, longitudes)
 
 

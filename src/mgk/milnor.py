@@ -25,7 +25,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import NotInKernelError, UnknownGeneratorError
-from .ring import Ring, RingElement, basis_rank, format_ring_element
+from .ring import (Ring, RingElement, add_scaled, basis_rank,
+                   format_ring_element, mul_linear)
 from .words import Word, commutator
 
 __all__ = [
@@ -55,10 +56,10 @@ def magnus(word: Word, alphabet) -> RingElement:
     """
     _check_letters(word, alphabet)
     ring = Ring(alphabet)
-    acc = ring.one
+    terms = {(): 1}
     for g, e in word.letters:
-        acc = acc * (ring.one + e * ring.gen(g))
-    return acc
+        mul_linear(terms, g, e)
+    return RingElement(ring, terms)
 
 
 @dataclass(frozen=True)
@@ -113,17 +114,16 @@ def normal_form(word: Word, alphabet) -> MilnorElement:
     while len(level) > 1:
         top = level[-1]
         sub = level[:-1]
-        ring = Ring(sub)
-        running = ring.one
-        rho = ring.zero
+        running = {(): 1}
+        rho = {}
         tail = []
         for g, e in letters:
             if g == top:
-                rho = rho + e * running
+                add_scaled(rho, running, e)
             else:
                 tail.append((g, e))
-                running = running * (ring.one + e * ring.gen(g))
-        components.append(rho)
+                mul_linear(running, g, e)
+        components.append(RingElement(Ring(sub), rho))
         letters = tail
         level = sub
     exponent = sum(e for _, e in letters)

@@ -5,7 +5,9 @@ variables by the ideal spanned by all monomials in which some variable
 occurs at least twice.  Its additive group is free abelian on the
 monomials with pairwise-distinct variables, so elements are stored as
 sparse integer maps keyed by tuples of variable names.  Coefficients are
-exact Python ints of unbounded magnitude.
+exact Python ints of unbounded magnitude.  Scans of words work on bare
+term dicts in place (`mul_linear`, `add_scaled`) and wrap the result in
+a `RingElement` once.
 
 >>> R = Ring(("m1", "m2"))
 >>> y1, y2 = R.gen("m1"), R.gen("m2")
@@ -93,7 +95,7 @@ class Ring:
         return RingElement(self, {m: c for m, c in clean.items() if c})
 
     def monomial_key(self, mono: Monomial):
-        return (len(mono), tuple(self._pos[v] for v in mono))
+        return (len(mono), tuple(map(self._pos.__getitem__, mono)))
 
     def basis(self):
         """All basis monomials in degree-then-position order."""
@@ -159,10 +161,6 @@ class RingElement:
         degs = [len(m) for m in self.terms if m]
         return min(degs) if degs else None
 
-    def homogeneous_part(self, degree: int) -> RingElement:
-        return RingElement(
-            self.ring, {m: c for m, c in self.terms.items() if len(m) == degree})
-
     def embed(self, ring: Ring) -> RingElement:
         """The same element in a ring whose variables contain ours."""
         missing = set(self.ring.variables) - set(ring.variables)
@@ -188,12 +186,7 @@ class RingElement:
         if other is None:
             return NotImplemented
         out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            c = out.get(mono, 0) + coeff
-            if c:
-                out[mono] = c
-            else:
-                out.pop(mono, None)
+        add_scaled(out, other.terms, 1)
         return RingElement(self.ring, out)
 
     __radd__ = __add__
@@ -234,14 +227,6 @@ class RingElement:
             return self * other
         return NotImplemented
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined in R")
-        acc = self.ring.one
-        for _ in range(n):
-            acc = acc * self
-        return acc
-
     def __str__(self):
         return format_ring_element(self)
 
@@ -249,14 +234,41 @@ class RingElement:
         return "<RingElement %s>" % format_ring_element(self)
 
 
+def add_scaled(terms: dict, other: dict, e: int) -> None:
+    """terms += e * other, in place on {monomial: coeff} dicts; drops zeros."""
+    for mono, coeff in other.items():
+        c = terms.get(mono, 0) + e * coeff
+        if c:
+            terms[mono] = c
+        else:
+            terms.pop(mono, None)
+
+
+def mul_linear(terms: dict, g: str, e: int) -> None:
+    """terms *= 1 + e*y_g, in place on a {monomial: coeff} dict.
+
+    Only monomials without g gain a term (m * y_g dies in R when m has g),
+    and the new keys all contain g, so iterating over a snapshot of the
+    keys that lack g reads each coefficient before anything changes it.
+    """
+    for mono in [m for m in terms if g not in m]:
+        key = mono + (g,)
+        c = terms.get(key, 0) + e * terms[mono]
+        if c:
+            terms[key] = c
+        else:
+            del terms[key]
+
+
 def format_ring_element(elem: RingElement, display=variable_display) -> str:
     """Serialize as a signed monomial sum, e.g. ``1 + y2*y3 - y3*y2``."""
     if not elem.terms:
         return "0"
+    name = {v: display(v) for v in elem.ring.variables}.__getitem__
     parts = []
     for mono in elem.support():
         coeff = elem.terms[mono]
-        body = "*".join(display(v) for v in mono) if mono else "1"
+        body = "*".join(map(name, mono)) if mono else "1"
         mag = abs(coeff)
         if mag != 1 or not mono:
             body = str(mag) if not mono else "%d*%s" % (mag, body)

@@ -32,6 +32,13 @@ class Word:
                 raise ValueError("letter exponents must be +1 or -1")
 
     @classmethod
+    def _trusted(cls, letters: tuple) -> "Word":
+        """A word on a tuple of letters already known to be valid."""
+        word = cls.__new__(cls)
+        word.letters = letters
+        return word
+
+    @classmethod
     def gen(cls, name: str) -> "Word":
         return cls(((name, 1),))
 
@@ -47,17 +54,17 @@ class Word:
         return len(self.letters)
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        return Word._trusted(self.letters + other.letters)
 
     def __invert__(self) -> "Word":
-        return Word(tuple((g, -e) for g, e in reversed(self.letters)))
+        return Word._trusted(tuple((g, -e) for g, e in reversed(self.letters)))
 
     def inverse(self) -> "Word":
         return ~self
 
     def __pow__(self, n: int) -> "Word":
         base = self if n >= 0 else ~self
-        return Word(base.letters * abs(n))
+        return Word._trusted(base.letters * abs(n))
 
     def conjugated_by(self, h: "Word") -> "Word":
         """h' * self * h  (the usual right conjugation g^h)."""
@@ -70,7 +77,7 @@ class Word:
                 out.pop()
             else:
                 out.append(let)
-        return Word(out)
+        return Word._trusted(tuple(out))
 
     def freely_equal(self, other: "Word") -> bool:
         return (self * ~other).free_reduce().is_empty
@@ -91,11 +98,11 @@ class Word:
                 out.extend(replacement.letters if e > 0 else (~replacement).letters)
             else:
                 out.append((g, e))
-        return Word(out)
+        return Word._trusted(tuple(out))
 
     def erase(self, name: str) -> "Word":
         """Delete every letter of the given generator (set it to 1)."""
-        return Word(tuple(let for let in self.letters if let[0] != name))
+        return Word._trusted(tuple(let for let in self.letters if let[0] != name))
 
     def exponent_sum(self, name: str) -> int:
         return sum(e for g, e in self.letters if g == name)

@@ -7,6 +7,8 @@ insertion, and re-rooting works on a plain adjacency list.
 """
 
 from mgk.gropes import ClosedGropeTree, GropeTree
+from mgk.milnor import MilnorElement
+from mgk.ring import Ring
 from mgk.words import Word
 
 # -- free associative ring, projected to squarefree monomials at the end ------
@@ -41,6 +43,44 @@ def naive_magnus(word, rename=None):
         v = rename(g) if rename else g
         factors.append({(): 1, (v,): e})
     return squarefree(free_mul(factors))
+
+
+# -- per-letter products of ring elements ---------------------------------------
+# The library scans words with an in-place kernel on term dicts; these
+# build one RingElement per letter and multiply with the general product.
+
+
+def reference_magnus(word, alphabet):
+    """Magnus expansion as a product of 1 +- y_g ring elements."""
+    ring = Ring(alphabet)
+    acc = ring.one
+    for g, e in word.letters:
+        acc = acc * (ring.one + e * ring.gen(g))
+    return acc
+
+
+def reference_normal_form(word, alphabet):
+    """The split-extension tower with RingElement sums and products."""
+    full = tuple(alphabet)
+    letters = word.letters
+    components = []
+    level = full
+    while len(level) > 1:
+        top = level[-1]
+        ring = Ring(level[:-1])
+        running = ring.one
+        rho = ring.zero
+        tail = []
+        for g, e in letters:
+            if g == top:
+                rho = rho + e * running
+            else:
+                tail.append((g, e))
+                running = running * (ring.one + e * ring.gen(g))
+        components.append(rho)
+        letters = tail
+        level = level[:-1]
+    return MilnorElement(full, tuple(components), sum(e for _, e in letters))
 
 
 # -- Milnor-equal rewritings ---------------------------------------------------

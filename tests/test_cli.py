@@ -7,6 +7,8 @@ import pytest
 from mgk.cli import main
 from mgk.links import catalog, save_link
 
+from test_links import BAD_LINK_JSON
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -107,6 +109,16 @@ def test_link_file_input(capsys, tmp_path):
 def test_link_unknown_model(capsys):
     code, _, err = run(capsys, "link", "trivial", "nonexistent")
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("data", BAD_LINK_JSON)
+def test_link_bad_json_exit_2(tmp_path, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    proc = subprocess.run([sys.executable, "-m", "mgk.cli", "link", "trivial",
+                           str(path)], capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "error" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_compose_and_certificate(capsys, tmp_path):

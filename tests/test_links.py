@@ -228,3 +228,25 @@ def test_json_errors():
         link_from_dict({"components": ["a"]})
     with pytest.raises(LinkFormatError):
         link_from_dict({"components": ["a"], "longitudes": {}})
+
+
+BAD_LINK_JSON = [
+    {"components": ["a", "b"], "longitudes": {"a": 5, "b": "m1"}},
+    {"components": ["a", "b"], "longitudes": {"a": None, "b": "m1"}},
+    {"components": ["a", "b"], "longitudes": ["m2", "m1"]},
+    {"components": "ab", "longitudes": {"a": "m2", "b": "m1"}},
+    {"components": [["a"], "b"], "longitudes": {"b": "m1"}},
+    {"components": ["a", "b"], "meridians": "xy",
+     "longitudes": {"a": "y", "b": "x"}},
+    {"components": ["a"], "longitudes": {"a": "lambda"}, "wedge": 1},
+    {"components": ["a"], "longitudes": {"a": "lambda"}, "wedge": "z1",
+     "core_symbol": ["lambda"]},
+    ["a", "b"],
+    "borromean",
+]
+
+
+@pytest.mark.parametrize("data", BAD_LINK_JSON)
+def test_json_schema_errors(data):
+    with pytest.raises(LinkFormatError):
+        link_from_dict(data)

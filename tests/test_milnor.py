@@ -11,7 +11,8 @@ from mgk.milnor import (basis_rank, conjugation_action, default_alphabet,
 from mgk.ring import Ring
 from mgk.words import Word, commutator
 
-from helpers import milnor_rewrites, naive_magnus, random_words
+from helpers import (milnor_rewrites, naive_magnus, random_words,
+                     reference_magnus, reference_normal_form)
 
 A3 = default_alphabet(3)
 A4 = default_alphabet(4)
@@ -53,6 +54,32 @@ def test_magnus_is_homomorphism(u, v):
 @given(words())
 def test_magnus_matches_free_ring_oracle(w):
     assert magnus(w, A3).terms == naive_magnus(w)
+
+
+def sized_words():
+    """(alphabet, word) pairs at s = 4..6, long enough to reach top degree."""
+    return st.integers(4, 6).map(default_alphabet).flatmap(
+        lambda a: st.tuples(st.just(a), words(a, max_len=24)))
+
+
+@settings(max_examples=60)
+@given(sized_words())
+def test_in_place_scans_match_ring_products(pair):
+    alphabet, w = pair
+    assert magnus(w, alphabet).terms == reference_magnus(w, alphabet).terms
+    got, want = normal_form(w, alphabet), reference_normal_form(w, alphabet)
+    assert len(got.components) == len(want.components) == len(alphabet) - 1
+    for g, r in zip(got.components, want.components):
+        assert g.ring == r.ring and g.terms == r.terms
+    assert got.exponent == want.exponent
+
+
+@settings(max_examples=60)
+@given(sized_words())
+def test_in_place_cancellation_leaves_no_zero_terms(pair):
+    alphabet, w = pair
+    assert magnus(w * ~w, alphabet).terms == {(): 1}
+    assert all(not c.terms for c in normal_form(w * ~w, alphabet).components)
 
 
 # -- normal forms ---------------------------------------------------------------

@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mgk.errors import UniverseMismatchError
+from mgk.milnor import default_alphabet, magnus
 from mgk.ring import Ring, basis_rank, format_ring_element, variable_display
+from mgk.words import Word
 
 from helpers import free_mul, squarefree
 
@@ -108,6 +110,29 @@ def test_formatting():
     assert variable_display("m12") == "y12"
     assert variable_display("z2") == "z2"
     assert variable_display("lambda") == "lambda"
+
+
+def test_formatting_frozen_s5_expansion():
+    e = magnus(Word.parse("[m5^2 m1, m3] m4^2 [m2,m4]"), default_alphabet(5))
+    assert format_ring_element(e) == (
+        "1 + 2*y4 + y1*y3 + y2*y4 - y3*y1 - 2*y3*y5 - y4*y2 + 2*y5*y3"
+        " + 2*y1*y3*y4 - 2*y1*y3*y5 - 2*y3*y1*y4 + 2*y3*y1*y5 - 4*y3*y5*y4"
+        " + 2*y5*y1*y3 - 2*y5*y3*y1 + 4*y5*y3*y4 + y1*y3*y2*y4 - y1*y3*y4*y2"
+        " - 4*y1*y3*y5*y4 - y3*y1*y2*y4 + y3*y1*y4*y2 + 4*y3*y1*y5*y4"
+        " - 2*y3*y5*y2*y4 + 2*y3*y5*y4*y2 + 4*y5*y1*y3*y4 - 4*y5*y3*y1*y4"
+        " + 2*y5*y3*y2*y4 - 2*y5*y3*y4*y2 - 2*y1*y3*y5*y2*y4"
+        " + 2*y1*y3*y5*y4*y2 + 2*y3*y1*y5*y2*y4 - 2*y3*y1*y5*y4*y2"
+        " + 2*y5*y1*y3*y2*y4 - 2*y5*y1*y3*y4*y2 - 2*y5*y3*y1*y2*y4"
+        " + 2*y5*y3*y1*y4*y2")
+
+
+def test_formatting_other_variable_names():
+    ring = Ring(("z1", "w", "m2"))
+    z, w, y = ring.gen("z1"), ring.gen("w"), ring.gen("m2")
+    assert format_ring_element((1 + z) * (1 - w) * (1 + 2 * y)) == (
+        "1 + z1 - w + 2*y2 - z1*w + 2*z1*y2 - 2*w*y2 - 2*z1*w*y2")
+    assert format_ring_element(w * z - 3 * y * w, display=str.upper) == (
+        "W*Z1 - 3*M2*W")
 
 
 def test_min_positive_degree():

@@ -60,6 +60,25 @@ def test_product_length(u, v):
     assert len(u * v) == len(u) + len(v)
 
 
+def test_constructor_validates_exponents():
+    for bad in ((("m1", 2),), (("m1", 1), ("m2", 0))):
+        with pytest.raises(ValueError):
+            Word(bad)
+
+
+@given(words(), words())
+def test_operator_results_equal_validated_words(u, v):
+    for got in (~u, u * v, u ** -3, u ** 2, u.erase("m1"), u.free_reduce(),
+                u.substitute("m2", v)):
+        assert got.letters == Word(got.letters).letters
+        assert type(got.letters) is tuple
+        assert all(type(let) is tuple for let in got.letters)
+    assert (~u).letters == tuple((g, -e) for g, e in reversed(u.letters))
+    assert (u * v).letters == u.letters + v.letters
+    assert (u ** -3).letters == (~u).letters * 3
+    assert u.erase("m1").letters == tuple(let for let in u.letters if let[0] != "m1")
+
+
 def test_free_reduce_is_lazy():
     w = Word.parse("m1 m1'")
     assert not w.is_empty  # stored unreduced
