@@ -311,6 +311,11 @@ def main(argv=None) -> int:
     except (MgkError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except (RecursionError, MemoryError) as exc:
+        # exit 1 means "a check failed", so resource exhaustion is an error
+        print("error: input too large or too deeply nested (%s)"
+              % (exc or type(exc).__name__), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -6,8 +6,10 @@ afterwards, Milnor-equal words are produced by explicit relator
 insertion, and re-rooting works on a plain adjacency list.
 """
 
+from mgk.errors import LinkFormatError
 from mgk.gropes import ClosedGropeTree, GropeTree
-from mgk.milnor import MilnorElement
+from mgk.links import delete_component
+from mgk.milnor import MilnorElement, magnus
 from mgk.ring import Ring
 from mgk.words import Word
 
@@ -83,6 +85,45 @@ def reference_normal_form(word, alphabet):
     return MilnorElement(full, tuple(components), sum(e for _, e in letters))
 
 
+# -- link invariants by sublink recursion and full expansion --------------------
+# The library reads triviality from one expansion per component and mu-bar
+# by a chain scan; these recurse over sublinks and expand in the ring.
+
+
+def reference_mu_bar(link, indices):
+    """mu-bar as one coefficient of the longitude's full Magnus expansion."""
+    idx = [link.index_of(i) for i in indices]
+    if len(idx) < 2:
+        raise LinkFormatError("need at least two indices (i1, ..., ik, j)")
+    if len(set(idx)) != len(idx):
+        raise LinkFormatError("mu-bar indices must be pairwise distinct")
+    j = idx[-1]
+    others = tuple(m for k, m in enumerate(link.meridians) if k != j)
+    expansion = magnus(link.longitudes[j], others)
+    return expansion.coefficient(tuple(link.meridians[i] for i in idx[:-1]))
+
+
+def reference_is_homotopically_trivial(link):
+    """Every longitude expands to 1 and, recursively, every proper sublink
+    is trivial."""
+    if link.n == 1:
+        return True
+    for k in range(link.n):
+        others = tuple(m for i, m in enumerate(link.meridians) if i != k)
+        if magnus(link.longitudes[k], others) != 1:
+            return False
+    return all(reference_is_homotopically_trivial(delete_component(link, k + 1))
+               for k in range(link.n))
+
+
+def reference_is_almost_trivial(link):
+    """Every sublink with one component removed is trivial (n >= 2)."""
+    if link.n < 2:
+        raise LinkFormatError("almost-triviality needs at least 2 components")
+    return all(reference_is_homotopically_trivial(delete_component(link, k + 1))
+               for k in range(link.n))
+
+
 # -- Milnor-equal rewritings ---------------------------------------------------
 
 
@@ -115,6 +156,20 @@ def milnor_rewrites(rng, word, alphabet, count=6, max_conj=3):
             current[pos:pos] = ins
         variants.append(Word(tuple(current)))
     return variants
+
+
+def conjugated_relator(rng, alphabet, max_conj=3):
+    """g' [mi, h' mi h] g for random g, h: trivial in the Milnor group, so
+    its Magnus expansion is 1."""
+
+    def random_word():
+        return Word(tuple((rng.choice(alphabet), rng.choice((1, -1)))
+                          for _ in range(rng.randint(0, max_conj))))
+
+    mi = Word.gen(rng.choice(alphabet))
+    g, h = random_word(), random_word()
+    b = ~h * mi * h
+    return ~g * mi * b * ~mi * ~b * g
 
 
 # -- adjacency re-rooting for genus-1 closed trees ------------------------------

@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -6,7 +7,9 @@ import pytest
 
 from mgk.cli import main
 from mgk.links import catalog, save_link
+from mgk.words import Word
 
+from helpers import conjugated_relator
 from test_links import BAD_LINK_JSON
 
 
@@ -120,6 +123,53 @@ def test_link_bad_json_exit_2(tmp_path, data):
     assert proc.returncode == 2 and proc.stdout == ""
     assert "error" in proc.stderr and "Traceback" not in proc.stderr
 
+
+
+@pytest.fixture(scope="module")
+def twelve_component_link(tmp_path_factory):
+    """12 components with ~5000-letter longitudes of conjugated Milnor
+    relators; longitude 12 also holds [m3,m7].  So mu(3,7,12) = 1,
+    mu(7,3,12) = -1, and every other distinct-index mu-bar is 0."""
+    rng = random.Random(12)
+    mers = ["m%d" % (i + 1) for i in range(12)]
+    longitudes = {}
+    for k in range(12):
+        others = mers[:k] + mers[k + 1:]
+        letters = []
+        while len(letters) < 5000:
+            letters += conjugated_relator(rng, others).letters
+        if k == 11:
+            pos = len(letters) // 2
+            letters[pos:pos] = Word.parse("[m3,m7]").letters
+        longitudes["l%d" % (k + 1)] = str(Word(letters))
+    path = tmp_path_factory.mktemp("links") / "twelve.json"
+    path.write_text(json.dumps({"components": list(longitudes),
+                                "longitudes": longitudes}))
+    return str(path)
+
+
+@pytest.mark.parametrize("index, mu", [
+    ("3,7,12", "1"), ("7,3,12", "-1"), ("3,7,1", "0"),
+    ("1,2,3,4,5,6,7,8,9,10,11,12", "0")])
+def test_link_mu_on_twelve_components(twelve_component_link, index, mu):
+    proc = subprocess.run([sys.executable, "-m", "mgk.cli", "link", "mu",
+                           twelve_component_link, "--index", index],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == mu + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["milnor", "expand", "(" * 3000 + "m1" + ")" * 3000],
+    ["milnor", "expand", "[" * 3000 + "m1" + ",m2]" * 3000],
+    ["grope", "class", "({" * 299 + "({* *})" + " *})" * 299],
+], ids=["nested-parens", "nested-commutators", "grope-chain-300"])
+def test_deep_input_is_an_error_not_a_crash(argv):
+    proc = subprocess.run([sys.executable, "-m", "mgk.cli"] + argv,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 def test_compose_and_certificate(capsys, tmp_path):
     out_path = tmp_path / "fig6.json"

@@ -1,5 +1,7 @@
+import itertools
 import json
 import os
+import random
 
 import pytest
 
@@ -9,6 +11,9 @@ from mgk.links import (LinkModel, SolidTorusLink, catalog, delete_component,
                        link_from_dict, link_to_dict, load_link, mu_bar,
                        save_link)
 from mgk.words import Word
+
+from helpers import (conjugated_relator, reference_is_almost_trivial,
+                     reference_is_homotopically_trivial, reference_mu_bar)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures",
                         "catalog_longitudes.json")
@@ -142,6 +147,94 @@ def test_triviality_is_monotone():
     wh = catalog("whitehead_pattern")
     for i in (1, 2, 3):
         assert is_homotopically_trivial(delete_component(wh, i))
+
+
+def iterated_commutator(gens):
+    """[...[[g1, g2], g3], ...]: its expansion is 1 plus terms of degree
+    len(gens)."""
+    word = Word.gen(gens[0])
+    for g in gens[1:]:
+        b = Word.gen(g)
+        word = word * b * ~word * ~b
+    return word
+
+
+def random_link(rng):
+    """A 2-5 component link whose longitudes are products of conjugated
+    Milnor relators, plus for "top" links an iterated commutator of all
+    other meridians (almost trivial) or for "letters" links a few random
+    letters (usually not almost trivial)."""
+    n = rng.randint(2, 5)
+    mers = tuple("m%d" % (i + 1) for i in range(n))
+    kind = rng.choice(("relators", "top", "letters"))
+    longitudes = []
+    for k in range(n):
+        others = mers[:k] + mers[k + 1:]
+        parts = [conjugated_relator(rng, others)
+                 for _ in range(rng.randint(0, 3))]
+        if kind == "top" and rng.random() < 0.6:
+            extra = iterated_commutator(rng.sample(others, len(others)))
+        elif kind == "letters" and rng.random() < 0.6:
+            extra = Word(tuple((rng.choice(others), rng.choice((1, -1)))
+                               for _ in range(rng.randint(1, 2))))
+        else:
+            extra = Word()
+        parts.insert(rng.randint(0, len(parts)), extra)
+        word = Word()
+        for part in parts:
+            word = word * part
+        longitudes.append(word)
+    return LinkModel(tuple("l%d" % (i + 1) for i in range(n)), mers,
+                     tuple(longitudes))
+
+
+def test_invariants_agree_with_sublink_recursion_oracles():
+    rng = random.Random(20261017)
+    seen = set()
+    sequences = nonzero = 0
+    for _ in range(150):
+        link = random_link(rng)
+        trivial = is_homotopically_trivial(link)
+        almost = is_almost_trivial(link)
+        assert trivial == reference_is_homotopically_trivial(link), link
+        assert almost == reference_is_almost_trivial(link), link
+        seen.add((trivial, almost))
+        for k in range(2, link.n + 1):
+            for idx in itertools.permutations(range(1, link.n + 1), k):
+                mu = mu_bar(link, idx)
+                assert mu == reference_mu_bar(link, idx), (link, idx)
+                sequences += 1
+                nonzero += mu != 0
+    # trivial, almost trivial but not trivial, and not almost trivial
+    assert seen == {(True, True), (False, True), (False, False)}
+    assert 0 < nonzero < sequences
+
+
+def test_invariants_expand_each_longitude_at_most_once(monkeypatch):
+    import mgk.links
+    calls = []
+    real = mgk.links.magnus
+
+    def counting(word, alphabet):
+        calls.append(alphabet)
+        return real(word, alphabet)
+
+    monkeypatch.setattr(mgk.links, "magnus", counting)
+    assert is_homotopically_trivial(catalog("unlink(8)"))
+    assert len(calls) == 8
+    mers = tuple("m%d" % (i + 1) for i in range(5))
+    five = LinkModel(tuple("l%d" % (i + 1) for i in range(5)), mers, tuple(
+        iterated_commutator(mers[:k] + mers[k + 1:]) for k in range(5)))
+    calls.clear()
+    assert is_almost_trivial(five)
+    assert len(calls) <= 5
+    calls.clear()
+    assert not is_homotopically_trivial(five)
+    assert len(calls) == 1
+    calls.clear()
+    assert mu_bar(five, (2, 3, 4, 5, 1)) == 1
+    assert mu_bar(catalog("borromean"), (3, 2, 1)) == -1
+    assert calls == []
 
 
 # -- deletion -----------------------------------------------------------------------
