@@ -79,7 +79,7 @@ def cmd_grope(args):
     if args.action == "boundary":
         tree = gropes.parse_tree(args.tree)
         names = [n.strip() for n in args.names.split(",")] if args.names else \
-            ["m%d" % (i + 1) for i in range(len(gropes.leaf_paths(tree)))]
+            ["m%d" % (i + 1) for i in range(tree.leaf_count)]
         print(gropes.boundary_expression(tree, names))
         return 0
     if args.action == "dot":
@@ -106,11 +106,11 @@ def cmd_grope(args):
                          "bound": "%d >= %d %s" % (dc, k, "ok" if bound else "VIOLATED")})
         if args.json:
             payload = {"command": "grope duals", "input": args.tree,
-                       "class": k, "rank": len(gropes.free_tips(closed)),
+                       "class": k, "rank": closed.body.leaf_count,
                        "duals": rows}
             _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
         else:
-            lines = ["class %d, rank %d" % (k, len(gropes.free_tips(closed)))]
+            lines = ["class %d, rank %d" % (k, closed.body.leaf_count)]
             lines += ["tip %-10s class %-3d %-12s %s"
                       % (r["tip"], r["class"], r["bound"], r["dual"]) for r in rows]
             _emit("\n".join(lines), args.out)

@@ -7,6 +7,12 @@ circle, class 1) or a Surface with an ordered list of pairs of subtrees
 (one pair per genus).  The class of a Surface is the minimum over its
 pairs of the sum of the two members' classes.
 
+Every `GropeTree` fixes its class, its leaf count and its hash when it is
+built, from the same fields of its children, so reading them is O(1) and
+building a tree is O(1) work per pair.  The module keeps no cache, and
+no function here recurses over the tree: the walks use explicit stacks,
+so trees of any depth work under the default recursion limit.
+
 Text grammar (whitespace-insensitive):
 
     GROPE := "*" | "(" PAIR+ ")"
@@ -29,9 +35,8 @@ the partner classes, hence at least the class of the original tree.
 
 from __future__ import annotations
 
-import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import TreeSyntaxError
 from .words import Word, commutator
@@ -47,11 +52,33 @@ __all__ = [
 LEFT, RIGHT = 0, 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GropeTree:
-    """Leaf when `pairs` is empty, Surface of genus len(pairs) otherwise."""
+    """Leaf when `pairs` is empty, Surface of genus len(pairs) otherwise.
+
+    `tree_class` and `leaf_count` are the class and the number of Leaves.
+    """
 
     pairs: tuple[tuple["GropeTree", "GropeTree"], ...] = ()
+    tree_class: int = field(init=False, repr=False)
+    leaf_count: int = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        tree_class = leaf_count = 1
+        key = []
+        if self.pairs:
+            classes = []
+            leaf_count = 0
+            for left, right in self.pairs:
+                classes.append(left.tree_class + right.tree_class)
+                leaf_count += left.leaf_count + right.leaf_count
+                key += (left._hash, right._hash)
+            tree_class = min(classes)
+        set_field = object.__setattr__  # the dataclass is frozen
+        set_field(self, "tree_class", tree_class)
+        set_field(self, "leaf_count", leaf_count)
+        set_field(self, "_hash", hash(tuple(key)))
 
     @property
     def is_leaf(self) -> bool:
@@ -60,6 +87,26 @@ class GropeTree:
     @property
     def genus(self) -> int:
         return len(self.pairs)
+
+    def __eq__(self, other):
+        if not isinstance(other, GropeTree):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a._hash != b._hash or len(a.pairs) != len(b.pairs):
+                return False
+            for pa, pb in zip(a.pairs, b.pairs):
+                stack += zip(pa, pb)
+        return True
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return "parse_tree(%r)" % tree_text(self)
 
     def __str__(self):
         return tree_text(self)
@@ -88,11 +135,56 @@ class ClosedGropeTree:
 # -- text form --------------------------------------------------------------
 
 def parse_tree(text: str) -> GropeTree:
-    tree, pos = _parse_grope(text, _skip_ws(text, 0))
-    pos = _skip_ws(text, pos)
-    if pos != len(text):
-        raise TreeSyntaxError("trailing input", pos)
-    return tree
+    chars = "".join(text.split())  # positions are mapped back on error
+    n = len(chars)
+    open_members = []  # one list of finished pair members per open Surface
+    k = 0
+    while True:
+        # read one GROPE at k
+        if k >= n:
+            raise _syntax_error("unexpected end of input", text, k)
+        ch = chars[k]
+        if ch == "(":
+            if chars[k + 1:k + 2] != "{":
+                raise _syntax_error("a Surface needs at least one pair", text, k + 1)
+            open_members.append([])
+            k += 2
+            continue
+        if ch != "*":
+            raise _syntax_error("expected '*' or '('", text, k)
+        node = LEAF
+        k += 1
+        # hand the finished GROPE to its Surface, closing Surfaces that end
+        while True:
+            if not open_members:
+                if k != n:
+                    raise _syntax_error("trailing input", text, k)
+                return node
+            members = open_members[-1]
+            members.append(node)
+            if len(members) % 2:
+                break  # the right member follows
+            if chars[k:k + 1] != "}":
+                raise _syntax_error("expected '}'", text, k)
+            k += 1
+            if chars[k:k + 1] == "{":
+                k += 1
+                break  # the next pair's left member follows
+            if chars[k:k + 1] != ")":
+                raise _syntax_error("expected ')'", text, k)
+            open_members.pop()
+            node = GropeTree(tuple(zip(members[::2], members[1::2])))
+            k += 1
+
+
+def _syntax_error(message, text, k):
+    """The error at the k-th non-space character of text (or at its end)."""
+    for pos, ch in enumerate(text):
+        if not ch.isspace():
+            if not k:
+                return TreeSyntaxError(message, pos)
+            k -= 1
+    return TreeSyntaxError(message, len(text))
 
 
 def parse_closed_tree(text: str) -> ClosedGropeTree:
@@ -102,65 +194,44 @@ def parse_closed_tree(text: str) -> ClosedGropeTree:
     return ClosedGropeTree(tree)
 
 
-def _skip_ws(text, pos):
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
-
-
-def _parse_grope(text, pos):
-    if pos >= len(text):
-        raise TreeSyntaxError("unexpected end of input", pos)
-    ch = text[pos]
-    if ch == "*":
-        return LEAF, pos + 1
-    if ch != "(":
-        raise TreeSyntaxError("expected '*' or '('", pos)
-    pos = _skip_ws(text, pos + 1)
-    pairs = []
-    while pos < len(text) and text[pos] == "{":
-        pos = _skip_ws(text, pos + 1)
-        left, pos = _parse_grope(text, pos)
-        pos = _skip_ws(text, pos)
-        right, pos = _parse_grope(text, pos)
-        pos = _skip_ws(text, pos)
-        if pos >= len(text) or text[pos] != "}":
-            raise TreeSyntaxError("expected '}'", pos)
-        pairs.append((left, right))
-        pos = _skip_ws(text, pos + 1)
-    if not pairs:
-        raise TreeSyntaxError("a Surface needs at least one pair", pos)
-    if pos >= len(text) or text[pos] != ")":
-        raise TreeSyntaxError("expected ')'", pos)
-    return GropeTree(tuple(pairs)), pos + 1
-
-
 def tree_text(tree: GropeTree) -> str:
     """Canonical text; round-trips through parse_tree character-for-character."""
-    if tree.is_leaf:
-        return "*"
-    return "(%s)" % " ".join(
-        "{%s %s}" % (tree_text(l), tree_text(r)) for l, r in tree.pairs)
+    parts = []
+    stack = [tree]  # trees to write and the text between them, last first
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            parts.append(item)
+        elif not item.pairs:
+            parts.append("*")
+        else:
+            stack.append("})")
+            for left, right in reversed(item.pairs):
+                stack += (right, " ", left, "} {")
+            stack[-1] = "({"  # the first pair opens the Surface
+    return "".join(parts)
 
 
 # -- class and tips ----------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
 def grope_class(tree: GropeTree) -> int:
     """Leaf -> 1; Surface -> min over pairs of class(left) + class(right)."""
-    if tree.is_leaf:
-        return 1
-    return min(grope_class(l) + grope_class(r) for l, r in tree.pairs)
+    return tree.tree_class
 
 
 def leaf_paths(tree: GropeTree):
     """Every Leaf position in depth-first order, as (pair, side) steps."""
-    if tree.is_leaf:
-        return ((),)
     out = []
-    for i, (left, right) in enumerate(tree.pairs):
-        for side, child in ((LEFT, left), (RIGHT, right)):
-            out.extend(((i, side),) + p for p in leaf_paths(child))
+    stack = [(tree, ())]
+    while stack:
+        node, path = stack.pop()
+        if not node.pairs:
+            out.append(path)
+            continue
+        for i in range(len(node.pairs) - 1, -1, -1):
+            left, right = node.pairs[i]
+            stack.append((right, path + ((i, RIGHT),)))
+            stack.append((left, path + ((i, LEFT),)))
     return tuple(out)
 
 
@@ -203,10 +274,9 @@ def parse_tip_path(text: str):
 # -- boundary words ----------------------------------------------------------
 
 def _assign_names(tree: GropeTree, names):
-    tips = leaf_paths(tree)
     names = tuple(names)
-    if len(names) != len(tips):
-        raise ValueError("need %d tip names, got %d" % (len(tips), len(names)))
+    if len(names) != tree.leaf_count:
+        raise ValueError("need %d tip names, got %d" % (tree.leaf_count, len(names)))
     if len(set(names)) != len(names):
         raise ValueError("tip names must be distinct")
     return names
@@ -232,15 +302,19 @@ def boundary_word(tree: GropeTree, names) -> Word:
 
 def boundary_expression(tree: GropeTree, names) -> str:
     """The boundary word in commutator-sugar text, e.g. "[[a,b],c]"."""
-    names = _assign_names(tree, names)
-    it = iter(names)
-
-    def walk(node):
-        if node.is_leaf:
-            return next(it)
-        return "".join("[%s,%s]" % (walk(l), walk(r)) for l, r in node.pairs)
-
-    return walk(tree)
+    it = iter(_assign_names(tree, names))
+    parts = []
+    stack = [tree]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            parts.append(item)
+        elif not item.pairs:
+            parts.append(str(next(it)))
+        else:
+            for left, right in reversed(item.pairs):
+                stack += ("]", right, ",", left, "[")
+    return "".join(parts)
 
 
 # -- duality -----------------------------------------------------------------
@@ -250,11 +324,12 @@ def _path_partners(closed: ClosedGropeTree, tip):
     partners = []
     node = closed.body
     for i, side in tip:
-        if node.is_leaf or i >= node.genus:
+        if not node.pairs or i >= len(node.pairs):
             raise ValueError("tip path %s leaves the tree" % format_tip_path(tip))
-        partners.append(node.pairs[i][1 - side])
-        node = node.pairs[i][side]
-    if not node.is_leaf:
+        pair = node.pairs[i]
+        partners.append(pair[1 - side])
+        node = pair[side]
+    if node.pairs:
         raise ValueError("tip path %s does not reach a Leaf" % format_tip_path(tip))
     return partners
 
@@ -282,28 +357,40 @@ def dual_class(closed: ClosedGropeTree, tip) -> int:
     Always agrees with grope_class(dual_tree(...).body) and is at least
     the class of the closed tree itself.
     """
-    return 1 + sum(grope_class(p) for p in _path_partners(closed, tip))
+    return 1 + sum(p.tree_class for p in _path_partners(closed, tip))
 
 
 # -- isomorphism and re-rooting ----------------------------------------------
 
-def _sort_key(tree: GropeTree):
-    return (grope_class(tree), tree_text(tree))
-
-
-@functools.lru_cache(maxsize=None)
 def canonical(tree: GropeTree) -> GropeTree:
-    """Representative modulo pair swaps and pair permutations."""
-    if tree.is_leaf:
-        return tree
-    pairs = []
-    for left, right in tree.pairs:
-        cl, cr = canonical(left), canonical(right)
-        if _sort_key(cr) < _sort_key(cl):
-            cl, cr = cr, cl
-        pairs.append((cl, cr))
-    pairs.sort(key=lambda p: (_sort_key(p[0]), _sort_key(p[1])))
-    return GropeTree(tuple(pairs))
+    """Representative modulo pair swaps and pair permutations.
+
+    One bottom-up pass: each canonical subtree's text is rendered once,
+    from its members' texts, and members and pairs are sorted on
+    (class, text).
+    """
+    done = []  # (canonical subtree, (class, text)) in depth-first order
+    stack = [(tree, False)]
+    while stack:
+        node, members_done = stack.pop()
+        if not node.pairs:
+            done.append((node, (1, "*")))
+        elif not members_done:
+            stack.append((node, True))
+            for left, right in reversed(node.pairs):
+                stack += ((right, False), (left, False))
+        else:
+            members = done[-2 * len(node.pairs):]
+            del done[-2 * len(node.pairs):]
+            pairs = []
+            for a, b in zip(members[::2], members[1::2]):
+                pairs.append((b, a) if b[1] < a[1] else (a, b))
+            pairs.sort(key=lambda p: (p[0][1], p[1][1]))
+            text = "(%s)" % " ".join(
+                "{%s %s}" % (a[1][1], b[1][1]) for a, b in pairs)
+            done.append((GropeTree(tuple((a[0], b[0]) for a, b in pairs)),
+                         (node.tree_class, text)))
+    return done[0][0]
 
 
 def is_isomorphic(a, b) -> bool:
@@ -320,53 +407,25 @@ def rerooted(closed: ClosedGropeTree, tip) -> ClosedGropeTree:
     Only defined when every Surface has genus 1: then every vertex of the
     unordered tree has degree at most 3 and the pairing of children after
     re-rooting is forced.  For such trees the dual tree is exactly the
-    re-rooted tree.
+    re-rooted tree.  Each path vertex becomes a genus-1 Surface whose pair
+    is (the sibling subtree it keeps, the rest of the path towards the old
+    root), and the old root edge becomes the last Leaf.
     """
-    nodes = []  # adjacency lists over integer vertex ids
-    adj = {}
-
-    def add_vertex():
-        vid = len(nodes)
-        nodes.append(vid)
-        adj[vid] = []
-        return vid
-
-    def connect(a, b):
-        adj[a].append(b)
-        adj[b].append(a)
-
-    tip_of = {}
-
-    def build(node, path):
-        vid = add_vertex()
-        if node.is_leaf:
-            tip_of[path] = vid
-        for i, (left, right) in enumerate(node.pairs):
-            lv = build(left, path + ((i, LEFT),))
-            rv = build(right, path + ((i, RIGHT),))
-            connect(vid, lv)
-            connect(vid, rv)
-        return vid
-
-    body_root = build(closed.body, ())
-    extra = add_vertex()
-    connect(extra, body_root)
-
-    start = tip_of.get(tuple(tip))
-    if start is None:
+    chain, node = LEAF, closed.body
+    for i, side in tip:
+        if not 0 <= i < node.genus or side not in (LEFT, RIGHT):
+            raise ValueError("tip path %s does not reach a Leaf" % format_tip_path(tip))
+        chain = GropeTree(((node.pairs[i][1 - side], chain),))
+        node = node.pairs[i][side]
+    if not node.is_leaf:
         raise ValueError("tip path %s does not reach a Leaf" % format_tip_path(tip))
-
-    def rebuild(vid, parent):
-        children = [u for u in adj[vid] if u != parent]
-        if not children:
-            return LEAF
-        if len(children) != 2:
+    stack = [closed.body]
+    while stack:
+        node = stack.pop()
+        if node.genus > 1:
             raise ValueError("re-rooting needs an all-genus-1 tree")
-        a, b = (rebuild(u, vid) for u in children)
-        return GropeTree(((a, b),))
-
-    (below,) = [u for u in adj[start]]
-    return ClosedGropeTree(rebuild(below, start))
+        stack += node.pairs[0] if node.pairs else ()
+    return ClosedGropeTree(chain)
 
 
 # -- DOT export ---------------------------------------------------------------
@@ -379,30 +438,28 @@ def export_dot(tree) -> str:
     closed = isinstance(tree, ClosedGropeTree)
     body = tree.body if closed else tree
     lines = ["digraph grope {", '  node [shape=point, width=0.12];']
-    counter = [0]
-
-    def new_node():
-        nid = "n%d" % counter[0]
-        counter[0] += 1
-        lines.append("  %s;" % nid)
-        return nid
-
-    def walk(node):
-        nid = new_node()
-        for i, (left, right) in enumerate(node.pairs):
-            color = _PALETTE[i % len(_PALETTE)]
-            for side, child in (("L", left), ("R", right)):
-                cid = walk(child)
-                lines.append('  %s -> %s [color="%s", pair=%d, side=%s];'
-                             % (nid, cid, color, i, side))
-        return nid
-
+    count, edge = 0, None
     if closed:
-        root = new_node()
-        body_id = walk(body)
-        lines.append('  %s -> %s [style=dashed, label="root edge"];'
-                     % (root, body_id))
-    else:
-        walk(body)
+        lines.append("  n0;")
+        count, edge = 1, '  n0 -> %s [style=dashed, label="root edge"];'
+    # an entry is a line to write, or a vertex with the format of its parent
+    # edge, which is written after the vertex's whole subtree
+    stack = [(body, edge)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            lines.append(item)
+            continue
+        node, edge = item
+        nid = "n%d" % count
+        count += 1
+        lines.append("  %s;" % nid)
+        if edge:
+            stack.append(edge % nid)
+        for i in range(len(node.pairs) - 1, -1, -1):
+            color = _PALETTE[i % len(_PALETTE)]
+            for side, child in zip("RL", reversed(node.pairs[i])):
+                stack.append((child, '  %s -> %%s [color="%s", pair=%d, side=%s];'
+                              % (nid, color, i, side)))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import random
 
-from .gropes import LEAF, ClosedGropeTree, GropeTree, leaf_paths
+from .gropes import LEAF, ClosedGropeTree, GropeTree
 from .ring import Ring, RingElement
 from .words import Word
 
@@ -43,7 +43,7 @@ def random_grope_tree(rng: random.Random, k: int, max_genus=2,
     for attempt in range(64):
         genus_cap = max_genus if attempt < 32 else 1
         tree = _grow(rng, k, genus_cap)
-        if len(leaf_paths(tree)) <= max_tips:
+        if tree.leaf_count <= max_tips:
             return tree
     return _grow(rng, k, 1)  # genus-1 tower: exactly k tips
 

@@ -210,7 +210,7 @@ def check_grope_degree(config: RunConfig):
             yield (tree, k)
 
     def check(tree, k):
-        names = ["m%d" % (i + 1) for i in range(len(gropes.leaf_paths(tree)))]
+        names = ["m%d" % (i + 1) for i in range(tree.leaf_count)]
         word = gropes.boundary_word(tree, names)
         return milnor.lcs_degree(word, tuple(names)) == k
 

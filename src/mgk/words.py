@@ -166,12 +166,12 @@ class _WordParser:
         return w
 
     def word(self):
-        out = IDENTITY
+        letters = []
         while True:
             tok = self.peek()
             if tok is None or tok in (")", "]", ","):
-                return out
-            out = out * self.factor()
+                return Word._trusted(tuple(letters))
+            letters += self.factor().letters
 
     def factor(self):
         w = self.atom()

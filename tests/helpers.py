@@ -172,6 +172,78 @@ def conjugated_relator(rng, alphabet, max_conj=3):
     return ~g * mi * b * ~mi * ~b * g
 
 
+# -- grope trees ---------------------------------------------------------------
+
+
+def shuffled_chain(rng, depth, partner=None, bottom=None):
+    """A genus-1 chain of the given depth, built without recursion: each
+    stage pairs the rest of the chain (at first `bottom`) with `partner`,
+    on a side the rng picks.  Both default to a Leaf."""
+    partner = partner or GropeTree()
+    tree = bottom or GropeTree()
+    for _ in range(depth):
+        pair = (tree, partner) if rng.random() < 0.5 else (partner, tree)
+        tree = GropeTree((pair,))
+    return tree
+
+
+# The library reads class and leaf count from fields fixed at construction
+# and walks trees with explicit stacks; these recurse, and the canonical
+# form re-renders each subtree's text in its sort key.
+
+
+def reference_tree_text(tree: GropeTree) -> str:
+    if tree.is_leaf:
+        return "*"
+    return "(%s)" % " ".join(
+        "{%s %s}" % (reference_tree_text(l), reference_tree_text(r))
+        for l, r in tree.pairs)
+
+
+def reference_grope_class(tree: GropeTree) -> int:
+    if tree.is_leaf:
+        return 1
+    return min(reference_grope_class(l) + reference_grope_class(r)
+               for l, r in tree.pairs)
+
+
+def reference_leaf_paths(tree: GropeTree):
+    if tree.is_leaf:
+        return ((),)
+    out = []
+    for i, (left, right) in enumerate(tree.pairs):
+        for side, child in ((0, left), (1, right)):
+            out.extend(((i, side),) + p for p in reference_leaf_paths(child))
+    return tuple(out)
+
+
+def _reference_sort_key(tree: GropeTree):
+    return (reference_grope_class(tree), reference_tree_text(tree))
+
+
+def reference_canonical(tree: GropeTree) -> GropeTree:
+    if tree.is_leaf:
+        return tree
+    pairs = []
+    for left, right in tree.pairs:
+        cl, cr = reference_canonical(left), reference_canonical(right)
+        if _reference_sort_key(cr) < _reference_sort_key(cl):
+            cl, cr = cr, cl
+        pairs.append((cl, cr))
+    pairs.sort(key=lambda p: (_reference_sort_key(p[0]),
+                              _reference_sort_key(p[1])))
+    return GropeTree(tuple(pairs))
+
+
+def reference_dual_class(closed: ClosedGropeTree, tip) -> int:
+    """1 plus the recomputed classes of the partners along the tip's path."""
+    total, node = 1, closed.body
+    for i, side in tip:
+        total += reference_grope_class(node.pairs[i][1 - side])
+        node = node.pairs[i][side]
+    return total
+
+
 # -- adjacency re-rooting for genus-1 closed trees ------------------------------
 
 

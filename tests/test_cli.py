@@ -6,10 +6,11 @@ import sys
 import pytest
 
 from mgk.cli import main
+from mgk.gropes import tree_text
 from mgk.links import catalog, save_link
 from mgk.words import Word
 
-from helpers import conjugated_relator
+from helpers import conjugated_relator, shuffled_chain
 from test_links import BAD_LINK_JSON
 
 
@@ -162,14 +163,34 @@ def test_link_mu_on_twelve_components(twelve_component_link, index, mu):
 @pytest.mark.parametrize("argv", [
     ["milnor", "expand", "(" * 3000 + "m1" + ")" * 3000],
     ["milnor", "expand", "[" * 3000 + "m1" + ",m2]" * 3000],
-    ["grope", "class", "({" * 299 + "({* *})" + " *})" * 299],
-], ids=["nested-parens", "nested-commutators", "grope-chain-300"])
+], ids=["nested-parens", "nested-commutators"])
 def test_deep_input_is_an_error_not_a_crash(argv):
     proc = subprocess.run([sys.executable, "-m", "mgk.cli"] + argv,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+def test_grope_chain_300_answers():
+    proc = subprocess.run([sys.executable, "-m", "mgk.cli", "grope", "class",
+                           "({" * 299 + "({* *})" + " *})" * 299],
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "301\n", "")
+
+
+@pytest.mark.parametrize("action", ["class", "boundary"])
+def test_grope_depth_5000_chain_answers(action):
+    text = tree_text(shuffled_chain(random.Random(5000), 5000))
+    proc = subprocess.run([sys.executable, "-m", "mgk.cli", "grope", action,
+                           text], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    if action == "class":
+        assert proc.stdout == "5001\n"
+    else:
+        assert proc.stdout.count("[") == proc.stdout.count(",") == 5000
+        assert "m5001" in proc.stdout
+
 
 def test_compose_and_certificate(capsys, tmp_path):
     out_path = tmp_path / "fig6.json"

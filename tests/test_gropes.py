@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,9 @@ from mgk.milnor import lcs_degree
 from mgk.sampling import random_closed_tree, random_grope_tree
 from mgk.words import Word
 
-from helpers import reroot_oracle
+from helpers import (reference_canonical, reference_dual_class,
+                     reference_grope_class, reference_leaf_paths,
+                     reference_tree_text, reroot_oracle, shuffled_chain)
 
 TORUS = "({* *})"
 TOWER2 = "({({* *}) *})"
@@ -232,3 +235,100 @@ def test_dot_node_count_matches_vertices():
     tree = parse_tree("({({* *}) *} {* *})")
     decls = re.findall(r"^\s*n\d+;$", export_dot(tree), re.MULTILINE)
     assert len(decls) == 7  # root surface, 4 members, 2 inner leaves
+
+
+# -- agreement with the recursive references -----------------------------------
+
+def shared_subtree_tree(rng):
+    """A tree assembled from a few subtree objects, each used many times."""
+    pool = [random_grope_tree(rng, rng.randint(1, 3), max_tips=4)
+            for _ in range(3)]
+    for _ in range(rng.randint(1, 3)):
+        pool.append(GropeTree(tuple((rng.choice(pool), rng.choice(pool))
+                                    for _ in range(rng.randint(1, 2)))))
+    return pool[-1]
+
+
+TREE_KINDS = {
+    "random": lambda rng: random_grope_tree(rng, rng.randint(1, 7),
+                                            max_genus=3, max_tips=16),
+    "shared": shared_subtree_tree,
+    "chain": lambda rng: shuffled_chain(
+        rng, rng.randint(1, 60),
+        partner=random_grope_tree(rng, rng.randint(1, 3), max_genus=1)),
+}
+
+
+@settings(max_examples=90, deadline=None)
+@given(st.sampled_from(sorted(TREE_KINDS)), st.integers(0, 2 ** 30))
+def test_walks_agree_with_recursive_references(kind, seed):
+    tree = TREE_KINDS[kind](random.Random(seed))
+    text = tree_text(tree)
+    assert text == reference_tree_text(tree)
+    assert grope_class(tree) == reference_grope_class(tree)
+    paths = leaf_paths(tree)
+    assert paths == reference_leaf_paths(tree)
+    assert tree.leaf_count == len(paths)
+    assert tree_text(canonical(tree)) == reference_tree_text(
+        reference_canonical(tree))
+    if not tree.is_leaf:
+        closed = ClosedGropeTree(tree)
+        for tip in paths:
+            assert dual_class(closed, tip) == reference_dual_class(closed, tip)
+    copy = parse_tree(text)
+    assert copy == tree and hash(copy) == hash(tree)
+
+
+def test_trees_built_apart_compare_by_structure():
+    for seed in range(20):
+        a, b = (shared_subtree_tree(random.Random(seed)) for _ in range(2))
+        assert a is not b and a == b and hash(a) == hash(b)
+        a, b = (shuffled_chain(random.Random(seed), 200) for _ in range(2))
+        assert a is not b and a == b and hash(a) == hash(b)
+        torus = parse_tree(TORUS)
+        c = shuffled_chain(random.Random(seed), 200, bottom=torus)
+        assert a != c and not a == c  # only the deepest Leaf differs
+        object.__setattr__(c, "_hash", hash(a))  # a hash collision at the root
+        assert a != c
+
+
+# -- depth far beyond the recursion limit -------------------------------------
+
+@pytest.fixture
+def default_recursion_limit():
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(saved)
+
+
+DEEP = 5000
+
+
+def test_depth_5000_chain(default_recursion_limit):
+    chain = shuffled_chain(random.Random(DEEP), DEEP)
+    copy = shuffled_chain(random.Random(DEEP + 1), DEEP)
+    text = tree_text(chain)
+    assert parse_tree(text) == chain and tree_text(parse_tree(text)) == text
+    assert grope_class(chain) == DEEP + 1
+    assert tree_text(canonical(chain)) == (
+        "({* " * (DEEP - 1) + "({* *})" + "})" * (DEEP - 1))
+    assert canonical(copy) == canonical(chain)
+    assert is_isomorphic(chain, copy)
+
+    closed = ClosedGropeTree(chain)
+    deepest, node = [], chain
+    while not node.is_leaf:
+        side = 0 if node.pairs[0][0].pairs else 1
+        deepest.append((0, side))
+        node = node.pairs[0][side]
+    assert len(deepest) == DEEP
+    dual = dual_tree(closed, deepest)
+    assert dual_class(closed, deepest) == grope_class(dual.body) == DEEP + 1
+    assert is_isomorphic(rerooted(closed, deepest), dual)
+
+    names = ["m%d" % (i + 1) for i in range(DEEP + 1)]
+    expression = boundary_expression(chain, names)
+    assert expression.count("[") == expression.count(",") == DEEP
+    dot = export_dot(closed)
+    assert dot.count("->") == 2 * DEEP + 1

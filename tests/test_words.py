@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,6 +21,18 @@ def test_parse_basics():
     assert Word.parse("") == IDENTITY
     assert Word.parse("1") == IDENTITY
     assert Word.parse("lambda'").letters == (("lambda", -1),)
+
+
+def test_parse_is_linear_in_the_factor_count(monkeypatch):
+    rng = random.Random(20000)
+    letters = [(rng.choice(NAMES), rng.choice((1, -1))) for _ in range(20000)]
+    text = str(Word(letters))
+    products = []
+    original = Word.__mul__
+    monkeypatch.setattr(Word, "__mul__",
+                        lambda u, v: products.append(1) or original(u, v))
+    assert Word.parse(text) == Word(letters)
+    assert not products  # no word product per factor: that copy is quadratic
 
 
 def test_parse_sugar():
