@@ -300,9 +300,14 @@ def build_parser():
     return parser
 
 
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:  # built on first use, not at import
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:
@@ -311,7 +316,7 @@ def main(argv=None) -> int:
     except (MgkError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (RecursionError, MemoryError) as exc:
+    except (RecursionError, MemoryError, OverflowError) as exc:
         # exit 1 means "a check failed", so resource exhaustion is an error
         print("error: input too large or too deeply nested (%s)"
               % (exc or type(exc).__name__), file=sys.stderr)

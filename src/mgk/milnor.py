@@ -56,9 +56,10 @@ def magnus(word: Word, alphabet) -> RingElement:
     """
     _check_letters(word, alphabet)
     ring = Ring(alphabet)
+    pos = ring._pos
     terms = {(): 1}
     for g, e in word.letters:
-        mul_linear(terms, g, e)
+        mul_linear(terms, pos[g], e)
     return RingElement(ring, terms)
 
 
@@ -108,11 +109,14 @@ def normal_form(word: Word, alphabet) -> MilnorElement:
     """
     full = tuple(alphabet)
     _check_letters(word, full)
-    letters = word.letters
+    # each level's alphabet is a prefix of the full one, so a letter keeps
+    # its variable position on every level
+    pos = {g: i for i, g in enumerate(full)}
+    letters = [(pos[g], e) for g, e in word.letters]
     components = []
     level = full
     while len(level) > 1:
-        top = level[-1]
+        top = len(level) - 1
         sub = level[:-1]
         running = {(): 1}
         rho = {}
@@ -154,11 +158,12 @@ def r_map(rho: RingElement, alphabet) -> Word:
         extra = sorted(set(rho.ring.variables) - allowed)
         raise UnknownGeneratorError(
             "ring variables %s exceed the non-distinguished alphabet" % extra)
+    names = rho.ring.variables
     out = Word()
     for mono in rho.support():
         w = Word.gen(last)
         for v in reversed(mono):
-            w = commutator(Word.gen(v), w)
+            w = commutator(Word.gen(names[v]), w)
         coeff = rho.terms[mono]
         out = out * (w ** coeff)
     return out

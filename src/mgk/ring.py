@@ -4,10 +4,14 @@ R is the quotient of the free associative ring on a finite set of
 variables by the ideal spanned by all monomials in which some variable
 occurs at least twice.  Its additive group is free abelian on the
 monomials with pairwise-distinct variables, so elements are stored as
-sparse integer maps keyed by tuples of variable names.  Coefficients are
-exact Python ints of unbounded magnitude.  Scans of words work on bare
-term dicts in place (`mul_linear`, `add_scaled`) and wrap the result in
-a `RingElement` once.
+sparse integer maps keyed by monomials.  A monomial is a tuple of variable
+positions (indices into `Ring.variables`), so tuples compare, sort and
+hash as plain ints; names appear only at the boundary, where `Ring.gen`,
+`Ring.monomial`, `Ring.element` and `RingElement.coefficient` take them
+and `format_ring_element` prints them.  Coefficients are exact Python
+ints of unbounded magnitude.  Scans of words work on bare term dicts in
+place (`mul_linear`, `add_scaled`) and wrap the result in a `RingElement`
+once.
 
 >>> R = Ring(("m1", "m2"))
 >>> y1, y2 = R.gen("m1"), R.gen("m2")
@@ -24,7 +28,8 @@ import re
 
 from .errors import UniverseMismatchError
 
-Monomial = tuple[str, ...]
+# variable positions, e.g. (1, 0) is y2*y1 in Ring(("m1", "m2"))
+Monomial = tuple[int, ...]
 
 
 def basis_rank(s: int) -> int:
@@ -72,21 +77,20 @@ class Ring:
         return RingElement(self, {(): 1})
 
     def gen(self, name: str) -> RingElement:
-        if name not in self._pos:
-            raise UniverseMismatchError("%r is not a variable of %r" % (name, self))
-        return RingElement(self, {(name,): 1})
+        return RingElement(self, {self.monomial((name,)): 1})
 
     def monomial(self, names) -> Monomial:
-        mono = tuple(names)
-        if len(set(mono)) != len(mono):
-            raise ValueError("monomial repeats a variable: %r" % (mono,))
-        for v in mono:
+        """The monomial of a sequence of variable names."""
+        names = tuple(names)
+        if len(set(names)) != len(names):
+            raise ValueError("monomial repeats a variable: %r" % (names,))
+        for v in names:
             if v not in self._pos:
                 raise UniverseMismatchError("%r is not a variable of %r" % (v, self))
-        return mono
+        return tuple(map(self._pos.__getitem__, names))
 
     def element(self, terms) -> RingElement:
-        """Build an element from a {monomial: coefficient} mapping."""
+        """Build an element from a {names: coefficient} mapping."""
         clean = {}
         for mono, coeff in terms.items():
             mono = self.monomial(mono)
@@ -94,23 +98,15 @@ class Ring:
                 clean[mono] = clean.get(mono, 0) + coeff
         return RingElement(self, {m: c for m, c in clean.items() if c})
 
-    def monomial_key(self, mono: Monomial):
-        return (len(mono), tuple(map(self._pos.__getitem__, mono)))
-
     def basis(self):
         """All basis monomials in degree-then-position order."""
         out = [()]
         frontier = [()]
         while frontier:
-            nxt = []
-            for mono in frontier:
-                used = set(mono)
-                for v in self.variables:
-                    if v not in used:
-                        nxt.append(mono + (v,))
-            nxt.sort(key=self.monomial_key)
-            out.extend(nxt)
-            frontier = nxt
+            # extending a sorted frontier in position order keeps it sorted
+            frontier = [mono + (i,) for mono in frontier
+                        for i in range(len(self.variables)) if i not in mono]
+            out.extend(frontier)
         return out
 
     @property
@@ -141,8 +137,12 @@ class RingElement:
             return other
         return None
 
-    def coefficient(self, mono) -> int:
-        return self.terms.get(tuple(mono), 0)
+    def coefficient(self, names) -> int:
+        """Coefficient of the monomial of these variable names (0 if a name
+        is not a variable of the ring)."""
+        pos = self.ring._pos
+        # -1 stands for a name outside the ring and matches no monomial
+        return self.terms.get(tuple(pos.get(v, -1) for v in names), 0)
 
     @property
     def constant_term(self) -> int:
@@ -153,8 +153,9 @@ class RingElement:
         return not self.terms
 
     def support(self):
-        """Monomials with nonzero coefficient, in canonical order."""
-        return sorted(self.terms, key=self.ring.monomial_key)
+        """Monomials with nonzero coefficient, in degree-then-position
+        order."""
+        return sorted(sorted(self.terms), key=len)
 
     def min_positive_degree(self):
         """Smallest degree of a nonzero nonconstant term, else None."""
@@ -167,7 +168,9 @@ class RingElement:
         if missing:
             raise UniverseMismatchError(
                 "cannot embed: variables %s missing from %r" % (sorted(missing), ring))
-        return RingElement(ring, dict(self.terms))
+        to = tuple(map(ring._pos.__getitem__, self.ring.variables))
+        return RingElement(ring, {tuple(map(to.__getitem__, m)): c
+                                  for m, c in self.terms.items()})
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -209,10 +212,11 @@ class RingElement:
         if other is None:
             return NotImplemented
         out = {}
+        right = [(m2, c2, _mask(m2)) for m2, c2 in other.terms.items()]
         for m1, c1 in self.terms.items():
-            used = set(m1)
-            for m2, c2 in other.terms.items():
-                if used & set(m2):
+            used = _mask(m1)
+            for m2, c2, vars2 in right:
+                if used & vars2:
                     continue  # repeated variable: the monomial dies in R
                 mono = m1 + m2
                 c = out.get(mono, 0) + c1 * c2
@@ -234,6 +238,14 @@ class RingElement:
         return "<RingElement %s>" % format_ring_element(self)
 
 
+def _mask(mono: Monomial) -> int:
+    """The set of a monomial's variables as a bitmask over positions."""
+    mask = 0
+    for i in mono:
+        mask |= 1 << i
+    return mask
+
+
 def add_scaled(terms: dict, other: dict, e: int) -> None:
     """terms += e * other, in place on {monomial: coeff} dicts; drops zeros."""
     for mono, coeff in other.items():
@@ -244,8 +256,9 @@ def add_scaled(terms: dict, other: dict, e: int) -> None:
             terms.pop(mono, None)
 
 
-def mul_linear(terms: dict, g: str, e: int) -> None:
-    """terms *= 1 + e*y_g, in place on a {monomial: coeff} dict.
+def mul_linear(terms: dict, g: int, e: int) -> None:
+    """terms *= 1 + e*y_g, in place on a {monomial: coeff} dict, where g is
+    a variable position.
 
     Only monomials without g gain a term (m * y_g dies in R when m has g),
     and the new keys all contain g, so iterating over a snapshot of the
@@ -264,7 +277,7 @@ def format_ring_element(elem: RingElement, display=variable_display) -> str:
     """Serialize as a signed monomial sum, e.g. ``1 + y2*y3 - y3*y2``."""
     if not elem.terms:
         return "0"
-    name = {v: display(v) for v in elem.ring.variables}.__getitem__
+    name = [display(v) for v in elem.ring.variables].__getitem__
     parts = []
     for mono in elem.support():
         coeff = elem.terms[mono]

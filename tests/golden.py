@@ -1,0 +1,121 @@
+"""Golden outputs of the `mgk` command.
+
+Each case is one command line run in-process through `mgk.cli.main`; its
+digest is the sha256 of the JSON array [exit code, stdout, stderr].  The
+recorded digests live in tests/fixtures/golden_outputs.json and
+tests/test_golden.py recomputes them, so any change to what a command
+prints or returns shows up as a mismatch.  Re-record (only when an output
+is meant to change) with
+
+    PYTHONPATH=src python tests/golden.py > tests/fixtures/golden_outputs.json
+
+Help texts and usage errors are argparse's wording, which differs between
+Python versions, so the fixture keeps the version it was recorded on and
+the test compares those cases only under the same version.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+
+from mgk.cli import main
+
+VERIFY = [["verify", "all", "--json", "--seed", str(s), "--trials", "20"]
+          for s in range(1, 11)]
+
+# (word, extra options); rinv needs the word in the kernel of deleting the
+# last generator, and the ones that are not give the error line instead.
+WORDS = [
+    ("m1", []),
+    ("m2'", []),
+    ("[m2,m3]", []),
+    ("[m1,[m2,m3]]", []),
+    ("m1 m2 m1' m2'", []),
+    ("[m1 m2 m1', m3 m2 m3']", []),
+    ("[m5^2 m1, m3] m4^2 [m2,m4]", []),
+    ("[[m1,m2],[m3,m4]]", []),
+    ("m3^-2 m1 m2^3", []),
+    ("[m1,m4]^3 [m4,m2]'", []),
+    ("[m2,[m3,[m4,m1]]]", []),
+    ("m4 [m1,m2] m4'", []),
+    ("m1 m3 m1'", []),
+    ("[m3,m1 m2] [m2,m3]^-2", []),
+    ("m1^5", ["--gens", "1"]),
+    ("[m10,m2] [m3,m10]", ["--gens", "10"]),
+    ("[m9,[m1,m10]] m2", ["--gens", "10"]),
+    ("[m12,m2] [m11,m12]' [m3,m12]", ["--gens", "12"]),
+    ("[m10,[m2,m12]] [m1,m12]^2", ["--gens", "12"]),
+    ("[m2,m3]", ["--json"]),
+]
+
+MILNOR = [["milnor", action, word] + opts
+          for word, opts in WORDS for action in ("expand", "nf", "rinv")]
+
+# help texts and usage errors: argparse's wording
+ARGPARSE = [
+    ["--help"],
+    ["grope", "--help"],
+    ["milnor", "--help"],
+    ["link", "--help"],
+    ["compose", "--help"],
+    ["certificate", "--help"],
+    ["verify", "--help"],
+    [],
+    ["bogus"],
+    ["milnor", "bogus", "m1"],
+    ["milnor", "expand"],
+    ["milnor", "expand", "m1", "--gens", "x"],
+    ["grope", "class"],
+    ["verify", "all", "--trials"],
+]
+
+
+def run(argv):
+    """(exit code, stdout, stderr) of one in-process `mgk` call, with help
+    wrapped at 80 columns."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        if saved is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest(argv):
+    return hashlib.sha256(json.dumps(run(argv)).encode()).hexdigest()
+
+
+def record():
+    return {
+        "python": "%d.%d" % sys.version_info[:2],
+        "outputs": [{"argv": argv, "sha256": digest(argv)}
+                    for argv in VERIFY + MILNOR],
+        "argparse": [{"argv": argv, "sha256": digest(argv)}
+                     for argv in ARGPARSE],
+    }
+
+
+def dump(rec, fh):
+    """Write a record with one case per line."""
+    fh.write('{"python": %s' % json.dumps(rec["python"]))
+    for key in ("outputs", "argparse"):
+        fh.write(',\n "%s": [\n  ' % key)
+        fh.write(",\n  ".join(json.dumps(case) for case in rec[key]))
+        fh.write("\n ]")
+    fh.write("\n}\n")
+
+
+if __name__ == "__main__":
+    dump(record(), sys.stdout)

@@ -2,7 +2,8 @@
 
 Everything here recomputes expectations by a different route than the
 library: products are expanded in the free associative ring and projected
-afterwards, Milnor-equal words are produced by explicit relator
+afterwards, ring arithmetic and formatting keep monomials keyed by
+variable names, Milnor-equal words are produced by explicit relator
 insertion, and re-rooting works on a plain adjacency list.
 """
 
@@ -10,7 +11,7 @@ from mgk.errors import LinkFormatError
 from mgk.gropes import ClosedGropeTree, GropeTree
 from mgk.links import delete_component
 from mgk.milnor import MilnorElement, magnus
-from mgk.ring import Ring
+from mgk.ring import Ring, variable_display
 from mgk.words import Word
 
 # -- free associative ring, projected to squarefree monomials at the end ------
@@ -36,6 +37,58 @@ def squarefree(terms):
     back into a squarefree one.
     """
     return {m: c for m, c in terms.items() if len(set(m)) == len(m)}
+
+
+def named_terms(elem):
+    """An element's terms keyed by variable names instead of positions."""
+    names = elem.ring.variables
+    return {tuple(names[i] for i in mono): c for mono, c in elem.terms.items()}
+
+
+# -- the ring on name-keyed monomials ----------------------------------------------
+# The library keys monomials by variable positions and sorts them natively;
+# these keep the names and map them to positions in every sort key.
+
+
+def reference_mul(left, right):
+    """Product of two name-keyed {monomial: coeff} dicts in R."""
+    out = {}
+    for m1, c1 in left.items():
+        used = set(m1)
+        for m2, c2 in right.items():
+            if used & set(m2):
+                continue  # repeated variable: the monomial dies in R
+            mono = m1 + m2
+            c = out.get(mono, 0) + c1 * c2
+            if c:
+                out[mono] = c
+            else:
+                del out[mono]
+    return out
+
+
+def reference_monomial_key(variables, mono):
+    pos = {v: i for i, v in enumerate(variables)}
+    return (len(mono), tuple(map(pos.__getitem__, mono)))
+
+
+def reference_format_ring_element(variables, terms, display=variable_display):
+    """Signed monomial sum of a name-keyed {monomial: coeff} dict."""
+    if not terms:
+        return "0"
+    name = {v: display(v) for v in variables}.__getitem__
+    parts = []
+    for mono in sorted(terms, key=lambda m: reference_monomial_key(variables, m)):
+        coeff = terms[mono]
+        body = "*".join(map(name, mono)) if mono else "1"
+        mag = abs(coeff)
+        if mag != 1 or not mono:
+            body = str(mag) if not mono else "%d*%s" % (mag, body)
+        if not parts:
+            parts.append(body if coeff > 0 else "-" + body)
+        else:
+            parts.append((" + " if coeff > 0 else " - ") + body)
+    return "".join(parts)
 
 
 def naive_magnus(word, rename=None):

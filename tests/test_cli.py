@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import mgk.cli
 from mgk.cli import main
 from mgk.gropes import tree_text
 from mgk.links import catalog, save_link
@@ -47,6 +48,40 @@ def test_grope_duals_rerooting_row(capsys):
 def test_grope_dot(capsys):
     code, out, _ = run(capsys, "grope", "dot", "({* *})", "--closed")
     assert code == 0 and out.startswith("digraph") and "root edge" in out
+
+
+def test_parser_is_built_once_and_answers_alike(monkeypatch, capsys):
+    built = []
+    build = mgk.cli.build_parser
+    monkeypatch.setattr(mgk.cli, "build_parser",
+                        lambda: built.append(1) or build())
+    monkeypatch.setattr(mgk.cli, "_PARSER", None)
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    cases = [["--help"], ["milnor", "--help"], ["bogus"],
+             ["grope", "bogus", "({* *})"], ["grope", "class", "({* *})"]]
+    first = [outcome(argv) for argv in cases]
+    second = [outcome(argv) for argv in cases]
+    assert [code for code, _, _ in first] == [0, 0, 2, 2, 0]
+    assert first[0][1].startswith("usage: mgk ")
+    assert "invalid choice: 'bogus'" in first[3][2]
+    assert first == second
+    assert built == [1]
+
+
+def test_parser_is_not_built_at_import():
+    proc = subprocess.run([sys.executable, "-c",
+                           "import mgk.cli; print(mgk.cli._PARSER)"],
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "None\n"), proc.stderr
 
 
 def test_grope_parse_error_exit_2(capsys):
@@ -163,7 +198,8 @@ def test_link_mu_on_twelve_components(twelve_component_link, index, mu):
 @pytest.mark.parametrize("argv", [
     ["milnor", "expand", "(" * 3000 + "m1" + ")" * 3000],
     ["milnor", "expand", "[" * 3000 + "m1" + ",m2]" * 3000],
-], ids=["nested-parens", "nested-commutators"])
+    ["milnor", "expand", "m1^99999999999999999999"],
+], ids=["nested-parens", "nested-commutators", "huge-power"])
 def test_deep_input_is_an_error_not_a_crash(argv):
     proc = subprocess.run([sys.executable, "-m", "mgk.cli"] + argv,
                           capture_output=True, text=True, timeout=120)

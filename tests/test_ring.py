@@ -6,7 +6,8 @@ from mgk.milnor import default_alphabet, magnus
 from mgk.ring import Ring, basis_rank, format_ring_element, variable_display
 from mgk.words import Word
 
-from helpers import free_mul, squarefree
+from helpers import (free_mul, named_terms, reference_format_ring_element,
+                     reference_monomial_key, reference_mul, squarefree)
 
 VARS = ("m1", "m2", "m3", "m4")
 R = Ring(VARS)
@@ -51,7 +52,7 @@ def test_four_factor_product_matches_free_ring_oracle():
         {(): 1, ("m2",): -1}, {(): 1, ("m3",): -1}]))
     y2, y3 = R.gen("m2"), R.gen("m3")
     got = (1 + y2) * (1 + y3) * (1 - y2) * (1 - y3)
-    assert got.terms == oracle
+    assert named_terms(got) == oracle
     assert got == 1 + y2 * y3 - y3 * y2
 
 
@@ -75,6 +76,65 @@ def test_product_matches_free_ring_oracle(u, v):
     oracle = squarefree(free_mul([u.terms or {}, v.terms or {}])) \
         if u.terms and v.terms else {}
     assert (u * v).terms == oracle
+
+
+# Alphabets whose name order differs from position order: by name, m10
+# sorts before m2, and a before c.
+M12 = Ring(default_alphabet(12))
+CAB = Ring(("c", "a", "b"))
+
+
+def named_pairs(ring, max_degree=5):
+    """Two elements of the ring, built from name-keyed term dicts."""
+    monos = st.lists(st.sampled_from(ring.variables), unique=True,
+                     max_size=max_degree).map(tuple)
+    terms = st.dictionaries(monos, st.integers(-4, 4), max_size=6)
+    return st.tuples(terms, terms).map(
+        lambda p: tuple(ring.element(t) for t in p))
+
+
+@given(st.sampled_from([M12, CAB]).flatmap(named_pairs))
+def test_position_keyed_ring_matches_name_keyed_reference(pair):
+    u, v = pair
+    variables = u.ring.variables
+    nu, nv = named_terms(u), named_terms(v)
+    assert named_terms(u * v) == reference_mul(nu, nv)
+    total = dict(nu)
+    for mono, c in nv.items():
+        total[mono] = total.get(mono, 0) + c
+    assert named_terms(u + v) == {m: c for m, c in total.items() if c}
+    for elem in (u, v, u * v, u - v):
+        assert format_ring_element(elem) == reference_format_ring_element(
+            variables, named_terms(elem))
+        assert format_ring_element(elem, display=str.upper) == \
+            reference_format_ring_element(variables, named_terms(elem),
+                                          display=str.upper)
+    names = [tuple(variables[i] for i in m) for m in u.support()]
+    assert names == sorted(nu, key=lambda m: reference_monomial_key(variables, m))
+    for mono, c in nu.items():
+        assert u.coefficient(mono) == c
+    assert u.coefficient(("zz",)) == 0
+    assert u.coefficient((variables[0], "zz")) == 0
+
+
+@given(named_pairs(CAB))
+def test_embed_into_reordered_ring_keeps_names(pair):
+    u, v = pair
+    big = Ring(("a", "x", "m3", "b", "c"))
+    eu, ev = u.embed(big), v.embed(big)
+    assert named_terms(eu) == named_terms(u)
+    assert named_terms(eu * ev) == named_terms(u * v)
+    assert format_ring_element(eu) == reference_format_ring_element(
+        big.variables, named_terms(u))
+    assert eu.coefficient(("x",)) == 0 and eu.coefficient(("a", "b")) == \
+        u.coefficient(("a", "b"))
+
+
+def test_basis_is_in_degree_then_position_order():
+    basis = [tuple(CAB.variables[i] for i in m) for m in CAB.basis()]
+    assert basis == sorted(basis, key=lambda m: reference_monomial_key(
+        CAB.variables, m))
+    assert len(set(basis)) == CAB.rank
 
 
 def test_universe_mismatch():
