@@ -90,16 +90,13 @@ def cmd_grope(args):
     if args.action == "duals":
         closed = gropes.parse_closed_tree(args.tree)
         k = gropes.grope_class(closed.body)
-        tips = gropes.free_tips(closed)
-        if args.tip:
-            tips = [gropes.parse_tip_path(args.tip)]
+        tips = ([gropes.parse_tip_path(args.tip)] if args.tip
+                else gropes.free_tips(closed))
         rows = []
-        ok = True
         for tip in tips:
             dual = gropes.dual_tree(closed, tip)
             dc = gropes.dual_class(closed, tip)
             bound = dc >= k
-            ok = ok and bound
             rows.append({"tip": gropes.format_tip_path(tip),
                          "dual": gropes.tree_text(dual.body),
                          "class": dc,
@@ -114,11 +111,15 @@ def cmd_grope(args):
             lines += ["tip %-10s class %-3d %-12s %s"
                       % (r["tip"], r["class"], r["bound"], r["dual"]) for r in rows]
             _emit("\n".join(lines), args.out)
-        return 0 if ok else 1
+        return 0 if all(r["class"] >= k for r in rows) else 1
     raise AssertionError(args.action)
 
 
 def cmd_milnor(args):
+    want = 2 if args.action == "equal" else 1
+    if len(args.words) != want:
+        raise MgkError("milnor %s takes %s, got %d" % (
+            args.action, "two words" if want == 2 else "one word", len(args.words)))
     words = [Word.parse(t) for t in args.words]
     alphabet = _alphabet_for(words, args.gens)
 
@@ -216,22 +217,12 @@ def cmd_verify(args):
     if args.what == "all":
         return _finish_report(verify.run_all(config), args)
     if args.what == "sigma":
-        lhat = _model(args.lhat)
-        q = _model(args.q)
         report = composition.verify_sigma(
-            composition.CompositionSpec(lhat, q, target=args.target),
-            trials=config.trials, seed=config.seed)
+            _composition_spec(args), trials=config.trials, seed=config.seed)
         return _finish_report(report, args)
     if args.what == "certificate":
-        case = verify.check_certificate(config)
-        case["index"] = 0
-        report = {"command": "verify certificate", "config": config.as_dict(),
-                  "cases": [case],
-                  "summary": {"total": 1,
-                              "passed": int(case["status"] == "pass"),
-                              "failed": int(case["status"] != "pass"),
-                              "status": case["status"]}}
-        return _finish_report(report, args)
+        return _finish_report(verify.report(
+            "verify certificate", config, [verify.check_certificate]), args)
     raise AssertionError(args.what)
 
 

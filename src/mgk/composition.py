@@ -15,6 +15,14 @@ kernel this holds exactly at the group level (the kernel is abelian and
 normal, so the substitution descends to Milnor groups), which is what
 `verify_sigma` sweeps and what makes the certificate's product formula
 c = a*b exact.
+
+The certificate reads a, b and c as three top mu-bar coefficients: a
+kernel coordinate of the tower is the projection of the Magnus expansion
+(see `mgk.milnor`), so each is one chain scan.  No kernel refusal is left
+to make: once the ambient link and the pattern with its wedge are almost
+trivial, deleting the distinguished meridian trivializes the first
+ambient longitude, the wedge word and hence the composed longitude in
+the Milnor group, because the Magnus expansion is injective on it.
 """
 
 from __future__ import annotations
@@ -23,9 +31,9 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import CompositionError, NotInKernelError
+from .errors import CompositionError
 from .links import LinkModel, SolidTorusLink, is_almost_trivial
-from .milnor import r_inverse, r_map
+from .milnor import magnus_coefficient, r_inverse, r_map
 from .ring import Ring, RingElement, format_ring_element
 from .sampling import random_ring_element
 
@@ -158,12 +166,15 @@ class Certificate(NamedTuple):
 
 
 def essentiality_certificate(spec: CompositionSpec) -> Certificate:
-    """Bottom-degree certificate for essentiality of the composed link.
+    """Bottom-degree certificate for essentiality of the composed link:
+    three top mu-bar coefficients, each one chain scan
+    (`magnus_coefficient`), with ambient component 1 deleted throughout.
 
-    a: coefficient of the ordered product of y-variables in the kernel
-       coordinate of the first ambient component's longitude;
-    b: the same for the z-variables in the wedge element;
-    c: coefficient of the combined monomial in the composed link.
+    a: coefficient of ys*y_t in the Magnus expansion of the first ambient
+       component's longitude (y_t the target's meridian);
+    b: coefficient of zs_rest*z_1 in that of the wedge word;
+    c: coefficient of ys*zs_rest*z_1 in that of the composed link's first
+       longitude.
     The contract c = a*b holds exactly; both almost-triviality
     preconditions are checked and failure refuses the certificate.
     """
@@ -180,14 +191,8 @@ def essentiality_certificate(spec: CompositionSpec) -> Certificate:
         raise CompositionError(
             "certificate refused: the pattern with its wedge is not almost "
             "homotopically trivial")
-    ys, bar_alphabet, zs_rest, big_alphabet = _sigma_alphabets(spec)
-    try:
-        a_elem = r_inverse(lhat.longitudes[0], bar_alphabet)
-        b_elem = wedge_ring_element(q)
-        composed = compose(spec)
-        c_elem = r_inverse(composed.longitude(lhat.components[0]), big_alphabet)
-    except NotInKernelError as exc:
-        raise CompositionError("certificate refused: %s" % exc) from exc
-    return Certificate(a=a_elem.coefficient(ys),
-                       b=b_elem.coefficient(zs_rest),
-                       c=c_elem.coefficient(ys + zs_rest))
+    _, bar_alphabet, zs_rest, big_alphabet = _sigma_alphabets(spec)
+    composed = compose(spec).longitude(lhat.components[0])
+    return Certificate(a=magnus_coefficient(lhat.longitudes[0], bar_alphabet),
+                       b=magnus_coefficient(q.wedge, zs_rest + q.meridians[:1]),
+                       c=magnus_coefficient(composed, big_alphabet))

@@ -37,13 +37,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .errors import TreeSyntaxError
 from .words import Word, commutator
 
 __all__ = [
     "GropeTree", "ClosedGropeTree", "LEAF", "parse_tree", "parse_closed_tree",
-    "tree_text", "grope_class", "leaf_paths", "free_tips", "resolve_tip",
+    "tree_text", "grope_class", "leaf_paths", "free_tips",
     "boundary_word", "boundary_expression", "dual_tree", "dual_class",
     "canonical", "is_isomorphic", "rerooted", "format_tip_path",
     "parse_tip_path", "export_dot",
@@ -194,8 +195,10 @@ def parse_closed_tree(text: str) -> ClosedGropeTree:
     return ClosedGropeTree(tree)
 
 
-def tree_text(tree: GropeTree) -> str:
-    """Canonical text; round-trips through parse_tree character-for-character."""
+def _render(tree: GropeTree, leaves, marks) -> str:
+    """Text of a tree: the next of `leaves` for each Leaf, and for a Surface
+    opening L middle R (separator L middle R)... closing, from `marks`."""
+    opening, middle, separator, closing = marks
     parts = []
     stack = [tree]  # trees to write and the text between them, last first
     while stack:
@@ -203,13 +206,18 @@ def tree_text(tree: GropeTree) -> str:
         if type(item) is str:
             parts.append(item)
         elif not item.pairs:
-            parts.append("*")
+            parts.append(next(leaves))
         else:
-            stack.append("})")
+            stack.append(closing)
             for left, right in reversed(item.pairs):
-                stack += (right, " ", left, "} {")
-            stack[-1] = "({"  # the first pair opens the Surface
+                stack += (right, middle, left, separator)
+            stack[-1] = opening  # the first pair opens the Surface
     return "".join(parts)
+
+
+def tree_text(tree: GropeTree) -> str:
+    """Canonical text; round-trips through parse_tree character-for-character."""
+    return _render(tree, repeat("*"), ("({", " ", "} {", "})"))
 
 
 # -- class and tips ----------------------------------------------------------
@@ -238,17 +246,6 @@ def leaf_paths(tree: GropeTree):
 def free_tips(closed: ClosedGropeTree):
     """Free tips of a closed grope tree; the count is the rank of H1."""
     return leaf_paths(closed.body)
-
-
-def resolve_tip(tree: GropeTree, tip) -> GropeTree:
-    node = tree
-    for i, side in tip:
-        if node.is_leaf or i >= node.genus or side not in (LEFT, RIGHT):
-            raise ValueError("tip path %s leaves the tree" % format_tip_path(tip))
-        node = node.pairs[i][side]
-    if not node.is_leaf:
-        raise ValueError("tip path %s does not reach a Leaf" % format_tip_path(tip))
-    return node
 
 
 def format_tip_path(tip) -> str:
@@ -302,19 +299,8 @@ def boundary_word(tree: GropeTree, names) -> Word:
 
 def boundary_expression(tree: GropeTree, names) -> str:
     """The boundary word in commutator-sugar text, e.g. "[[a,b],c]"."""
-    it = iter(_assign_names(tree, names))
-    parts = []
-    stack = [tree]
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            parts.append(item)
-        elif not item.pairs:
-            parts.append(str(next(it)))
-        else:
-            for left, right in reversed(item.pairs):
-                stack += ("]", right, ",", left, "[")
-    return "".join(parts)
+    names = map(str, _assign_names(tree, names))
+    return _render(tree, names, ("[", ",", "][", "]"))
 
 
 # -- duality -----------------------------------------------------------------
@@ -324,11 +310,11 @@ def _path_partners(closed: ClosedGropeTree, tip):
     partners = []
     node = closed.body
     for i, side in tip:
-        if not node.pairs or i >= len(node.pairs):
+        pairs = node.pairs
+        if not 0 <= i < len(pairs) or side not in (0, 1):  # (LEFT, RIGHT)
             raise ValueError("tip path %s leaves the tree" % format_tip_path(tip))
-        pair = node.pairs[i]
-        partners.append(pair[1 - side])
-        node = pair[side]
+        partners.append(pairs[i][1 - side])
+        node = pairs[i][side]
     if node.pairs:
         raise ValueError("tip path %s does not reach a Leaf" % format_tip_path(tip))
     return partners
@@ -411,14 +397,9 @@ def rerooted(closed: ClosedGropeTree, tip) -> ClosedGropeTree:
     is (the sibling subtree it keeps, the rest of the path towards the old
     root), and the old root edge becomes the last Leaf.
     """
-    chain, node = LEAF, closed.body
-    for i, side in tip:
-        if not 0 <= i < node.genus or side not in (LEFT, RIGHT):
-            raise ValueError("tip path %s does not reach a Leaf" % format_tip_path(tip))
-        chain = GropeTree(((node.pairs[i][1 - side], chain),))
-        node = node.pairs[i][side]
-    if not node.is_leaf:
-        raise ValueError("tip path %s does not reach a Leaf" % format_tip_path(tip))
+    chain = LEAF
+    for partner in _path_partners(closed, tip):
+        chain = GropeTree(((partner, chain),))
     stack = [closed.body]
     while stack:
         node = stack.pop()

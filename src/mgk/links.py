@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import LinkFormatError
-from .milnor import magnus
+from .milnor import magnus, magnus_coefficient
 from .words import Word
 
 __all__ = [
@@ -75,9 +75,6 @@ class LinkModel:
     def longitude(self, which) -> Word:
         return self.longitudes[self.index_of(which)]
 
-    def meridian(self, which) -> str:
-        return self.meridians[self.index_of(which)]
-
 
 @dataclass(frozen=True)
 class SolidTorusLink:
@@ -114,10 +111,7 @@ class SolidTorusLink:
             if g not in self.meridians:
                 raise LinkFormatError("bad letter %r in the wedge word" % (g,))
 
-    @property
-    def n(self) -> int:
-        return len(self.components)
-
+    n = LinkModel.n
     index_of = LinkModel.index_of
 
     def ambient_model(self, wedge_component="wedge", wedge_meridian="w") -> LinkModel:
@@ -139,22 +133,15 @@ class SolidTorusLink:
 
 def mu_bar(link: LinkModel, indices) -> int:
     """mu-bar with distinct indices (i1, ..., ik, j): the coefficient of
-    y_i1 ... y_ik in the Magnus expansion of component j's longitude.
-    Along distinct indices that coefficient is one entry of a product of
-    unipotent triangular matrices, so a chain scan of one row v suffices:
-    a letter (i_p, e) adds e*v[p-1] to v[p].  O(|w|) time, no ring.
-    """
+    y_i1 ... y_ik in the Magnus expansion of component j's longitude, read
+    by one chain scan (`magnus_coefficient`)."""
     idx = [link.index_of(i) for i in indices]
     if len(idx) < 2:
         raise LinkFormatError("need at least two indices (i1, ..., ik, j)")
     if len(set(idx)) != len(idx):
         raise LinkFormatError("mu-bar indices must be pairwise distinct")
-    position = {link.meridians[i]: p for p, i in enumerate(idx[:-1], 1)}
-    v = [1] + [0] * len(position)
-    for g, e in link.longitudes[idx[-1]].letters:
-        if g in position:
-            v[position[g]] += e * v[position[g] - 1]
-    return v[-1]
+    return magnus_coefficient(link.longitudes[idx[-1]],
+                              [link.meridians[i] for i in idx[:-1]])
 
 
 def delete_component(link: LinkModel, which) -> LinkModel:

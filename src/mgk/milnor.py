@@ -15,8 +15,14 @@ the units of the squarefree ring.
 Iterating the splitting expresses every group element uniquely as a tower
 of ring components plus one integer exponent; `normal_form` computes that
 tower by a single left-to-right scan per level, which makes the word
-problem for M(F) exact.  Nothing here assumes the Magnus expansion itself
-is injective on M(F).
+problem for M(F) exact.
+
+The tower is a projection of the Magnus expansion: the component for m_j
+is the part of M(w) on monomials mono*y_j with mono over y_1..y_{j-1},
+the final y_j stripped, and the exponent is the coefficient of y_1.  With
+the uniqueness of the tower this makes the Magnus expansion injective on
+M(F) (Milnor, *Link groups*, Ann. of Math. 59, 1954; Habegger-Lin, JAMS 3,
+1990), and one kernel coefficient is one chain scan, `magnus_coefficient`.
 """
 
 from __future__ import annotations
@@ -30,8 +36,8 @@ from .ring import (Ring, RingElement, add_scaled, basis_rank,
 from .words import Word, commutator
 
 __all__ = [
-    "magnus", "normal_form", "words_equal", "MilnorElement", "r_map",
-    "r_inverse", "conjugation_action", "lcs_degree", "basis_rank",
+    "magnus", "magnus_coefficient", "normal_form", "words_equal", "MilnorElement",
+    "r_map", "r_inverse", "conjugation_action", "lcs_degree", "basis_rank",
     "default_alphabet",
 ]
 
@@ -63,6 +69,25 @@ def magnus(word: Word, alphabet) -> RingElement:
     return RingElement(ring, terms)
 
 
+def magnus_coefficient(word: Word, seq) -> int:
+    """Coefficient of y_i1 ... y_ik in the Magnus expansion of the word,
+    for pairwise-distinct generators seq = (i1, ..., ik).
+
+    Along distinct indices that coefficient is one entry of a product of
+    unipotent triangular matrices, so a chain scan of one row v suffices:
+    a letter (i_p, e) adds e*v[p-1] to v[p], and letters outside seq only
+    contribute their constant term.  O(|w|) time, no ring.
+    """
+    position = {g: p for p, g in enumerate(seq, 1)}
+    if len(position) != len(seq):
+        raise ValueError("the generators %r are not pairwise distinct" % (seq,))
+    v = [1] + [0] * len(position)
+    for g, e in word.letters:
+        if g in position:
+            v[position[g]] += e * v[position[g] - 1]
+    return v[-1]
+
+
 @dataclass(frozen=True)
 class MilnorElement:
     """Canonical form of an element of M(F) on a fixed alphabet.
@@ -79,14 +104,6 @@ class MilnorElement:
     @property
     def is_identity(self) -> bool:
         return self.exponent == 0 and all(c.is_zero for c in self.components)
-
-    def top_component(self) -> RingElement:
-        """Kernel coordinate for the last generator (R on the rest)."""
-        if not self.alphabet:
-            raise ValueError("empty alphabet has no kernel component")
-        if len(self.alphabet) == 1:
-            return Ring(()).element({(): self.exponent})
-        return self.components[0]
 
     def describe(self) -> list[str]:
         lines = []
@@ -153,9 +170,8 @@ def r_map(rho: RingElement, alphabet) -> Word:
     if not alphabet:
         raise ValueError("alphabet must contain the distinguished generator")
     last = alphabet[-1]
-    allowed = set(alphabet[:-1])
-    if not set(rho.ring.variables) <= allowed:
-        extra = sorted(set(rho.ring.variables) - allowed)
+    extra = sorted(set(rho.ring.variables) - set(alphabet[:-1]))
+    if extra:
         raise UnknownGeneratorError(
             "ring variables %s exceed the non-distinguished alphabet" % extra)
     names = rho.ring.variables
@@ -175,12 +191,14 @@ def r_inverse(word: Word, alphabet) -> RingElement:
     """
     alphabet = tuple(alphabet)
     nf = normal_form(word, alphabet)
-    rest = MilnorElement(alphabet[:-1], nf.components[1:], nf.exponent) \
-        if len(alphabet) > 1 else None
-    if rest is not None and not rest.is_identity:
+    if not alphabet:
+        raise ValueError("empty alphabet has no kernel component")
+    if len(alphabet) == 1:  # the kernel is Z, spanned by the generator
+        return Ring(()).element({(): nf.exponent})
+    if not MilnorElement(alphabet[:-1], nf.components[1:], nf.exponent).is_identity:
         raise NotInKernelError(
             "deleting %r does not trivialize the word" % alphabet[-1])
-    return nf.top_component()
+    return nf.components[0]
 
 
 def conjugation_action(g: Word, rho: RingElement, alphabet) -> RingElement:
@@ -193,14 +211,12 @@ def conjugation_action(g: Word, rho: RingElement, alphabet) -> RingElement:
     return magnus(g, alphabet) * rho.embed(ring)
 
 
-def lcs_degree(word: Word, alphabet=None):
+def lcs_degree(word: Word, alphabet):
     """Minimal degree of a nonconstant term of the Magnus expansion.
 
     Returns math.inf when the expansion is 1.  A product of weight-k
     iterated commutators always has degree >= k, so this bounds the
     lower-central-series filtration from below.
     """
-    if alphabet is None:
-        alphabet = tuple(sorted({g for g, _ in word.letters}))
     deg = magnus(word, alphabet).min_positive_degree()
     return math.inf if deg is None else deg

@@ -98,21 +98,6 @@ class Ring:
                 clean[mono] = clean.get(mono, 0) + coeff
         return RingElement(self, {m: c for m, c in clean.items() if c})
 
-    def basis(self):
-        """All basis monomials in degree-then-position order."""
-        out = [()]
-        frontier = [()]
-        while frontier:
-            # extending a sorted frontier in position order keeps it sorted
-            frontier = [mono + (i,) for mono in frontier
-                        for i in range(len(self.variables)) if i not in mono]
-            out.extend(frontier)
-        return out
-
-    @property
-    def rank(self) -> int:
-        return basis_rank(len(self.variables))
-
 
 class RingElement:
     """A sparse integer combination of squarefree monomials.

@@ -44,11 +44,7 @@ class Word:
 
     @classmethod
     def parse(cls, text: str) -> "Word":
-        return _parse_word(text)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.letters
+        return _WordParser(text).parse()
 
     def __len__(self):
         return len(self.letters)
@@ -59,16 +55,9 @@ class Word:
     def __invert__(self) -> "Word":
         return Word._trusted(tuple((g, -e) for g, e in reversed(self.letters)))
 
-    def inverse(self) -> "Word":
-        return ~self
-
     def __pow__(self, n: int) -> "Word":
         base = self if n >= 0 else ~self
         return Word._trusted(base.letters * abs(n))
-
-    def conjugated_by(self, h: "Word") -> "Word":
-        """h' * self * h  (the usual right conjugation g^h)."""
-        return ~h * self * h
 
     def free_reduce(self) -> "Word":
         out = []
@@ -78,17 +67,6 @@ class Word:
             else:
                 out.append(let)
         return Word._trusted(tuple(out))
-
-    def freely_equal(self, other: "Word") -> bool:
-        return (self * ~other).free_reduce().is_empty
-
-    def generators(self):
-        """Generator names in order of first occurrence."""
-        seen = []
-        for g, _ in self.letters:
-            if g not in seen:
-                seen.append(g)
-        return tuple(seen)
 
     def substitute(self, name: str, replacement: "Word") -> "Word":
         """Replace every occurrence of name^(+-1) by replacement^(+-1)."""
@@ -103,9 +81,6 @@ class Word:
     def erase(self, name: str) -> "Word":
         """Delete every letter of the given generator (set it to 1)."""
         return Word._trusted(tuple(let for let in self.letters if let[0] != name))
-
-    def exponent_sum(self, name: str) -> int:
-        return sum(e for g, e in self.letters if g == name)
 
     def __eq__(self, other):
         return isinstance(other, Word) and self.letters == other.letters
@@ -218,7 +193,3 @@ class _WordParser:
             pos = self.tokens[self.i][1] if self.i < len(self.tokens) else len(self.text)
             raise WordSyntaxError("expected %r" % wanted, pos)
         self.next()
-
-
-def _parse_word(text: str) -> Word:
-    return _WordParser(text).parse()

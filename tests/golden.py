@@ -54,6 +54,55 @@ WORDS = [
 MILNOR = [["milnor", action, word] + opts
           for word, opts in WORDS for action in ("expand", "nf", "rinv")]
 
+# the four catalog compositions, as (ambient, pattern, extra options)
+PAIRS = [
+    ("borromean", "bing_double", []),
+    ("borromean", "bing_double", ["--target", "2"]),
+    ("borromean", "core", []),
+    ("hopf", "core", []),
+]
+
+COMPOSE = [[cmd, lhat, q] + opts + extra
+           for lhat, q, opts in PAIRS
+           for cmd, extra in (("certificate", []), ("certificate", ["--json"]),
+                              ("compose", []))]
+# refusals and other pairs: the error line, or a certificate off the catalog
+COMPOSE += [["certificate", "borromean", "core", "--target", "1"],
+            ["certificate", "unlink(1)", "core"],
+            ["certificate", "hopf", "bing_double"],
+            ["certificate", "unlink(3)", "bing_double", "--json"],
+            ["certificate", "whitehead_pattern", "bing_double", "--target", "2"]]
+
+# (catalog model, mu-bar indices); a solid-torus pattern is read with its
+# wedge as the last component
+MODELS = [
+    ("hopf", ["2,1", "1,2"]),
+    ("borromean", ["2,3,1", "1,2,3", "3,1,2", "1,2"]),
+    ("whitehead_pattern", ["2,3,1", "1,3"]),
+    ("unlink(4)", ["1,2,3,4", "2,1"]),
+    ("core", ["1,2", "2,1"]),
+    ("bing_double", ["1,2,3", "3,1,2", "2,3"]),
+]
+
+LINK = ([["link", "mu", model, "--index", idx] for model, ids in MODELS
+         for idx in ids]
+        + [["link", action, model] + opts for model, _ in MODELS
+           for action in ("trivial", "almost-trivial", "show")
+           for opts in ([], ["--json"])]
+        + [["link", "mu", "borromean", "--index", "2,3,1", "--json"]])
+
+TREES = ["*", "({* *})", "({({* *}) *})", "({* *} {* *})",
+         "({({* *}) ({* *})})", "({({* *} {* *}) *} {* ({* ({* *})})})"]
+
+GROPE = ([["grope", action, tree] for tree in TREES
+          for action in ("class", "boundary")]
+         + [["grope", "duals", tree, "--json"] for tree in TREES[1:]]
+         + [["grope", "dot", tree, "--closed"] for tree in TREES[1:]])
+
+VERIFY_PARTS = [["verify", "certificate", "--json"]] + [
+    ["verify", "sigma", "--json", "--trials", "20", "--q", q]
+    for q in ("core", "bing_double")]
+
 # help texts and usage errors: argparse's wording
 ARGPARSE = [
     ["--help"],
@@ -101,7 +150,8 @@ def record():
     return {
         "python": "%d.%d" % sys.version_info[:2],
         "outputs": [{"argv": argv, "sha256": digest(argv)}
-                    for argv in VERIFY + MILNOR],
+                    for argv in (VERIFY + MILNOR + COMPOSE + LINK + GROPE
+                                 + VERIFY_PARTS)],
         "argparse": [{"argv": argv, "sha256": digest(argv)}
                      for argv in ARGPARSE],
     }

@@ -3,14 +3,17 @@
 Everything here recomputes expectations by a different route than the
 library: products are expanded in the free associative ring and projected
 afterwards, ring arithmetic and formatting keep monomials keyed by
-variable names, Milnor-equal words are produced by explicit relator
-insertion, and re-rooting works on a plain adjacency list.
+variable names, the essentiality certificate is read from normal-form
+towers, Milnor-equal words are produced by explicit relator insertion, and
+re-rooting works on a plain adjacency list.
 """
 
-from mgk.errors import LinkFormatError
+from mgk.composition import (Certificate, _sigma_alphabets, compose,
+                             wedge_ring_element)
+from mgk.errors import CompositionError, LinkFormatError, NotInKernelError
 from mgk.gropes import ClosedGropeTree, GropeTree
-from mgk.links import delete_component
-from mgk.milnor import MilnorElement, magnus
+from mgk.links import delete_component, is_almost_trivial
+from mgk.milnor import MilnorElement, magnus, r_inverse
 from mgk.ring import Ring, variable_display
 from mgk.words import Word
 
@@ -175,6 +178,38 @@ def reference_is_almost_trivial(link):
         raise LinkFormatError("almost-triviality needs at least 2 components")
     return all(reference_is_homotopically_trivial(delete_component(link, k + 1))
                for k in range(link.n))
+
+
+# -- the essentiality certificate through normal-form towers --------------------
+# The library reads a, b and c by three chain scans; this reads each as one
+# coefficient of an r^{-1} kernel coordinate, refusing words outside the kernel.
+
+
+def reference_essentiality_certificate(spec):
+    lhat, q = spec.lhat, spec.q
+    if lhat.n < 2:
+        raise CompositionError(
+            "certificate refused: the ambient link needs a deleted "
+            "component besides the target")
+    if not is_almost_trivial(lhat):
+        raise CompositionError(
+            "certificate refused: the ambient link is not almost "
+            "homotopically trivial")
+    if not is_almost_trivial(q.ambient_model()):
+        raise CompositionError(
+            "certificate refused: the pattern with its wedge is not almost "
+            "homotopically trivial")
+    ys, bar_alphabet, zs_rest, big_alphabet = _sigma_alphabets(spec)
+    try:
+        a_elem = r_inverse(lhat.longitudes[0], bar_alphabet)
+        b_elem = wedge_ring_element(q)
+        composed = compose(spec)
+        c_elem = r_inverse(composed.longitude(lhat.components[0]), big_alphabet)
+    except NotInKernelError as exc:
+        raise CompositionError("certificate refused: %s" % exc) from exc
+    return Certificate(a=a_elem.coefficient(ys),
+                       b=b_elem.coefficient(zs_rest),
+                       c=c_elem.coefficient(ys + zs_rest))
 
 
 # -- Milnor-equal rewritings ---------------------------------------------------

@@ -208,6 +208,22 @@ def test_deep_input_is_an_error_not_a_crash(argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["milnor", "equal", "m1"],
+    ["milnor", "expand", "m1", "m2"],
+    ["milnor", "equal", "m1", "m2", "m3"],
+    ["milnor", "nf", "m1", "m2"],
+    ["milnor", "rinv", "[m1,m2]", "m1"],
+    ["milnor", "lcs-degree", "m1", "m1"],
+])
+def test_wrong_word_count_is_an_error_not_a_crash(argv):
+    proc = subprocess.run([sys.executable, "-m", "mgk.cli"] + argv,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: milnor %s takes " % argv[1])
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 def test_grope_chain_300_answers():
     proc = subprocess.run([sys.executable, "-m", "mgk.cli", "grope", "class",
                            "({" * 299 + "({* *})" + " *})" * 299],

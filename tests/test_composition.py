@@ -13,6 +13,9 @@ from mgk.ring import Ring
 from mgk.sampling import random_ring_element
 from mgk.words import Word
 
+from helpers import reference_essentiality_certificate
+from test_links import random_link
+
 
 def hopf_in_a_ball():
     """Pattern contained in a ball: essential pair, empty wedge word."""
@@ -194,6 +197,92 @@ def test_certificate_refusals():
     with pytest.raises(CompositionError):
         essentiality_certificate(
             CompositionSpec(hopf_hat, catalog("bing_double")))
+
+
+def renamed_bing_double(level):
+    """The catalog's bing_double with components and meridians renamed
+    for one level of iterated composition."""
+    q = catalog("bing_double")
+    names = {"z1": "u%da" % level, "z2": "u%db" % level}
+
+    def rename(word):
+        return Word(tuple((names.get(g, g), e) for g, e in word.letters))
+
+    return SolidTorusLink(("b%da" % level, "b%db" % level),
+                          (names["z1"], names["z2"]),
+                          tuple(rename(w) for w in q.longitudes),
+                          wedge=rename(q.wedge))
+
+
+def iterated_bing_specs(depth):
+    """The specs composing a renamed Bing double into the last component
+    of borromean, then of each result, `depth` times."""
+    link = catalog("borromean")
+    for level in range(1, depth + 1):
+        spec = CompositionSpec(link, renamed_bing_double(level))
+        yield spec
+        link = compose(spec)
+
+
+def test_certificate_matches_tower_oracle_on_catalog_pairs():
+    for lhat, q, target in (("borromean", "bing_double", None),
+                            ("borromean", "bing_double", 2),
+                            ("borromean", "core", None), ("hopf", "core", None)):
+        spec = CompositionSpec(catalog(lhat), catalog(q), target=target)
+        assert essentiality_certificate(spec) == \
+            reference_essentiality_certificate(spec)
+
+
+def test_certificate_matches_tower_oracle_on_iterated_bing_doubles():
+    for depth, spec in enumerate(iterated_bing_specs(7), 1):
+        assert spec.lhat.n == depth + 2
+        cert = essentiality_certificate(spec)
+        assert cert == reference_essentiality_certificate(spec) == (1, -1, -1)
+
+
+def test_certificate_preconditions_leave_no_kernel_refusal():
+    # once both links are almost trivial, the tower oracle never meets a
+    # word outside the kernel, so the certificate needs no such refusal
+    rng = random.Random(1997)
+    patterns = (catalog("core"), catalog("bing_double"), hopf_in_a_ball())
+    checked = refused = nonzero = 0
+    for _ in range(120):
+        lhat = random_link(rng)
+        for q in patterns:
+            for target in range(2, lhat.n + 1):
+                spec = CompositionSpec(lhat, q, target=target)
+                try:
+                    want = reference_essentiality_certificate(spec)
+                except CompositionError as exc:
+                    assert "not almost" in str(exc), exc
+                    with pytest.raises(CompositionError, match=str(exc)):
+                        essentiality_certificate(spec)
+                    refused += 1
+                    continue
+                assert essentiality_certificate(spec) == want, spec
+                checked += 1
+                nonzero += want.c != 0
+    assert checked > 100 and refused > 20 and nonzero > 10
+
+
+def test_certificate_builds_no_tower(monkeypatch):
+    import mgk.composition
+    import mgk.milnor
+    calls = []
+    for module, name in ((mgk.milnor, "normal_form"), (mgk.milnor, "r_inverse"),
+                         (mgk.composition, "r_inverse")):
+        def counting(*args, _real=getattr(module, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(module, name, counting)
+    specs = [CompositionSpec(catalog("borromean"), catalog("bing_double")),
+             CompositionSpec(catalog("hopf"), catalog("core"))]
+    specs += list(iterated_bing_specs(3))
+    for spec in specs:
+        essentiality_certificate(spec)
+    assert calls == []
+    mgk.composition.wedge_ring_element(catalog("bing_double"))
+    assert calls == ["r_inverse", "normal_form"]  # the counters do count
 
 
 def test_remark_configuration():

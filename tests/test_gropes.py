@@ -9,7 +9,7 @@ from mgk.gropes import (LEAF, ClosedGropeTree, GropeTree, boundary_expression,
                         boundary_word, canonical, dual_class, dual_tree,
                         export_dot, format_tip_path, free_tips, grope_class,
                         is_isomorphic, leaf_paths, parse_closed_tree,
-                        parse_tip_path, parse_tree, rerooted, resolve_tip,
+                        parse_tip_path, parse_tree, rerooted,
                         tree_text)
 from mgk.milnor import lcs_degree
 from mgk.sampling import random_closed_tree, random_grope_tree
@@ -102,10 +102,15 @@ def test_tip_paths_resolve():
     tips = free_tips(closed)
     assert [format_tip_path(t) for t in tips] == ["0L/0L", "0L/0R", "0R"]
     for tip in tips:
-        assert resolve_tip(closed.body, tip) is LEAF
+        assert parse_tip_path(format_tip_path(tip)) == tip
+        assert dual_class(closed, tip) == reference_dual_class(closed, tip)
     assert parse_tip_path("0L/0R") == ((0, 0), (0, 1))
-    with pytest.raises(ValueError):
-        resolve_tip(closed.body, ((0, 0),))  # stops at a Surface
+    for bad in (((0, 0),), ((0, 0), (0, 0), (0, 0)), ((1, 0),), ((-1, 1),),
+                ((0, 2),)):
+        with pytest.raises(ValueError):  # stops at a Surface or leaves the tree
+            dual_tree(closed, bad)
+        with pytest.raises(ValueError):
+            rerooted(closed, bad)
 
 
 def test_boundary_words():

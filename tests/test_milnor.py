@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from mgk.errors import NotInKernelError, UnknownGeneratorError
 from mgk.milnor import (basis_rank, conjugation_action, default_alphabet,
-                        lcs_degree, magnus, normal_form, r_inverse, r_map,
-                        words_equal)
+                        lcs_degree, magnus, magnus_coefficient, normal_form,
+                        r_inverse, r_map, words_equal)
 from mgk.ring import Ring
 from mgk.words import Word, commutator
 
@@ -216,9 +216,9 @@ def test_identity_acts_trivially():
 # -- degrees --------------------------------------------------------------------
 
 def test_lcs_degree():
-    assert lcs_degree(Word.gen("m1")) == 1
-    assert lcs_degree(Word.parse("[m2,m3]")) == 2
-    assert lcs_degree(Word.parse("m1 m1'")) == math.inf
+    assert lcs_degree(Word.gen("m1"), A3) == 1
+    assert lcs_degree(Word.parse("[m2,m3]"), A3) == 2
+    assert lcs_degree(Word.parse("m1 m1'"), A3) == math.inf
     assert lcs_degree(Word.parse("[m1,[m2,m3]]"), A3) == 3
 
 
@@ -235,3 +235,46 @@ def test_lcs_degree_commutator_lower_bound():
 
 def test_basis_rank_reexport():
     assert basis_rank(4) == 1 + 4 + 12 + 24 + 24
+
+
+# -- the tower is the projection of the Magnus expansion -----------------------
+
+def test_normal_form_is_the_projection_of_magnus():
+    # component j: the terms of M(w) on mono*y_j, mono over y_1..y_{j-1},
+    # with the final y_j stripped; the exponent: the coefficient of y_1
+    rng = random.Random(20261018)
+    nonzero = 0
+    for s in range(1, 9):
+        alphabet = default_alphabet(s)
+        for word in random_words(rng, alphabet, 20, max_len=5 * s):
+            nf = normal_form(word, alphabet)
+            expansion = magnus(word, alphabet)
+            for j in range(1, s):
+                comp = nf.components[s - 1 - j]
+                nonzero += len(comp.terms) > 1
+                assert comp.ring.variables == alphabet[:j]
+                assert comp.terms == {
+                    mono[:-1]: c for mono, c in expansion.terms.items()
+                    if mono and mono[-1] == j and max(mono[:-1], default=-1) < j
+                }, (word, s, j)
+            assert nf.exponent == expansion.coefficient(alphabet[:1])
+    assert nonzero > 100
+
+
+def test_magnus_coefficient_is_one_coefficient_of_magnus():
+    rng = random.Random(7)
+    for s in range(1, 7):
+        alphabet = default_alphabet(s)
+        for word in random_words(rng, alphabet, 10, max_len=4 * s):
+            expansion = magnus(word, alphabet)
+            for k in range(s + 1):
+                seq = tuple(rng.sample(alphabet, k))
+                assert magnus_coefficient(word, seq) == \
+                    expansion.coefficient(seq), (word, seq)
+    # letters outside the sequence only contribute their constant term
+    word = Word.parse("[m1,m2] m3^5 [m2,m1]^2")
+    assert magnus_coefficient(word, ("m1", "m2")) == -1
+    assert magnus_coefficient(word, ("m2", "m1")) == 1
+    assert magnus_coefficient(word, ()) == 1
+    with pytest.raises(ValueError):
+        magnus_coefficient(word, ("m1", "m2", "m1"))

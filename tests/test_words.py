@@ -65,8 +65,7 @@ def test_print_parse_round_trip(w):
 
 @given(words())
 def test_inverse_reduces_to_identity(w):
-    assert (w * ~w).free_reduce().is_empty
-    assert w.freely_equal(w)
+    assert (w * ~w).free_reduce() == IDENTITY
 
 
 @given(words(), words())
@@ -95,22 +94,12 @@ def test_operator_results_equal_validated_words(u, v):
 
 def test_free_reduce_is_lazy():
     w = Word.parse("m1 m1'")
-    assert not w.is_empty  # stored unreduced
-    assert w.free_reduce().is_empty
+    assert w != IDENTITY  # stored unreduced
+    assert w.free_reduce() == IDENTITY
 
 
 def test_substitute_and_erase():
     w = Word.parse("[m2,m3]")
     assert w.substitute("m3", Word.parse("z1 z2")) == Word.parse("m2 z1 z2 m2' z2' z1'")
     assert w.erase("m3") == Word.parse("m2 m2'")
-    assert w.exponent_sum("m2") == 0
-    assert Word.parse("m2 m2 m2'").exponent_sum("m2") == 1
 
-
-def test_conjugate():
-    g, h = Word.gen("m1"), Word.gen("m2")
-    assert g.conjugated_by(h) == Word.parse("m2' m1 m2")
-
-
-def test_generators_order():
-    assert Word.parse("m3 m1 m3").generators() == ("m3", "m1")
