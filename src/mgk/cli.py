@@ -1,6 +1,13 @@
 """Command-line front end.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 usage or parse error.
+
+Every handler computes its answer once, as a JSON payload plus, where the
+command has one, a text form, hands both to `_write` and returns the exit
+code.  `_write` is the only place that prints: the payload as JSON under
+`--json` or when the command has no text form (`link show`, `compose`),
+the text otherwise, to the `--out` file on the subcommands that have that
+flag and to stdout elsewhere.
 """
 
 from __future__ import annotations
@@ -16,7 +23,10 @@ from .ring import format_ring_element
 from .words import Word
 
 
-def _emit(text, out=None):
+def _write(args, payload, text=None):
+    if text is None or getattr(args, "json", False):
+        text = json.dumps(payload, indent=2, sort_keys=True)
+    out = getattr(args, "out", None)
     if out:
         with open(out, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
@@ -40,13 +50,6 @@ def _report_text(report):
                  % (summary["status"], summary.get("passed",
                     summary["total"] - summary["failed"]), summary["total"]))
     return "\n".join(lines)
-
-
-def _finish_report(report, args):
-    text = (json.dumps(report, indent=2, sort_keys=True)
-            if args.json else _report_text(report))
-    _emit(text, getattr(args, "out", None))
-    return 0 if report["summary"]["status"] == "pass" else 1
 
 
 def _model(arg):
@@ -73,20 +76,6 @@ def _alphabet_for(words, gens):
 # -- subcommand handlers -------------------------------------------------------
 
 def cmd_grope(args):
-    if args.action == "class":
-        print(gropes.grope_class(gropes.parse_tree(args.tree)))
-        return 0
-    if args.action == "boundary":
-        tree = gropes.parse_tree(args.tree)
-        names = [n.strip() for n in args.names.split(",")] if args.names else \
-            ["m%d" % (i + 1) for i in range(tree.leaf_count)]
-        print(gropes.boundary_expression(tree, names))
-        return 0
-    if args.action == "dot":
-        tree = (gropes.parse_closed_tree(args.tree) if args.closed
-                else gropes.parse_tree(args.tree))
-        _emit(gropes.export_dot(tree), args.out)
-        return 0
     if args.action == "duals":
         closed = gropes.parse_closed_tree(args.tree)
         k = gropes.grope_class(closed.body)
@@ -94,25 +83,31 @@ def cmd_grope(args):
                 else gropes.free_tips(closed))
         rows = []
         for tip in tips:
-            dual = gropes.dual_tree(closed, tip)
-            dc = gropes.dual_class(closed, tip)
-            bound = dc >= k
+            dual = gropes.dual_tree(closed, tip).body
+            dc = dual.tree_class
             rows.append({"tip": gropes.format_tip_path(tip),
-                         "dual": gropes.tree_text(dual.body),
+                         "dual": gropes.tree_text(dual),
                          "class": dc,
-                         "bound": "%d >= %d %s" % (dc, k, "ok" if bound else "VIOLATED")})
-        if args.json:
-            payload = {"command": "grope duals", "input": args.tree,
-                       "class": k, "rank": closed.body.leaf_count,
-                       "duals": rows}
-            _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
-        else:
-            lines = ["class %d, rank %d" % (k, closed.body.leaf_count)]
-            lines += ["tip %-10s class %-3d %-12s %s"
-                      % (r["tip"], r["class"], r["bound"], r["dual"]) for r in rows]
-            _emit("\n".join(lines), args.out)
+                         "bound": "%d >= %d %s" % (dc, k, "ok" if dc >= k else "VIOLATED")})
+        lines = ["class %d, rank %d" % (k, closed.body.leaf_count)]
+        lines += ["tip %-10s class %-3d %-12s %s"
+                  % (r["tip"], r["class"], r["bound"], r["dual"]) for r in rows]
+        _write(args, {"command": "grope duals", "input": args.tree, "class": k,
+                      "rank": closed.body.leaf_count, "duals": rows}, "\n".join(lines))
         return 0 if all(r["class"] >= k for r in rows) else 1
-    raise AssertionError(args.action)
+    tree = (gropes.parse_closed_tree(args.tree) if args.action == "dot" and args.closed
+            else gropes.parse_tree(args.tree))
+    if args.action == "class":
+        result = gropes.grope_class(tree)
+    elif args.action == "boundary":
+        names = [n.strip() for n in args.names.split(",")] if args.names else \
+            ["m%d" % (i + 1) for i in range(tree.leaf_count)]
+        result = gropes.boundary_expression(tree, names)
+    else:
+        result = gropes.export_dot(tree)
+    _write(args, {"command": "grope " + args.action, "input": args.tree,
+                  "result": result}, str(result))
+    return 0
 
 
 def cmd_milnor(args):
@@ -122,52 +117,31 @@ def cmd_milnor(args):
             args.action, "two words" if want == 2 else "one word", len(args.words)))
     words = [Word.parse(t) for t in args.words]
     alphabet = _alphabet_for(words, args.gens)
-
-    def answer(result, code=0):
-        if args.json:
-            payload = {"command": "milnor %s" % args.action,
-                       "input": args.words, "alphabet": list(alphabet),
-                       "result": result}
-            print(json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            print(result)
-        return code
-
+    code = 0
     if args.action == "expand":
-        return answer(format_ring_element(milnor.magnus(words[0], alphabet)))
-    if args.action == "nf":
-        nf = milnor.normal_form(words[0], alphabet)
-        if args.json:
-            return answer({line.split(": ", 1)[0]: line.split(": ", 1)[1]
-                           for line in nf.describe()})
-        print("\n".join(nf.describe()))
-        return 0
-    if args.action == "equal":
-        equal = milnor.words_equal(words[0], words[1], alphabet)
-        answer("equal" if equal else "not equal")
-        return 0 if equal else 1
-    if args.action == "lcs-degree":
+        result = text = format_ring_element(milnor.magnus(words[0], alphabet))
+    elif args.action == "nf":
+        lines = milnor.normal_form(words[0], alphabet).describe()
+        result = dict(line.split(": ", 1) for line in lines)
+        text = "\n".join(lines)
+    elif args.action == "equal":
+        code = 0 if milnor.words_equal(words[0], words[1], alphabet) else 1
+        result = text = "not equal" if code else "equal"
+    elif args.action == "lcs-degree":
         deg = milnor.lcs_degree(words[0], alphabet)
-        return answer("inf" if deg == float("inf") else deg)
-    if args.action == "rinv":
-        return answer(format_ring_element(milnor.r_inverse(words[0], alphabet)))
-    raise AssertionError(args.action)
+        result = "inf" if deg == float("inf") else deg
+        text = str(result)
+    else:
+        result = text = format_ring_element(milnor.r_inverse(words[0], alphabet))
+    _write(args, {"command": "milnor %s" % args.action, "input": args.words,
+                  "alphabet": list(alphabet), "result": result}, text)
+    return code
 
 
 def cmd_link(args):
     model = _model(args.model)
-
-    def answer(key, value):
-        if args.json:
-            print(json.dumps({"command": "link %s" % args.action,
-                              "input": args.model, key: value},
-                             indent=2, sort_keys=True))
-        else:
-            print(str(value).lower() if isinstance(value, bool) else value)
-        return 0
-
     if args.action == "show":
-        print(json.dumps(links.link_to_dict(model), indent=2, sort_keys=True))
+        _write(args, links.link_to_dict(model))
         return 0
     if isinstance(model, links.SolidTorusLink):
         model = model.ambient_model()
@@ -176,12 +150,15 @@ def cmd_link(args):
             raise MgkError("link mu needs --index i1,...,ik,j")
         idx = [int(p) if p.strip().isdigit() else p.strip()
                for p in args.index.split(",")]
-        return answer("mu", links.mu_bar(model, idx))
-    if args.action == "trivial":
-        return answer("trivial", links.is_homotopically_trivial(model))
-    if args.action == "almost-trivial":
-        return answer("almost_trivial", links.is_almost_trivial(model))
-    raise AssertionError(args.action)
+        key, value = "mu", links.mu_bar(model, idx)
+    elif args.action == "trivial":
+        key, value = "trivial", links.is_homotopically_trivial(model)
+    else:
+        key, value = "almost_trivial", links.is_almost_trivial(model)
+    text = str(value).lower() if isinstance(value, bool) else str(value)
+    _write(args, {"command": "link %s" % args.action, "input": args.model,
+                  key: value}, text)
+    return 0
 
 
 def _composition_spec(args):
@@ -193,21 +170,16 @@ def _composition_spec(args):
 
 
 def cmd_compose(args):
-    composed = composition.compose(_composition_spec(args))
-    text = json.dumps(links.link_to_dict(composed), indent=2, sort_keys=True)
-    _emit(text, args.out)
+    _write(args, links.link_to_dict(composition.compose(_composition_spec(args))))
     return 0
 
 
 def cmd_certificate(args):
     cert = composition.essentiality_certificate(_composition_spec(args))
     ok = cert.c == cert.a * cert.b
-    if args.json:
-        print(json.dumps({"a": cert.a, "b": cert.b, "c": cert.c,
-                          "c_equals_ab": ok}, indent=2, sort_keys=True))
-    else:
-        print("a = %d, b = %d, c = %d; c == a*b: %s"
-              % (cert.a, cert.b, cert.c, str(ok).lower()))
+    _write(args, {"a": cert.a, "b": cert.b, "c": cert.c, "c_equals_ab": ok},
+           "a = %d, b = %d, c = %d; c == a*b: %s"
+           % (cert.a, cert.b, cert.c, str(ok).lower()))
     return 0 if ok else 1
 
 
@@ -215,15 +187,15 @@ def cmd_verify(args):
     config = verify.RunConfig(seed=args.seed, trials=args.trials,
                               max_generators=args.max_generators)
     if args.what == "all":
-        return _finish_report(verify.run_all(config), args)
-    if args.what == "sigma":
+        report = verify.run_all(config)
+    elif args.what == "sigma":
         report = composition.verify_sigma(
             _composition_spec(args), trials=config.trials, seed=config.seed)
-        return _finish_report(report, args)
-    if args.what == "certificate":
-        return _finish_report(verify.report(
-            "verify certificate", config, [verify.check_certificate]), args)
-    raise AssertionError(args.what)
+    else:
+        report = verify.report("verify certificate", config,
+                               [verify.check_certificate])
+    _write(args, report, _report_text(report))
+    return 0 if report["summary"]["status"] == "pass" else 1
 
 
 # -- argument parsing ----------------------------------------------------------

@@ -10,8 +10,10 @@ pairs of the sum of the two members' classes.
 Every `GropeTree` fixes its class, its leaf count and its hash when it is
 built, from the same fields of its children, so reading them is O(1) and
 building a tree is O(1) work per pair.  The module keeps no cache, and
-no function here recurses over the tree: the walks use explicit stacks,
-so trees of any depth work under the default recursion limit.
+every walk but one uses an explicit stack, so trees of any depth work
+under the default recursion limit.  The exception is `boundary_word`,
+which recurses as deep as the tree: its word at least doubles in length
+per stage, so memory runs out long before the recursion limit.
 
 Text grammar (whitespace-insensitive):
 
@@ -40,7 +42,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 
 from .errors import TreeSyntaxError
-from .words import Word, commutator
+from .words import NAME, Word, commutator
 
 __all__ = [
     "GropeTree", "ClosedGropeTree", "LEAF", "parse_tree", "parse_closed_tree",
@@ -276,6 +278,9 @@ def _assign_names(tree: GropeTree, names):
         raise ValueError("need %d tip names, got %d" % (tree.leaf_count, len(names)))
     if len(set(names)) != len(names):
         raise ValueError("tip names must be distinct")
+    for name in names:
+        if not (isinstance(name, str) and NAME.fullmatch(name)):
+            raise ValueError("tip name %r is not a generator name" % (name,))
     return names
 
 
@@ -299,8 +304,7 @@ def boundary_word(tree: GropeTree, names) -> Word:
 
 def boundary_expression(tree: GropeTree, names) -> str:
     """The boundary word in commutator-sugar text, e.g. "[[a,b],c]"."""
-    names = map(str, _assign_names(tree, names))
-    return _render(tree, names, ("[", ",", "][", "]"))
+    return _render(tree, iter(_assign_names(tree, names)), ("[", ",", "][", "]"))
 
 
 # -- duality -----------------------------------------------------------------
@@ -397,15 +401,14 @@ def rerooted(closed: ClosedGropeTree, tip) -> ClosedGropeTree:
     is (the sibling subtree it keeps, the rest of the path towards the old
     root), and the old root edge becomes the last Leaf.
     """
+    partners = _path_partners(closed, tip)
+    # class <= leaf count, with equality exactly when every Surface has genus
+    # 1: the class takes a minimum over pairs, and a second pair adds leaves
+    if closed.body.tree_class != closed.body.leaf_count:
+        raise ValueError("re-rooting needs an all-genus-1 tree")
     chain = LEAF
-    for partner in _path_partners(closed, tip):
+    for partner in partners:
         chain = GropeTree(((partner, chain),))
-    stack = [closed.body]
-    while stack:
-        node = stack.pop()
-        if node.genus > 1:
-            raise ValueError("re-rooting needs an all-genus-1 tree")
-        stack += node.pairs[0] if node.pairs else ()
     return ClosedGropeTree(chain)
 
 

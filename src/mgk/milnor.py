@@ -46,12 +46,15 @@ def default_alphabet(s: int) -> tuple[str, ...]:
     return tuple("m%d" % (i + 1) for i in range(s))
 
 
-def _check_letters(word: Word, alphabet) -> None:
-    allowed = set(alphabet)
-    for g, _ in word.letters:
-        if g not in allowed:
-            raise UnknownGeneratorError(
-                "generator %r is not in the alphabet %r" % (g, tuple(alphabet)))
+def _positions(word: Word, alphabet) -> list:
+    """The word's letters as (variable position, exponent) pairs; the first
+    generator, in word order, that is not in the alphabet raises."""
+    pos = {g: i for i, g in enumerate(alphabet)}
+    try:
+        return [(pos[g], e) for g, e in word.letters]
+    except KeyError as exc:
+        raise UnknownGeneratorError("generator %r is not in the alphabet %r"
+                                    % (exc.args[0], tuple(alphabet))) from None
 
 
 def magnus(word: Word, alphabet) -> RingElement:
@@ -60,12 +63,11 @@ def magnus(word: Word, alphabet) -> RingElement:
     Returns a unit of R on the alphabet's variables with constant term 1.
     Factors through M(F), so Milnor-equal words expand identically.
     """
-    _check_letters(word, alphabet)
+    letters = _positions(word, alphabet)
     ring = Ring(alphabet)
-    pos = ring._pos
     terms = {(): 1}
-    for g, e in word.letters:
-        mul_linear(terms, pos[g], e)
+    for g, e in letters:
+        mul_linear(terms, g, e)
     return RingElement(ring, terms)
 
 
@@ -125,11 +127,9 @@ def normal_form(word: Word, alphabet) -> MilnorElement:
     M(F) get identical forms; the splitting makes the form unique.
     """
     full = tuple(alphabet)
-    _check_letters(word, full)
     # each level's alphabet is a prefix of the full one, so a letter keeps
     # its variable position on every level
-    pos = {g: i for i, g in enumerate(full)}
-    letters = [(pos[g], e) for g, e in word.letters]
+    letters = _positions(word, full)
     components = []
     level = full
     while len(level) > 1:

@@ -19,7 +19,8 @@ import re
 
 from .errors import WordSyntaxError
 
-_TOKEN = re.compile(r"\s*([A-Za-z][A-Za-z0-9]*|\d+|[\[\](),'^-])")
+NAME = re.compile(r"[A-Za-z][A-Za-z0-9]*")  # a generator name
+_TOKEN = re.compile(r"\s*(%s|\d+|[\[\](),'^-])" % NAME.pattern)
 
 
 class Word:

@@ -323,6 +323,17 @@ def reference_canonical(tree: GropeTree) -> GropeTree:
     return GropeTree(tuple(pairs))
 
 
+def reference_all_genus_one(tree: GropeTree) -> bool:
+    """Whether every Surface has genus 1, by visiting every vertex."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node.genus > 1:
+            return False
+        stack += node.pairs[0] if node.pairs else ()
+    return True
+
+
 def reference_dual_class(closed: ClosedGropeTree, tip) -> int:
     """1 plus the recomputed classes of the partners along the tip's path."""
     total, node = 1, closed.body

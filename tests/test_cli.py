@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import mgk.cli
+import mgk.gropes
 from mgk.cli import main
 from mgk.gropes import tree_text
 from mgk.links import catalog, save_link
@@ -29,6 +30,38 @@ def test_grope_class(capsys):
 def test_grope_boundary(capsys):
     code, out, _ = run(capsys, "grope", "boundary", "({* *})", "--names", "a,b")
     assert code == 0 and out.strip() == "[a,b]"
+
+
+@pytest.mark.parametrize("names", ["1,m2", "a b,c"])
+def test_grope_boundary_rejects_names_that_are_not_generators(capsys, names):
+    code, out, err = run(capsys, "grope", "boundary", "({* *})", "--names", names)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: tip name ") and err.count("\n") == 1
+
+
+def test_grope_duals_builds_each_dual_once(capsys, monkeypatch):
+    calls = []
+    dual_tree = mgk.gropes.dual_tree
+    monkeypatch.setattr(mgk.gropes, "dual_tree",
+                        lambda closed, tip: calls.append(tip) or dual_tree(closed, tip))
+    monkeypatch.setattr(mgk.gropes, "dual_class", None)  # a call would raise
+    code, out, _ = run(capsys, "grope", "duals", "({({* *}) *} {* *})")
+    assert code == 0 and out.count("tip ") == 5
+    assert [mgk.gropes.format_tip_path(tip) for tip in calls] == \
+        ["0L/0L", "0L/0R", "0R", "1L", "1R"]
+
+
+@pytest.mark.parametrize("action, result", [
+    ("class", 3), ("boundary", "[[m1,m2],m3]"),
+    ("dot", "digraph grope {")])
+def test_grope_json_and_out_hold_for_every_action(capsys, tmp_path, action, result):
+    code, out, _ = run(capsys, "grope", action, "({({* *}) *})", "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["command"] == "grope " + action
+    assert str(payload["result"]).startswith(str(result))
+    path = tmp_path / "answer"
+    code, out, _ = run(capsys, "grope", action, "({({* *}) *})", "--out", str(path))
+    assert (code, out) == (0, "") and path.read_text().startswith(str(result))
 
 
 def test_grope_duals(capsys):
@@ -258,6 +291,31 @@ def test_compose_and_certificate(capsys, tmp_path):
     code, out, _ = run(capsys, "certificate", str(tmp_path / "missing.json"),
                        "core")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["grope", "dot", "({({* *}) *})"],
+    ["grope", "dot", "({* *} {* *})", "--closed"],
+    ["grope", "duals", "({({* *}) *})"],
+    ["grope", "duals", "({({* *}) *} {* *})", "--json"],
+    ["grope", "duals", "({({* *}) *})", "--tip", "0R"],
+    ["compose", "borromean", "bing_double"],
+    ["compose", "hopf", "bing_double", "--target", "2"],
+    ["verify", "all", "--trials", "4", "--seed", "3"],
+    ["verify", "all", "--trials", "4", "--seed", "3", "--json"],
+    ["verify", "sigma", "--trials", "5", "--seed", "2"],
+    ["verify", "sigma", "--trials", "5", "--seed", "2", "--json"],
+    ["verify", "certificate"],
+    ["verify", "certificate", "--json"],
+], ids=lambda argv: " ".join(argv[:2] + argv[3:]))
+def test_out_file_holds_what_stdout_would(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *argv)
+    path = tmp_path / "answer"
+    code_out, out_out, err_out = run(capsys, *argv, "--out", str(path))
+    assert (code_out, out_out, err_out) == (code, "", err)
+    # stdout ends with print's newline; the file ends with exactly one
+    expected = out[:-1] if out.endswith("\n\n") else out
+    assert path.read_bytes() == expected.encode()
 
 
 def test_certificate_json(capsys):

@@ -15,8 +15,9 @@ from mgk.milnor import lcs_degree
 from mgk.sampling import random_closed_tree, random_grope_tree
 from mgk.words import Word
 
-from helpers import (reference_canonical, reference_dual_class,
-                     reference_grope_class, reference_leaf_paths,
+from helpers import (reference_all_genus_one, reference_canonical,
+                     reference_dual_class, reference_grope_class,
+                     reference_leaf_paths,
                      reference_tree_text, reroot_oracle, shuffled_chain)
 
 TORUS = "({* *})"
@@ -130,6 +131,33 @@ def test_boundary_name_errors():
         boundary_word(t, ["a", "a"])
 
 
+@pytest.mark.parametrize("names", [["1", "m2"], ["a b", "c"], ["a", "m2'"],
+                                   ["a", ""], ["a", "[b,c]"], ["a", 7]])
+def test_boundary_rejects_names_that_are_not_generators(names):
+    tree = parse_tree(TORUS)
+    for boundary in (boundary_word, boundary_expression):
+        with pytest.raises(ValueError, match="not a generator name"):
+            boundary(tree, names)
+
+
+def random_name(rng):
+    first = rng.choice("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+    return first + "".join(rng.choice("abz019XY") for _ in range(rng.randint(0, 3)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 30))
+def test_boundary_expression_parses_to_the_boundary_word(seed):
+    rng = random.Random(seed)
+    tree = random_grope_tree(rng, rng.randint(1, 5), max_genus=3, max_tips=12)
+    names = []
+    while len(names) < tree.leaf_count:
+        name = random_name(rng)
+        if name not in names:
+            names.append(name)
+    assert Word.parse(boundary_expression(tree, names)) == boundary_word(tree, names)
+
+
 def test_boundary_degree_equals_class():
     for text in ("*", TORUS, TOWER2, "({({* *}) ({* *})} {* *})"):
         tree = parse_tree(text)
@@ -204,6 +232,13 @@ def test_rerooted_rejects_higher_genus():
     closed = parse_closed_tree("({* *} {* *})")
     with pytest.raises(ValueError):
         rerooted(closed, parse_tip_path("0L"))
+
+
+def test_rerooted_reports_a_bad_path_before_the_genus():
+    closed = parse_closed_tree("({* *} {* *})")
+    for bad in ("2L", "0L/0L", ""):
+        with pytest.raises(ValueError, match="leaves the tree|does not reach"):
+            rerooted(closed, parse_tip_path(bad))
 
 
 def test_bad_tip_paths():
@@ -282,6 +317,21 @@ def test_walks_agree_with_recursive_references(kind, seed):
             assert dual_class(closed, tip) == reference_dual_class(closed, tip)
     copy = parse_tree(text)
     assert copy == tree and hash(copy) == hash(tree)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(TREE_KINDS)), st.integers(0, 2 ** 30))
+def test_rerooted_accepts_exactly_the_all_genus_1_trees(kind, seed):
+    tree = TREE_KINDS[kind](random.Random(seed))
+    if tree.is_leaf:
+        return
+    closed = ClosedGropeTree(tree)
+    tip = leaf_paths(tree)[-1]
+    if reference_all_genus_one(tree):
+        assert is_isomorphic(rerooted(closed, tip), dual_tree(closed, tip))
+    else:
+        with pytest.raises(ValueError, match="all-genus-1"):
+            rerooted(closed, tip)
 
 
 def test_trees_built_apart_compare_by_structure():

@@ -44,6 +44,15 @@ def test_magnus_unknown_generator():
         magnus(Word.gen("q7"), A3)
 
 
+@pytest.mark.parametrize("function", [magnus, normal_form, lcs_degree, r_inverse])
+def test_unknown_generator_message_names_the_first_in_word_order(function):
+    # both q7 and a2 are unknown; the message names the one read first
+    with pytest.raises(UnknownGeneratorError) as err:
+        function(Word.parse("m1 q7' m2 a2 q7"), A3)
+    assert str(err.value) == \
+        "generator 'q7' is not in the alphabet ('m1', 'm2', 'm3')"
+
+
 @given(words(), words())
 def test_magnus_is_homomorphism(u, v):
     assert magnus(u * v, A3) == magnus(u, A3) * magnus(v, A3)
