@@ -51,6 +51,23 @@ WORDS = [
     ("[m2,m3]", ["--json"]),
 ]
 
+
+def _boundary_words(n):
+    """Two short words on n generators that use m1 and the top one mn: the
+    first lies in the kernel of deleting mn, the second reaches every level
+    of the normal-form tower."""
+    h, k = max(n - 1, 1), max(n // 2, 1)
+    kernel = "[m1,m%d]^2 [m%d,[m1,m%d]] [m%d,m%d m2]'" % (n, h, n, n, k)
+    return kernel, kernel + " [m%d,[m1,m%d]] m%d^2 m1'" % (max(h - 1, 1), h, k)
+
+
+# Ring variable counts where a monomial's packed digit width changes (the
+# width is the bit length of the count); every nf level drops one variable,
+# so the towers on 9, 16 and 17 generators cross a width inside one tower.
+BOUNDARY_GENS = (2, 3, 4, 7, 8, 9, 15, 16, 17)
+WORDS += [(word, ["--gens", str(n)]) for n in BOUNDARY_GENS
+          for word in _boundary_words(n)]
+
 MILNOR = [["milnor", action, word] + opts
           for word, opts in WORDS for action in ("expand", "nf", "rinv")]
 
@@ -98,6 +115,10 @@ GROPE = ([["grope", action, tree] for tree in TREES
           for action in ("class", "boundary")]
          + [["grope", "duals", tree, "--json"] for tree in TREES[1:]]
          + [["grope", "dot", tree, "--closed"] for tree in TREES[1:]])
+
+# the `sweep` benchmark workload's commands
+SWEEP = [["verify", "all", "--json", "--max-generators", "8", "--trials", "2",
+          "--seed", str(s)] for s in range(1, 100)]
 
 VERIFY_PARTS = [["verify", "certificate", "--json"]] + [
     ["verify", "sigma", "--json", "--trials", "20", "--q", q]
@@ -151,7 +172,7 @@ def record():
         "python": "%d.%d" % sys.version_info[:2],
         "outputs": [{"argv": argv, "sha256": digest(argv)}
                     for argv in (VERIFY + MILNOR + COMPOSE + LINK + GROPE
-                                 + VERIFY_PARTS)],
+                                 + VERIFY_PARTS + SWEEP)],
         "argparse": [{"argv": argv, "sha256": digest(argv)}
                      for argv in ARGPARSE],
     }
