@@ -31,7 +31,7 @@ def _write(args, payload, text=None):
         with open(out, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
-        print(text)
+        print(text, flush=True)  # a closed pipe raises here, not at exit
 
 
 def _report_text(report):
@@ -273,6 +273,9 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:  # the reader took all it wanted; quiet the exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return 2

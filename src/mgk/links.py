@@ -174,10 +174,11 @@ def is_homotopically_trivial(link: LinkModel) -> bool:
 def is_almost_trivial(link: LinkModel) -> bool:
     """True iff removing any one component leaves a homotopically trivial
     link (n >= 2), i.e. y_k -> 0 sends every other expansion to 1: every
-    nonconstant monomial has degree n - 1.  Always True for n = 2."""
+    nonconstant monomial uses all n - 1 variables.  Always True for n = 2."""
     if link.n < 2:
         raise LinkFormatError("almost-triviality needs at least 2 components")
-    return all(len(mono) in (0, link.n - 1)
+    every = (1 << (link.n - 1)) - 1  # a monomial's mask if it uses them all
+    return all(mono & every in (0, every)
                for expansion in _expansions(link) for mono in expansion.terms)
 
 

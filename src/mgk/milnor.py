@@ -15,7 +15,8 @@ the units of the squarefree ring.
 Iterating the splitting expresses every group element uniquely as a tower
 of ring components plus one integer exponent; `normal_form` computes that
 tower by a single left-to-right scan per level, which makes the word
-problem for M(F) exact.
+problem for M(F) exact.  `magnus` and every tower level read the word
+through the one ring kernel, `ring.scan`, on packed-integer monomials.
 
 The tower is a projection of the Magnus expansion: the component for m_j
 is the part of M(w) on monomials mono*y_j with mono over y_1..y_{j-1},
@@ -31,8 +32,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NotInKernelError, UnknownGeneratorError
-from .ring import (Ring, RingElement, add_scaled, basis_rank,
-                   format_ring_element, mul_linear)
+from .ring import Ring, RingElement, basis_rank, format_ring_element, scan
 from .words import Word, commutator
 
 __all__ = [
@@ -65,10 +65,7 @@ def magnus(word: Word, alphabet) -> RingElement:
     """
     letters = _positions(word, alphabet)
     ring = Ring(alphabet)
-    terms = {(): 1}
-    for g, e in letters:
-        mul_linear(terms, g, e)
-    return RingElement(ring, terms)
+    return RingElement(ring, scan(letters, len(ring.variables))[0])
 
 
 def magnus_coefficient(word: Word, seq) -> int:
@@ -131,24 +128,10 @@ def normal_form(word: Word, alphabet) -> MilnorElement:
     # its variable position on every level
     letters = _positions(word, full)
     components = []
-    level = full
-    while len(level) > 1:
-        top = len(level) - 1
-        sub = level[:-1]
-        running = {(): 1}
-        rho = {}
-        tail = []
-        for g, e in letters:
-            if g == top:
-                add_scaled(rho, running, e)
-            else:
-                tail.append((g, e))
-                mul_linear(running, g, e)
-        components.append(RingElement(Ring(sub), rho))
-        letters = tail
-        level = sub
-    exponent = sum(e for _, e in letters)
-    return MilnorElement(full, tuple(components), exponent)
+    for top in range(len(full) - 1, 0, -1):  # R on full[:top] at each level
+        components.append(RingElement(Ring(full[:top]), scan(letters, top, top)[1]))
+        letters = [let for let in letters if let[0] != top]
+    return MilnorElement(full, tuple(components), sum(e for _, e in letters))
 
 
 def words_equal(u: Word, v: Word, alphabet) -> bool:
@@ -174,15 +157,14 @@ def r_map(rho: RingElement, alphabet) -> Word:
     if extra:
         raise UnknownGeneratorError(
             "ring variables %s exceed the non-distinguished alphabet" % extra)
-    names = rho.ring.variables
-    out = Word()
+    ring = rho.ring
+    letters = []
     for mono in rho.support():
         w = Word.gen(last)
-        for v in reversed(mono):
-            w = commutator(Word.gen(names[v]), w)
-        coeff = rho.terms[mono]
-        out = out * (w ** coeff)
-    return out
+        for v in reversed(ring.positions(mono)):
+            w = commutator(Word.gen(ring.variables[v]), w)
+        letters += (w ** rho.terms[mono]).letters
+    return Word._trusted(tuple(letters))
 
 
 def r_inverse(word: Word, alphabet) -> RingElement:

@@ -4,21 +4,24 @@ R is the quotient of the free associative ring on a finite set of
 variables by the ideal spanned by all monomials in which some variable
 occurs at least twice.  Its additive group is free abelian on the
 monomials with pairwise-distinct variables, so elements are stored as
-sparse integer maps keyed by monomials.  A monomial is a tuple of variable
-positions (indices into `Ring.variables`), so tuples compare, sort and
-hash as plain ints; names appear only at the boundary, where `Ring.gen`,
-`Ring.monomial`, `Ring.element` and `RingElement.coefficient` take them
-and `format_ring_element` prints them.  Coefficients are exact Python
-ints of unbounded magnitude.  Scans of words work on bare term dicts in
-place (`mul_linear`, `add_scaled`) and wrap the result in a `RingElement`
-once.
+sparse maps from monomials to exact Python ints.
+
+A monomial of `Ring(variables)` is one int, `digits << n | mask`: the
+variable positions plus one as `Ring.width`-bit digits, first variable
+highest, above an n-bit mask of the variables used.  Digits are >= 1 and
+fix the mask, so numeric order is degree-then-position order, "contains
+y_g" is one `&` and the degree is the mask's popcount.  `Ring.pack` and
+`Ring.positions` encode and decode; names appear only in `Ring.gen`,
+`Ring.monomial`, `Ring.element`, `RingElement.coefficient` and
+`format_ring_element`.  Words enter the ring through one in-place kernel
+on bare term dicts, `scan`.
 
 >>> R = Ring(("m1", "m2"))
 >>> y1, y2 = R.gen("m1"), R.gen("m2")
->>> str((1 + y2) * (1 - y2))
-'1'
->>> str(y1 * y2 + y2 * y1)
-'y1*y2 + y2*y1'
+>>> str((1 + y2) * (1 - y2)), str(y1 * y2 + y2 * y1)
+('1', 'y1*y2 + y2*y1')
+>>> R.width, R.pack((1, 0)) == 0b10_01_11, R.positions(0b10_01_11)
+(2, True, (1, 0))
 """
 
 from __future__ import annotations
@@ -27,9 +30,6 @@ import math
 import re
 
 from .errors import UniverseMismatchError
-
-# variable positions, e.g. (1, 0) is y2*y1 in Ring(("m1", "m2"))
-Monomial = tuple[int, ...]
 
 
 def basis_rank(s: int) -> int:
@@ -51,12 +51,13 @@ def variable_display(name: str) -> str:
 class Ring:
     """R over an ordered tuple of named variables."""
 
-    __slots__ = ("variables", "_pos")
+    __slots__ = ("variables", "width", "_pos")
 
     def __init__(self, variables):
         self.variables = tuple(variables)
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate ring variables: %r" % (self.variables,))
+        self.width = len(self.variables).bit_length()
         self._pos = {v: i for i, v in enumerate(self.variables)}
 
     def __repr__(self):
@@ -74,12 +75,27 @@ class Ring:
 
     @property
     def one(self) -> RingElement:
-        return RingElement(self, {(): 1})
+        return RingElement(self, {0: 1})
 
     def gen(self, name: str) -> RingElement:
         return RingElement(self, {self.monomial((name,)): 1})
 
-    def monomial(self, names) -> Monomial:
+    def pack(self, positions) -> int:
+        """The monomial of a sequence of pairwise-distinct positions."""
+        digits = mask = 0
+        for i in positions:
+            digits = digits << self.width | i + 1
+            mask |= 1 << i
+        return digits << len(self.variables) | mask
+
+    def positions(self, mono: int) -> tuple[int, ...]:
+        """The variable positions of a monomial, in order."""
+        n, w = len(self.variables), self.width
+        digits, low = mono >> n, (1 << w) - 1
+        return tuple((digits >> w * k & low) - 1
+                     for k in reversed(range((mono & (1 << n) - 1).bit_count())))
+
+    def monomial(self, names) -> int:
         """The monomial of a sequence of variable names."""
         names = tuple(names)
         if len(set(names)) != len(names):
@@ -87,16 +103,12 @@ class Ring:
         for v in names:
             if v not in self._pos:
                 raise UniverseMismatchError("%r is not a variable of %r" % (v, self))
-        return tuple(map(self._pos.__getitem__, names))
+        return self.pack(map(self._pos.__getitem__, names))
 
     def element(self, terms) -> RingElement:
         """Build an element from a {names: coefficient} mapping."""
-        clean = {}
-        for mono, coeff in terms.items():
-            mono = self.monomial(mono)
-            if coeff:
-                clean[mono] = clean.get(mono, 0) + coeff
-        return RingElement(self, {m: c for m, c in clean.items() if c})
+        packed = {self.monomial(names): c for names, c in terms.items()}
+        return RingElement(self, {m: c for m, c in packed.items() if c})
 
 
 class RingElement:
@@ -114,7 +126,7 @@ class RingElement:
 
     def _coerce(self, other):
         if isinstance(other, int):
-            return RingElement(self.ring, {(): other} if other else {})
+            return RingElement(self.ring, {0: other} if other else {})
         if isinstance(other, RingElement):
             if other.ring != self.ring:
                 raise UniverseMismatchError(
@@ -124,14 +136,15 @@ class RingElement:
 
     def coefficient(self, names) -> int:
         """Coefficient of the monomial of these variable names (0 if a name
-        is not a variable of the ring)."""
-        pos = self.ring._pos
-        # -1 stands for a name outside the ring and matches no monomial
-        return self.terms.get(tuple(pos.get(v, -1) for v in names), 0)
+        is repeated or is not a variable of the ring)."""
+        try:
+            return self.terms.get(self.ring.monomial(names), 0)
+        except (ValueError, UniverseMismatchError):
+            return 0
 
     @property
     def constant_term(self) -> int:
-        return self.terms.get((), 0)
+        return self.terms.get(0, 0)
 
     @property
     def is_zero(self) -> bool:
@@ -139,13 +152,14 @@ class RingElement:
 
     def support(self):
         """Monomials with nonzero coefficient, in degree-then-position
-        order."""
-        return sorted(sorted(self.terms), key=len)
+        order, which is numeric order."""
+        return sorted(self.terms)
 
     def min_positive_degree(self):
-        """Smallest degree of a nonzero nonconstant term, else None."""
-        degs = [len(m) for m in self.terms if m]
-        return min(degs) if degs else None
+        """Smallest degree of a nonzero nonconstant term, else None: the
+        degree of the smallest nonzero key."""
+        lowest = min(filter(None, self.terms), default=0)
+        return (lowest & ((1 << len(self.ring.variables)) - 1)).bit_count() or None
 
     def embed(self, ring: Ring) -> RingElement:
         """The same element in a ring whose variables contain ours."""
@@ -153,8 +167,8 @@ class RingElement:
         if missing:
             raise UniverseMismatchError(
                 "cannot embed: variables %s missing from %r" % (sorted(missing), ring))
-        to = tuple(map(ring._pos.__getitem__, self.ring.variables))
-        return RingElement(ring, {tuple(map(to.__getitem__, m)): c
+        to = tuple(map(ring._pos.__getitem__, self.ring.variables)).__getitem__
+        return RingElement(ring, {ring.pack(map(to, self.ring.positions(m))): c
                                   for m, c in self.terms.items()})
 
     def __eq__(self, other):
@@ -196,14 +210,18 @@ class RingElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        full, w = (1 << len(self.ring.variables)) - 1, self.ring.width
+        # m1 * m2: m1's digits move up past m2's, and the masks join
+        right = [(m2, c2, m2 & full, w * (m2 & full).bit_count())
+                 for m2, c2 in other.terms.items()]
         out = {}
-        right = [(m2, c2, _mask(m2)) for m2, c2 in other.terms.items()]
         for m1, c1 in self.terms.items():
-            used = _mask(m1)
-            for m2, c2, vars2 in right:
+            used = m1 & full
+            high = m1 ^ used
+            for m2, c2, vars2, shift in right:
                 if used & vars2:
                     continue  # repeated variable: the monomial dies in R
-                mono = m1 + m2
+                mono = high << shift | m2 | used
                 c = out.get(mono, 0) + c1 * c2
                 if c:
                     out[mono] = c
@@ -223,14 +241,6 @@ class RingElement:
         return "<RingElement %s>" % format_ring_element(self)
 
 
-def _mask(mono: Monomial) -> int:
-    """The set of a monomial's variables as a bitmask over positions."""
-    mask = 0
-    for i in mono:
-        mask |= 1 << i
-    return mask
-
-
 def add_scaled(terms: dict, other: dict, e: int) -> None:
     """terms += e * other, in place on {monomial: coeff} dicts; drops zeros."""
     for mono, coeff in other.items():
@@ -241,37 +251,66 @@ def add_scaled(terms: dict, other: dict, e: int) -> None:
             terms.pop(mono, None)
 
 
-def mul_linear(terms: dict, g: int, e: int) -> None:
-    """terms *= 1 + e*y_g, in place on a {monomial: coeff} dict, where g is
-    a variable position.
+def scan(letters, n: int, top: int = -1):
+    """Read (position, exponent) letters into R on n variables.
 
-    Only monomials without g gain a term (m * y_g dies in R when m has g),
-    and the new keys all contain g, so iterating over a snapshot of the
-    keys that lack g reads each coefficient before anything changes it.
-    """
-    for mono in [m for m in terms if g not in m]:
-        key = mono + (g,)
-        c = terms.get(key, 0) + e * terms[mono]
-        if c:
-            terms[key] = c
-        else:
-            del terms[key]
+    Returns term dicts (running, rho).  A letter (g, e) not at `top`
+    multiplies running by 1 + e*y_g, and a letter at `top` adds e*running
+    to rho; with no letter at `top`, running is the Magnus expansion.
+    Only keys without g gain a term and the new keys all contain g, so a
+    snapshot of the keys lacking g reads each coefficient before it moves."""
+    w, full = n.bit_length(), (1 << n) - 1
+    running, rho = {0: 1}, {}
+    for g, e in letters:
+        if g == top:
+            add_scaled(rho, running, e)
+            continue
+        bit = 1 << g
+        new = (g + 1) << n | bit  # y_g's digit above the mask, and its bit
+        get = running.get
+        for mono in [m for m in running if not m & bit]:
+            used = mono & full
+            key = (mono ^ used) << w | used | new
+            c = get(key, 0) + e * running[mono]
+            if c:
+                running[key] = c
+            else:
+                del running[key]
+    return running, rho
 
 
 def format_ring_element(elem: RingElement, display=variable_display) -> str:
-    """Serialize as a signed monomial sum, e.g. ``1 + y2*y3 - y3*y2``."""
+    """Serialize as a signed monomial sum, e.g. ``1 + y2*y3 - y3*y2``.
+
+    Keys sort in print order.  A monomial's text is its prefix's (one digit
+    fewer) plus a name; texts of the previous degree are kept, shared with
+    the output parts."""
     if not elem.terms:
         return "0"
-    name = [display(v) for v in elem.ring.variables].__getitem__
-    parts = []
-    for mono in elem.support():
-        coeff = elem.terms[mono]
-        body = "*".join(map(name, mono)) if mono else "1"
-        mag = abs(coeff)
-        if mag != 1 or not mono:
-            body = str(mag) if not mono else "%d*%s" % (mag, body)
-        if not parts:
-            parts.append(body if coeff > 0 else "-" + body)
+    ring, terms = elem.ring, elem.terms
+    n, w = len(ring.variables), ring.width
+    name = [""] + [display(v) for v in ring.variables]  # by digit
+    star, low = ["*" + v for v in name], (1 << w) - 1
+    parts, prev, cur, limit = [], {}, {}, 1  # texts of last and this degree
+    for mono in sorted(terms):
+        coeff, digits = terms[mono], mono >> n
+        parts.append(" + " if coeff > 0 else " - ")
+        if not digits:
+            parts.append(str(abs(coeff)))
+            continue
+        while digits >= limit:  # a new degree
+            prev, cur, limit = cur, {}, limit << w
+        prefix = digits >> w
+        if not prefix:
+            body = cur[digits] = name[digits]
         else:
-            parts.append((" + " if coeff > 0 else " - ") + body)
+            head = prev.get(prefix)
+            if head is None:  # the prefix is not a term
+                head = prev[prefix] = "*".join(
+                    [name[i + 1] for i in ring.positions(mono)[:-1]])
+            body = cur[digits] = head + star[digits & low]
+        if coeff not in (1, -1):
+            parts.append("%d*" % abs(coeff))
+        parts.append(body)
+    parts[0] = "" if parts[0] == " + " else "-"  # the leading sign
     return "".join(parts)

@@ -15,7 +15,7 @@ from mgk.gropes import ClosedGropeTree, GropeTree
 from mgk.links import delete_component, is_almost_trivial
 from mgk.milnor import MilnorElement, magnus, r_inverse
 from mgk.ring import Ring, variable_display
-from mgk.words import Word
+from mgk.words import Word, commutator
 
 # -- free associative ring, projected to squarefree monomials at the end ------
 
@@ -42,15 +42,33 @@ def squarefree(terms):
     return {m: c for m, c in terms.items() if len(set(m)) == len(m)}
 
 
+def decode_monomial(variables, mono):
+    """The variable names of a packed monomial key of Ring(variables).
+
+    Reads the digits from the most significant one down, where the library
+    reads them from the bottom, and checks that every digit names a
+    variable and that the mask below them is the set of those variables.
+    """
+    n = len(variables)
+    width = n.bit_length()
+    digits, mask = mono >> n, mono & ((1 << n) - 1)
+    count = -(-digits.bit_length() // width) if digits else 0
+    positions = [(digits >> width * (count - 1 - k) & (1 << width) - 1) - 1
+                 for k in range(count)]
+    assert all(0 <= p < n for p in positions), (variables, mono)
+    assert mask == sum(1 << p for p in set(positions)), (variables, mono)
+    return tuple(variables[p] for p in positions)
+
+
 def named_terms(elem):
-    """An element's terms keyed by variable names instead of positions."""
+    """An element's terms keyed by tuples of variable names."""
     names = elem.ring.variables
-    return {tuple(names[i] for i in mono): c for mono, c in elem.terms.items()}
+    return {decode_monomial(names, mono): c for mono, c in elem.terms.items()}
 
 
 # -- the ring on name-keyed monomials ----------------------------------------------
-# The library keys monomials by variable positions and sorts them natively;
-# these keep the names and map them to positions in every sort key.
+# The library keys monomials by packed ints and sorts them natively; these
+# keep the names and map them to positions in every sort key.
 
 
 def reference_mul(left, right):
@@ -139,6 +157,25 @@ def reference_normal_form(word, alphabet):
         letters = tail
         level = level[:-1]
     return MilnorElement(full, tuple(components), sum(e for _, e in letters))
+
+
+# -- the kernel inclusion, one product per term ------------------------------
+# The library collects r(rho)'s letters in one list; this multiplies the
+# word so far by each term's word, copying it once per term.
+
+
+def reference_r_map(rho, alphabet):
+    """r(rho), its terms in the order of reference_monomial_key."""
+    last = alphabet[-1]
+    variables = rho.ring.variables
+    terms = named_terms(rho)
+    out = Word()
+    for mono in sorted(terms, key=lambda m: reference_monomial_key(variables, m)):
+        w = Word.gen(last)
+        for v in reversed(mono):
+            w = commutator(Word.gen(v), w)
+        out = out * (w ** terms[mono])
+    return out
 
 
 # -- link invariants by sublink recursion and full expansion --------------------

@@ -257,6 +257,18 @@ def test_wrong_word_count_is_an_error_not_a_crash(argv):
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
+def test_closed_stdout_pipe_exits_0_quietly():
+    # the answer (323 kB) outgrows the pipe buffer, so the writer is still
+    # writing when the reader closes its end
+    proc = subprocess.Popen([sys.executable, "-m", "mgk.cli", "milnor",
+                             "expand", "(m1 m2 m3 m4 m5 m6 m7)^7"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(10) == b"1 + 7*y1 +"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0 and err == b""
+
+
 def test_grope_chain_300_answers():
     proc = subprocess.run([sys.executable, "-m", "mgk.cli", "grope", "class",
                            "({" * 299 + "({* *})" + " *})" * 299],

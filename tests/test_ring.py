@@ -6,8 +6,9 @@ from mgk.milnor import default_alphabet, magnus
 from mgk.ring import Ring, basis_rank, format_ring_element, variable_display
 from mgk.words import Word
 
-from helpers import (free_mul, named_terms, reference_format_ring_element,
-                     reference_monomial_key, reference_mul, squarefree)
+from helpers import (decode_monomial, free_mul, named_terms,
+                     reference_format_ring_element, reference_monomial_key,
+                     reference_mul, squarefree)
 
 VARS = ("m1", "m2", "m3", "m4")
 R = Ring(VARS)
@@ -67,15 +68,15 @@ def test_ring_axioms(u, v, w):
 
 @given(elements(), elements())
 def test_products_stay_squarefree(u, v):
-    for mono in (u * v).terms:
+    for mono in named_terms(u * v):
         assert len(set(mono)) == len(mono)
 
 
 @given(elements(), elements())
 def test_product_matches_free_ring_oracle(u, v):
-    oracle = squarefree(free_mul([u.terms or {}, v.terms or {}])) \
+    oracle = squarefree(free_mul([named_terms(u), named_terms(v)])) \
         if u.terms and v.terms else {}
-    assert (u * v).terms == oracle
+    assert named_terms(u * v) == oracle
 
 
 # Alphabets whose name order differs from position order: by name, m10
@@ -109,7 +110,7 @@ def test_position_keyed_ring_matches_name_keyed_reference(pair):
         assert format_ring_element(elem, display=str.upper) == \
             reference_format_ring_element(variables, named_terms(elem),
                                           display=str.upper)
-    names = [tuple(variables[i] for i in m) for m in u.support()]
+    names = [decode_monomial(variables, m) for m in u.support()]
     assert names == sorted(nu, key=lambda m: reference_monomial_key(variables, m))
     for mono, c in nu.items():
         assert u.coefficient(mono) == c
@@ -128,6 +129,47 @@ def test_embed_into_reordered_ring_keeps_names(pair):
         big.variables, named_terms(u))
     assert eu.coefficient(("x",)) == 0 and eu.coefficient(("a", "b")) == \
         u.coefficient(("a", "b"))
+
+
+def packed_rings():
+    """A ring of 0..17 variables, and up to 12 of its monomials as
+    position tuples."""
+    def monomials(ring):
+        n = len(ring.variables)
+        mono = st.lists(st.integers(0, n - 1), unique=True, max_size=n)
+        return st.tuples(st.just(ring), st.lists(mono.map(tuple), max_size=12)
+                         if n else st.just([()]))
+    return st.integers(0, 17).map(
+        lambda n: Ring("v%d" % i for i in range(n))).flatmap(monomials)
+
+
+@given(packed_rings())
+def test_packed_monomials_round_trip_sort_and_count_degree(case):
+    ring, monos = case
+    n = len(ring.variables)
+    keys = [ring.pack(p) for p in monos]
+    for p, key in zip(monos, keys):
+        assert ring.positions(key) == p
+        names = tuple(ring.variables[i] for i in p)
+        assert decode_monomial(ring.variables, key) == names
+        assert ring.monomial(names) == key
+        assert (key & (1 << n) - 1).bit_count() == len(p)  # the degree
+    assert len(set(keys)) == len(set(monos))
+    elem = ring.element({decode_monomial(ring.variables, k): 1 for k in keys})
+    assert [decode_monomial(ring.variables, k) for k in sorted(elem.terms)] \
+        == sorted(named_terms(elem), key=lambda m: reference_monomial_key(
+            ring.variables, m))
+    degrees = [len(p) for p in monos if p]
+    assert elem.min_positive_degree() == (min(degrees) if degrees else None)
+
+
+@given(elements())
+def test_coefficient_of_a_repeated_or_unknown_name_is_zero(u):
+    u = u + 1 + R.gen("m1")  # most draws now have the terms 1 and y1
+    for names in (("m1", "m1"), ("m1", "m2", "m1"), ("zz",), ("m1", "zz"),
+                  ("zz", "zz")):
+        assert u.coefficient(names) == 0
+    assert u.coefficient(("m1",)) == named_terms(u).get(("m1",), 0)
 
 
 def test_universe_mismatch():
