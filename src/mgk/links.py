@@ -177,8 +177,7 @@ def is_almost_trivial(link: LinkModel) -> bool:
     nonconstant monomial uses all n - 1 variables.  Always True for n = 2."""
     if link.n < 2:
         raise LinkFormatError("almost-triviality needs at least 2 components")
-    every = (1 << (link.n - 1)) - 1  # a monomial's mask if it uses them all
-    return all(mono & every in (0, every)
+    return all(expansion.ring.degree(mono) in (0, link.n - 1)
                for expansion in _expansions(link) for mono in expansion.terms)
 
 

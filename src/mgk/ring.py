@@ -10,7 +10,7 @@ A monomial of `Ring(variables)` is one int, `digits << n | mask`: the
 variable positions plus one as `Ring.width`-bit digits, first variable
 highest, above an n-bit mask of the variables used.  Digits are >= 1 and
 fix the mask, so numeric order is degree-then-position order, "contains
-y_g" is one `&` and the degree is the mask's popcount.  `Ring.pack` and
+y_g" is one `&` and `Ring.degree` is the mask's popcount.  `Ring.pack` and
 `Ring.positions` encode and decode; names appear only in `Ring.gen`,
 `Ring.monomial`, `Ring.element`, `RingElement.coefficient` and
 `format_ring_element`.  Words enter the ring through one in-place kernel
@@ -51,7 +51,7 @@ def variable_display(name: str) -> str:
 class Ring:
     """R over an ordered tuple of named variables."""
 
-    __slots__ = ("variables", "width", "_pos")
+    __slots__ = ("variables", "width", "_pos", "_mask")
 
     def __init__(self, variables):
         self.variables = tuple(variables)
@@ -59,6 +59,7 @@ class Ring:
             raise ValueError("duplicate ring variables: %r" % (self.variables,))
         self.width = len(self.variables).bit_length()
         self._pos = {v: i for i, v in enumerate(self.variables)}
+        self._mask = (1 << len(self.variables)) - 1
 
     def __repr__(self):
         return "Ring(%s)" % ", ".join(self.variables)
@@ -88,12 +89,15 @@ class Ring:
             mask |= 1 << i
         return digits << len(self.variables) | mask
 
+    def degree(self, mono: int) -> int:
+        """The number of variables of a monomial: its mask's popcount."""
+        return (mono & self._mask).bit_count()
+
     def positions(self, mono: int) -> tuple[int, ...]:
         """The variable positions of a monomial, in order."""
-        n, w = len(self.variables), self.width
-        digits, low = mono >> n, (1 << w) - 1
-        return tuple((digits >> w * k & low) - 1
-                     for k in reversed(range((mono & (1 << n) - 1).bit_count())))
+        w, digits = self.width, mono >> len(self.variables)
+        return tuple((digits >> w * k) % (1 << w) - 1
+                     for k in reversed(range(self.degree(mono))))
 
     def monomial(self, names) -> int:
         """The monomial of a sequence of variable names."""
@@ -156,10 +160,8 @@ class RingElement:
         return sorted(self.terms)
 
     def min_positive_degree(self):
-        """Smallest degree of a nonzero nonconstant term, else None: the
-        degree of the smallest nonzero key."""
-        lowest = min(filter(None, self.terms), default=0)
-        return (lowest & ((1 << len(self.ring.variables)) - 1)).bit_count() or None
+        """Smallest degree of a nonconstant term (the least key's), else None."""
+        return self.ring.degree(min(filter(None, self.terms), default=0)) or None
 
     def embed(self, ring: Ring) -> RingElement:
         """The same element in a ring whose variables contain ours."""
@@ -204,15 +206,14 @@ class RingElement:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if not other:
-                return self.ring.zero
-            return RingElement(self.ring, {m: c * other for m, c in self.terms.items()})
+            return RingElement(self.ring, {m: c * other for m, c in self.terms.items()
+                                           if other})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        full, w = (1 << len(self.ring.variables)) - 1, self.ring.width
+        full, w = self.ring._mask, self.ring.width
         # m1 * m2: m1's digits move up past m2's, and the masks join
-        right = [(m2, c2, m2 & full, w * (m2 & full).bit_count())
+        right = [(m2, c2, m2 & full, w * self.ring.degree(m2))
                  for m2, c2 in other.terms.items()]
         out = {}
         for m1, c1 in self.terms.items():

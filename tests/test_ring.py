@@ -3,7 +3,8 @@ from hypothesis import given, strategies as st
 
 from mgk.errors import UniverseMismatchError
 from mgk.milnor import default_alphabet, magnus
-from mgk.ring import Ring, basis_rank, format_ring_element, variable_display
+from mgk.ring import (Ring, RingElement, basis_rank, format_ring_element,
+                      variable_display)
 from mgk.words import Word
 
 from helpers import (decode_monomial, free_mul, named_terms,
@@ -70,6 +71,37 @@ def test_ring_axioms(u, v, w):
 def test_products_stay_squarefree(u, v):
     for mono in named_terms(u * v):
         assert len(set(mono)) == len(mono)
+
+
+def _unchecked_mul(u, v):
+    """u * v with the repeated-variable test left out: a monomial with a
+    variable twice keeps both digits, and the masks join."""
+    if isinstance(v, int):
+        return RingElement(u.ring, {m: c * v for m, c in u.terms.items() if c * v})
+    n, w = len(u.ring.variables), u.ring.width
+    out = {}
+    for m1, c1 in u.terms.items():
+        for m2, c2 in v.terms.items():
+            digits2 = m2 >> n
+            count2 = -(-digits2.bit_length() // w) if digits2 else 0
+            mono = ((m1 >> n) << w * count2 | digits2) << n | (m1 | m2) & (1 << n) - 1
+            out[mono] = out.get(mono, 0) + c1 * c2
+    return RingElement(u.ring, {m: c for m, c in out.items() if c})
+
+
+def test_ring_axiom_check_rejects_a_repeated_digit(monkeypatch):
+    from mgk import verify
+    y1, y2 = R.gen("m1"), R.gen("m2")
+    repeated = ((1 << R.width | 1) << len(VARS)) | 1  # y1, y1 over y1's mask
+    assert R.positions(repeated) == (0,)  # reads as squarefree when decoded
+    u, v, w = y1 + 1, y1 - y2, y2
+    assert verify._ring_axioms_hold(u, v, w)
+    monkeypatch.setattr(RingElement, "__mul__", _unchecked_mul)
+    assert repeated in (u * v).terms
+    # the identities still hold, so only the squarefree test can fail
+    assert (u * v) * w == u * (v * w) and u * (v + w) == u * v + u * w
+    assert (u + v) * w == u * w + v * w and u * 1 == u and 1 * u == u
+    assert not verify._ring_axioms_hold(u, v, w)
 
 
 @given(elements(), elements())
@@ -154,6 +186,7 @@ def test_packed_monomials_round_trip_sort_and_count_degree(case):
         assert decode_monomial(ring.variables, key) == names
         assert ring.monomial(names) == key
         assert (key & (1 << n) - 1).bit_count() == len(p)  # the degree
+        assert ring.degree(key) == len(p)
     assert len(set(keys)) == len(set(monos))
     elem = ring.element({decode_monomial(ring.variables, k): 1 for k in keys})
     assert [decode_monomial(ring.variables, k) for k in sorted(elem.terms)] \
