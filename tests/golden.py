@@ -71,6 +71,18 @@ WORDS += [(word, ["--gens", str(n)]) for n in BOUNDARY_GENS
 MILNOR = [["milnor", action, word] + opts
           for word, opts in WORDS for action in ("expand", "nf", "rinv")]
 
+# rinv alone: words in and out of the kernel of deleting the last generator
+# on 1, 2 and 8 generators, an unknown generator, and the empty alphabet
+# (an unknown generator is named before the empty alphabet is refused)
+RINV = [["milnor", "rinv", word, "--gens", gens] + opts
+        for word, gens, opts in (
+            ("m1^-3", "1", []), ("m1 m1'", "1", ["--json"]), ("m2", "1", []),
+            ("m1^4 m2 m1^-4", "2", []), ("m1 m2 m1'", "2", ["--json"]),
+            ("m1 [m2,m1]", "2", []), ("m1 [m2,m1]", "2", ["--json"]),
+            ("[m3,[m5,m8]] [m8,m1 m7]^2 m6 [m8,m2]' m6'", "8", []),
+            ("[m3,[m5,m8]] [m2,m7]", "8", []), ("m9 [m1,m8]", "8", []),
+            ("1", "0", []), ("m1", "0", []))]
+
 # the four catalog compositions, as (ambient, pattern, extra options)
 PAIRS = [
     ("borromean", "bing_double", []),
@@ -108,6 +120,19 @@ LINK = ([["link", "mu", model, "--index", idx] for model, ids in MODELS
            for opts in ([], ["--json"])]
         + [["link", "mu", "borromean", "--index", "2,3,1", "--json"]])
 
+# committed JSON links, paths relative to the repository root: bing6 is
+# borromean with a Bing double composed in three times (almost trivial, not
+# trivial), relators8 has products of conjugated Milnor relators as
+# longitudes (trivial), full9 has an iterated commutator of all other
+# meridians times a relator as each longitude (almost trivial, not
+# trivial), and kernel9 and outside9 spoil one full9 longitude with
+# [m2,m9] (in the kernel of deleting m9, coordinate y2) or [m1,m2] (outside
+# the kernel of deleting m8)
+LINK_FILES = [["link", action, "tests/fixtures/links/%s.json" % name] + opts
+              for name in ("bing6", "relators8", "full9", "kernel9", "outside9")
+              for action in ("trivial", "almost-trivial")
+              for opts in ([], ["--json"])]
+
 TREES = ["*", "({* *})", "({({* *}) *})", "({* *} {* *})",
          "({({* *}) ({* *})})", "({({* *} {* *}) *} {* ({* ({* *})})})"]
 
@@ -143,12 +168,16 @@ ARGPARSE = [
 ]
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
 def run(argv):
     """(exit code, stdout, stderr) of one in-process `mgk` call, with help
-    wrapped at 80 columns."""
+    wrapped at 80 columns, run from the repository root."""
     out, err = io.StringIO(), io.StringIO()
-    saved = os.environ.get("COLUMNS")
+    saved, cwd = os.environ.get("COLUMNS"), os.getcwd()
     os.environ["COLUMNS"] = "80"
+    os.chdir(ROOT)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
@@ -156,6 +185,7 @@ def run(argv):
             except SystemExit as exc:
                 code = exc.code
     finally:
+        os.chdir(cwd)
         if saved is None:
             del os.environ["COLUMNS"]
         else:
@@ -171,8 +201,8 @@ def record():
     return {
         "python": "%d.%d" % sys.version_info[:2],
         "outputs": [{"argv": argv, "sha256": digest(argv)}
-                    for argv in (VERIFY + MILNOR + COMPOSE + LINK + GROPE
-                                 + VERIFY_PARTS + SWEEP)],
+                    for argv in (VERIFY + MILNOR + RINV + COMPOSE + LINK
+                                 + LINK_FILES + GROPE + VERIFY_PARTS + SWEEP)],
         "argparse": [{"argv": argv, "sha256": digest(argv)}
                      for argv in ARGPARSE],
     }
