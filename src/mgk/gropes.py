@@ -10,10 +10,10 @@ pairs of the sum of the two members' classes.
 Every `GropeTree` fixes its class, its leaf count and its hash when it is
 built, from the same fields of its children, so reading them is O(1) and
 building a tree is O(1) work per pair.  The module keeps no cache, and
-every walk but one uses an explicit stack, so trees of any depth work
-under the default recursion limit.  The exception is `boundary_word`,
-which recurses as deep as the tree: its word at least doubles in length
-per stage, so memory runs out long before the recursion limit.
+every walk uses an explicit stack, so trees of any depth work under the
+default recursion limit.  `boundary_word` parses the text that
+`boundary_expression` renders, so it nests as deep as the word parser does;
+its word at least doubles in length per stage, so memory runs out first.
 
 Text grammar (whitespace-insensitive):
 
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 
 from .errors import TreeSyntaxError
-from .words import NAME, Word, commutator
+from .words import NAME, Word
 
 __all__ = [
     "GropeTree", "ClosedGropeTree", "LEAF", "parse_tree", "parse_closed_tree",
@@ -286,20 +286,9 @@ def _assign_names(tree: GropeTree, names):
 
 def boundary_word(tree: GropeTree, names) -> Word:
     """Boundary of the bottom stage: the product of pair commutators,
-    recursively, with Leaves mapped to their assigned generators.
-    """
-    names = _assign_names(tree, names)
-    it = iter(names)
-
-    def walk(node):
-        if node.is_leaf:
-            return Word.gen(next(it))
-        out = Word()
-        for left, right in node.pairs:
-            out = out * commutator(walk(left), walk(right))
-        return out
-
-    return walk(tree)
+    recursively, with Leaves mapped to their assigned generators; the
+    parsed `boundary_expression`."""
+    return Word.parse(boundary_expression(tree, names))
 
 
 def boundary_expression(tree: GropeTree, names) -> str:

@@ -7,6 +7,7 @@ over the other components' meridians.  Invariants are computed verbatim
 from the words; geometric realizability and the indeterminacy of the
 invariants for general links are out of scope.  Deleting a component sets
 its meridian to 1 by erasing its letters from the remaining longitudes.
+Triviality tests read each longitude's kernel coordinate by one scan.
 
 The catalog entries come from the committed Wirtinger-oracle fixtures
 (tests/oracles, tests/fixtures); the solid-torus patterns additionally
@@ -19,8 +20,8 @@ import json
 import re
 from dataclasses import dataclass
 
-from .errors import LinkFormatError
-from .milnor import magnus, magnus_coefficient
+from .errors import LinkFormatError, NotInKernelError
+from .milnor import magnus_coefficient, r_inverse
 from .words import Word
 
 __all__ = [
@@ -114,18 +115,17 @@ class SolidTorusLink:
     n = LinkModel.n
     index_of = LinkModel.index_of
 
-    def ambient_model(self, wedge_component="wedge", wedge_meridian="w") -> LinkModel:
-        """The pattern together with its wedge circle as a link model (the
-        standard embedding of the solid torus): the boundary S1 direction
-        is a meridian of the wedge circle, so the core symbol becomes the
-        new component's meridian.
+    def ambient_model(self) -> LinkModel:
+        """The pattern together with its wedge circle, component "wedge"
+        with meridian "w", as a link model (the standard embedding of the
+        solid torus): the boundary S1 direction is a meridian of the wedge
+        circle, so the core symbol becomes the new component's meridian.
         """
-        if wedge_meridian in self.meridians or wedge_component in self.components:
+        if "w" in self.meridians or "wedge" in self.components:
             raise LinkFormatError("wedge names clash with the pattern")
-        longs = tuple(w.substitute(self.core_symbol, Word.gen(wedge_meridian))
+        longs = tuple(w.substitute(self.core_symbol, Word.gen("w"))
                       for w in self.longitudes)
-        return LinkModel(self.components + (wedge_component,),
-                         self.meridians + (wedge_meridian,),
+        return LinkModel(self.components + ("wedge",), self.meridians + ("w",),
                          longs + (self.wedge,))
 
 
@@ -158,27 +158,33 @@ def delete_component(link: LinkModel, which) -> LinkModel:
         tuple(link.longitudes[k].erase(mer) for k in keep))
 
 
-def _expansions(link: LinkModel):
-    """Each longitude's Magnus expansion over the other meridians, lazily."""
+def _coordinates(link: LinkModel):
+    """Each longitude's kernel coordinate over the other meridians (None
+    outside the kernel of deleting the last of them), lazily."""
     for k, word in enumerate(link.longitudes):
-        yield magnus(word, link.meridians[:k] + link.meridians[k + 1:])
+        try:
+            yield r_inverse(word, link.meridians[:k] + link.meridians[k + 1:])
+        except NotInKernelError:
+            yield None
 
 
 def is_homotopically_trivial(link: LinkModel) -> bool:
-    """True iff every longitude has Magnus expansion 1.  Sublinks then are
-    trivial too: deleting component k acts on the expansions as the ring
-    map y_k -> 0, which fixes 1.  Knots are always trivial."""
-    return all(expansion == 1 for expansion in _expansions(link))
+    """True iff every longitude is in the kernel with coordinate 0, i.e. is
+    1 in the Milnor group of the other meridians.  Sublinks then are trivial
+    too: deleting m_k fixes 1.  Knots are always trivial."""
+    return link.n == 1 or all(rho == 0 for rho in _coordinates(link))
 
 
 def is_almost_trivial(link: LinkModel) -> bool:
     """True iff removing any one component leaves a homotopically trivial
-    link (n >= 2), i.e. y_k -> 0 sends every other expansion to 1: every
-    nonconstant monomial uses all n - 1 variables.  Always True for n = 2."""
+    link (n >= 2): every longitude w = r(rho) is in the kernel with rho of
+    full degree n - 2, so M(w) is 1 plus terms in all n - 1 variables (rho
+    is M(w) on monomials ending in the last one).  Always True for n = 2."""
     if link.n < 2:
         raise LinkFormatError("almost-triviality needs at least 2 components")
-    return all(expansion.ring.degree(mono) in (0, link.n - 1)
-               for expansion in _expansions(link) for mono in expansion.terms)
+    return all(rho is not None
+               and all(rho.ring.degree(m) == link.n - 2 for m in rho.terms)
+               for rho in _coordinates(link))
 
 
 # -- catalog ------------------------------------------------------------------

@@ -23,7 +23,9 @@ is the part of M(w) on monomials mono*y_j with mono over y_1..y_{j-1},
 the final y_j stripped, and the exponent is the coefficient of y_1.  With
 the uniqueness of the tower this makes the Magnus expansion injective on
 M(F) (Milnor, *Link groups*, Ann. of Math. 59, 1954; Habegger-Lin, JAMS 3,
-1990), and one kernel coefficient is one chain scan, `magnus_coefficient`.
+1990).  So one kernel coefficient is one chain scan, `magnus_coefficient`,
+and `r_inverse` is the top level's scan alone: the word is in the kernel iff
+the scan's expansion without the last generator is 1, and rho is the answer.
 """
 
 from __future__ import annotations
@@ -129,7 +131,11 @@ def normal_form(word: Word, alphabet) -> MilnorElement:
     letters = _positions(word, full)
     components = []
     for top in range(len(full) - 1, 0, -1):  # R on full[:top] at each level
-        components.append(RingElement(Ring(full[:top]), scan(letters, top, top)[1]))
+        # letters after the last top letter add nothing to the coordinate
+        end = next((p for p in range(len(letters), 0, -1)
+                    if letters[p - 1][0] == top), 0)
+        components.append(RingElement(Ring(full[:top]),
+                                      scan(letters[:end], top, top)[1]))
         letters = [let for let in letters if let[0] != top]
     return MilnorElement(full, tuple(components), sum(e for _, e in letters))
 
@@ -169,18 +175,17 @@ def r_map(rho: RingElement, alphabet) -> Word:
 
 def r_inverse(word: Word, alphabet) -> RingElement:
     """Kernel coordinate of a word in the kernel of deleting the last
-    generator; raises NotInKernelError otherwise.
-    """
+    generator, read by one top-level scan (see the module docstring);
+    raises NotInKernelError otherwise."""
     alphabet = tuple(alphabet)
-    nf = normal_form(word, alphabet)
+    letters = _positions(word, alphabet)
     if not alphabet:
         raise ValueError("empty alphabet has no kernel component")
-    if len(alphabet) == 1:  # the kernel is Z, spanned by the generator
-        return Ring(()).element({(): nf.exponent})
-    if not MilnorElement(alphabet[:-1], nf.components[1:], nf.exponent).is_identity:
+    running, rho = scan(letters, len(alphabet) - 1, len(alphabet) - 1)
+    if running != {0: 1}:
         raise NotInKernelError(
             "deleting %r does not trivialize the word" % alphabet[-1])
-    return nf.components[0]
+    return RingElement(Ring(alphabet[:-1]), rho)
 
 
 def conjugation_action(g: Word, rho: RingElement, alphabet) -> RingElement:

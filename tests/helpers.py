@@ -3,17 +3,19 @@
 Everything here recomputes expectations by a different route than the
 library: products are expanded in the free associative ring and projected
 afterwards, ring arithmetic and formatting keep monomials keyed by
-variable names, the essentiality certificate is read from normal-form
-towers, Milnor-equal words are produced by explicit relator insertion, and
-re-rooting works on a plain adjacency list.
+variable names, kernel coordinates and the essentiality certificate are
+read from whole normal-form towers, Milnor-equal words are produced by
+explicit relator insertion, boundary words by a recursive commutator walk,
+and re-rooting works on a plain adjacency list.
 """
 
-from mgk.composition import (Certificate, _sigma_alphabets, compose,
-                             wedge_ring_element)
+from mgk.composition import (Certificate, CompositionSpec, _sigma_alphabets,
+                             compose, wedge_ring_element)
 from mgk.errors import CompositionError, LinkFormatError, NotInKernelError
 from mgk.gropes import ClosedGropeTree, GropeTree
-from mgk.links import delete_component, is_almost_trivial
-from mgk.milnor import MilnorElement, magnus, r_inverse
+from mgk.links import (SolidTorusLink, catalog, delete_component,
+                       is_almost_trivial)
+from mgk.milnor import MilnorElement, magnus, normal_form, r_inverse
 from mgk.ring import Ring, variable_display
 from mgk.words import Word, commutator
 
@@ -178,8 +180,26 @@ def reference_r_map(rho, alphabet):
     return out
 
 
+# -- the kernel coordinate from the whole tower ---------------------------------
+# The library reads r^{-1} from the tower's top-level scan alone; this builds
+# every level and asks that the levels below the top one be the identity.
+
+
+def reference_r_inverse(word, alphabet):
+    alphabet = tuple(alphabet)
+    nf = normal_form(word, alphabet)
+    if not alphabet:
+        raise ValueError("empty alphabet has no kernel component")
+    if len(alphabet) == 1:  # the kernel is Z, spanned by the generator
+        return Ring(()).element({(): nf.exponent})
+    if not MilnorElement(alphabet[:-1], nf.components[1:], nf.exponent).is_identity:
+        raise NotInKernelError(
+            "deleting %r does not trivialize the word" % alphabet[-1])
+    return nf.components[0]
+
+
 # -- link invariants by sublink recursion and full expansion --------------------
-# The library reads triviality from one expansion per component and mu-bar
+# The library reads triviality from one kernel scan per component and mu-bar
 # by a chain scan; these recurse over sublinks and expand in the ring.
 
 
@@ -247,6 +267,34 @@ def reference_essentiality_certificate(spec):
     return Certificate(a=a_elem.coefficient(ys),
                        b=b_elem.coefficient(zs_rest),
                        c=c_elem.coefficient(ys + zs_rest))
+
+
+# -- iterated Bing doubles -------------------------------------------------------
+
+
+def renamed_bing_double(level):
+    """The catalog's bing_double with components and meridians renamed
+    for one level of iterated composition."""
+    q = catalog("bing_double")
+    names = {"z1": "u%da" % level, "z2": "u%db" % level}
+
+    def rename(word):
+        return Word(tuple((names.get(g, g), e) for g, e in word.letters))
+
+    return SolidTorusLink(("b%da" % level, "b%db" % level),
+                          (names["z1"], names["z2"]),
+                          tuple(rename(w) for w in q.longitudes),
+                          wedge=rename(q.wedge))
+
+
+def iterated_bing_specs(depth):
+    """The specs composing a renamed Bing double into the last component
+    of borromean, then of each result, `depth` times."""
+    link = catalog("borromean")
+    for level in range(1, depth + 1):
+        spec = CompositionSpec(link, renamed_bing_double(level))
+        yield spec
+        link = compose(spec)
 
 
 # -- Milnor-equal rewritings ---------------------------------------------------
@@ -378,6 +426,22 @@ def reference_dual_class(closed: ClosedGropeTree, tip) -> int:
         total += reference_grope_class(node.pairs[i][1 - side])
         node = node.pairs[i][side]
     return total
+
+
+def reference_boundary_word(tree: GropeTree, names) -> Word:
+    """The product of pair commutators, by a recursive walk that builds
+    each commutator's word (the library parses the rendered text)."""
+    it = iter(names)
+
+    def walk(node):
+        if node.is_leaf:
+            return Word.gen(next(it))
+        out = Word()
+        for left, right in node.pairs:
+            out = out * commutator(walk(left), walk(right))
+        return out
+
+    return walk(tree)
 
 
 # -- adjacency re-rooting for genus-1 closed trees ------------------------------

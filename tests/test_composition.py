@@ -13,7 +13,7 @@ from mgk.ring import Ring
 from mgk.sampling import random_ring_element
 from mgk.words import Word
 
-from helpers import reference_essentiality_certificate
+from helpers import iterated_bing_specs, reference_essentiality_certificate
 from test_links import random_link
 
 
@@ -199,31 +199,6 @@ def test_certificate_refusals():
             CompositionSpec(hopf_hat, catalog("bing_double")))
 
 
-def renamed_bing_double(level):
-    """The catalog's bing_double with components and meridians renamed
-    for one level of iterated composition."""
-    q = catalog("bing_double")
-    names = {"z1": "u%da" % level, "z2": "u%db" % level}
-
-    def rename(word):
-        return Word(tuple((names.get(g, g), e) for g, e in word.letters))
-
-    return SolidTorusLink(("b%da" % level, "b%db" % level),
-                          (names["z1"], names["z2"]),
-                          tuple(rename(w) for w in q.longitudes),
-                          wedge=rename(q.wedge))
-
-
-def iterated_bing_specs(depth):
-    """The specs composing a renamed Bing double into the last component
-    of borromean, then of each result, `depth` times."""
-    link = catalog("borromean")
-    for level in range(1, depth + 1):
-        spec = CompositionSpec(link, renamed_bing_double(level))
-        yield spec
-        link = compose(spec)
-
-
 def test_certificate_matches_tower_oracle_on_catalog_pairs():
     for lhat, q, target in (("borromean", "bing_double", None),
                             ("borromean", "bing_double", 2),
@@ -282,7 +257,7 @@ def test_certificate_builds_no_tower(monkeypatch):
         essentiality_certificate(spec)
     assert calls == []
     mgk.composition.wedge_ring_element(catalog("bing_double"))
-    assert calls == ["r_inverse", "normal_form"]  # the counters do count
+    assert calls == ["r_inverse"]  # the counters do count; no tower is built
 
 
 def test_remark_configuration():

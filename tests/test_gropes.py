@@ -15,9 +15,9 @@ from mgk.milnor import lcs_degree
 from mgk.sampling import random_closed_tree, random_grope_tree
 from mgk.words import Word
 
-from helpers import (reference_all_genus_one, reference_canonical,
-                     reference_dual_class, reference_grope_class,
-                     reference_leaf_paths,
+from helpers import (reference_all_genus_one, reference_boundary_word,
+                     reference_canonical, reference_dual_class,
+                     reference_grope_class, reference_leaf_paths,
                      reference_tree_text, reroot_oracle, shuffled_chain)
 
 TORUS = "({* *})"
@@ -155,7 +155,9 @@ def test_boundary_expression_parses_to_the_boundary_word(seed):
         name = random_name(rng)
         if name not in names:
             names.append(name)
-    assert Word.parse(boundary_expression(tree, names)) == boundary_word(tree, names)
+    word = reference_boundary_word(tree, names)
+    assert boundary_word(tree, names) == word
+    assert Word.parse(boundary_expression(tree, names)) == word
 
 
 def test_boundary_degree_equals_class():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from mgk.composition import compose
 from mgk.errors import LinkFormatError
 from mgk.links import (LinkModel, SolidTorusLink, catalog, delete_component,
                        is_almost_trivial, is_homotopically_trivial,
@@ -12,7 +13,8 @@ from mgk.links import (LinkModel, SolidTorusLink, catalog, delete_component,
                        save_link)
 from mgk.words import IDENTITY, Word
 
-from helpers import (conjugated_relator, reference_is_almost_trivial,
+from helpers import (conjugated_relator, iterated_bing_specs,
+                     reference_is_almost_trivial,
                      reference_is_homotopically_trivial, reference_mu_bar)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures",
@@ -159,12 +161,12 @@ def iterated_commutator(gens):
     return word
 
 
-def random_link(rng):
-    """A 2-5 component link whose longitudes are products of conjugated
-    Milnor relators, plus for "top" links an iterated commutator of all
-    other meridians (almost trivial) or for "letters" links a few random
-    letters (usually not almost trivial)."""
-    n = rng.randint(2, 5)
+def random_link(rng, n=None):
+    """An n-component link (default: 2-5, drawn) whose longitudes are
+    products of conjugated Milnor relators, plus for "top" links an
+    iterated commutator of all other meridians (almost trivial) or for
+    "letters" links a few random letters (usually not almost trivial)."""
+    n = rng.randint(2, 5) if n is None else n
     mers = tuple("m%d" % (i + 1) for i in range(n))
     kind = rng.choice(("relators", "top", "letters"))
     longitudes = []
@@ -211,30 +213,67 @@ def test_invariants_agree_with_sublink_recursion_oracles():
 
 
 def test_invariants_expand_each_longitude_at_most_once(monkeypatch):
-    import mgk.links
+    # one kernel scan per longitude read, stopping at the first failure;
+    # no full expansion and no normal-form tower
+    import mgk.milnor
     calls = []
-    real = mgk.links.magnus
-
-    def counting(word, alphabet):
-        calls.append(alphabet)
-        return real(word, alphabet)
-
-    monkeypatch.setattr(mgk.links, "magnus", counting)
+    for name in ("scan", "magnus", "normal_form"):
+        def counting(*args, _real=getattr(mgk.milnor, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(mgk.milnor, name, counting)
     assert is_homotopically_trivial(catalog("unlink(8)"))
-    assert len(calls) == 8
+    assert calls == ["scan"] * 8
     mers = tuple("m%d" % (i + 1) for i in range(5))
     five = LinkModel(tuple("l%d" % (i + 1) for i in range(5)), mers, tuple(
         iterated_commutator(mers[:k] + mers[k + 1:]) for k in range(5)))
     calls.clear()
     assert is_almost_trivial(five)
-    assert len(calls) <= 5
+    assert len(calls) <= 5 and set(calls) == {"scan"}
     calls.clear()
     assert not is_homotopically_trivial(five)
-    assert len(calls) == 1
+    assert calls == ["scan"]
     calls.clear()
     assert mu_bar(five, (2, 3, 4, 5, 1)) == 1
     assert mu_bar(catalog("borromean"), (3, 2, 1)) == -1
     assert calls == []
+    mgk.milnor.r_inverse(Word.parse("m2 [m1,m3] m2'"), ("m1", "m2", "m3"))
+    assert calls == ["scan"]  # r_inverse itself: one scan, no tower
+
+
+def test_triviality_tests_agree_with_oracles_on_bing_doubles_and_large_links():
+    for spec in iterated_bing_specs(5):
+        link = compose(spec)
+        assert not is_homotopically_trivial(link)
+        assert not reference_is_homotopically_trivial(link)
+        assert is_almost_trivial(link) and reference_is_almost_trivial(link)
+    rng = random.Random(20261018)
+    seen = set()
+    for n in (6, 6, 6, 6, 7, 7, 7):
+        link = random_link(rng, n)
+        trivial, almost = is_homotopically_trivial(link), is_almost_trivial(link)
+        assert trivial == reference_is_homotopically_trivial(link), link
+        assert almost == reference_is_almost_trivial(link), link
+        seen.add((trivial, almost))
+    assert seen == {(True, True), (False, True), (False, False)}
+    # in the kernel of deleting m4, but with the coordinate y2 of degree 1
+    low = LinkModel(("l1", "l2", "l3", "l4"), ("m1", "m2", "m3", "m4"),
+                    (Word.parse("[m2,m4]"), Word(), Word(), Word()))
+    assert not is_almost_trivial(low) and not reference_is_almost_trivial(low)
+
+
+def test_triviality_edge_cases_one_and_two_components():
+    knot = catalog("unlink(1)")
+    assert is_homotopically_trivial(knot) and reference_is_homotopically_trivial(knot)
+    with pytest.raises(LinkFormatError):
+        is_almost_trivial(knot)
+    for longitudes in (("m2", "m1"), ("m2^-3", "1"), ("m2 m2'", "m1^2 m1'^2"),
+                       ("1", "1")):
+        link = LinkModel(("l1", "l2"), ("m1", "m2"),
+                         tuple(map(Word.parse, longitudes)))
+        assert is_almost_trivial(link) and reference_is_almost_trivial(link)
+        assert is_homotopically_trivial(link) == (longitudes[0] in ("1", "m2 m2'")) \
+            == reference_is_homotopically_trivial(link)
 
 
 # -- deletion -----------------------------------------------------------------------
@@ -292,6 +331,12 @@ def test_ambient_model_of_bing_double_is_borromean_shaped():
     assert str(qhat.longitudes[2]) == "z1 z2 z1' z2'"
     assert is_almost_trivial(qhat)
     assert not is_homotopically_trivial(qhat)
+    assert qhat.meridians == ("z1", "z2", "w")
+    for names, meridians in ((("q1", "wedge"), ("z1", "z2")),
+                             (("q1", "q2"), ("z1", "w"))):
+        pattern = SolidTorusLink(names, meridians, (Word(), Word()), wedge=Word())
+        with pytest.raises(LinkFormatError, match="wedge names clash"):
+            pattern.ambient_model()
 
 
 def test_json_round_trip(tmp_path):

@@ -9,10 +9,12 @@ from mgk.milnor import (basis_rank, conjugation_action, default_alphabet,
                         lcs_degree, magnus, magnus_coefficient, normal_form,
                         r_inverse, r_map, words_equal)
 from mgk.ring import Ring
+from mgk.sampling import random_ring_element
 from mgk.words import Word, commutator
 
 from helpers import (milnor_rewrites, naive_magnus, named_terms, random_words,
-                     reference_magnus, reference_normal_form, reference_r_map)
+                     reference_magnus, reference_normal_form, reference_r_inverse,
+                     reference_r_map)
 
 A3 = default_alphabet(3)
 A4 = default_alphabet(4)
@@ -162,6 +164,40 @@ def test_r_inverse_examples():
 def test_r_inverse_not_in_kernel():
     with pytest.raises(NotInKernelError):
         r_inverse(Word.parse("m1 m3"), A3)
+
+
+def _r_inverse_outcome(function, word, alphabet):
+    try:
+        elem = function(word, alphabet)
+    except (NotInKernelError, UnknownGeneratorError, ValueError) as exc:
+        return type(exc), str(exc)
+    return elem.ring, elem.terms
+
+
+def test_r_inverse_agrees_with_the_tower_oracle():
+    # answers, refusals and their messages; an unknown generator is named
+    # before the empty alphabet is refused
+    rng = random.Random(20261018)
+    answers = refusals = 0
+    for s in range(1, 9):
+        alphabet = default_alphabet(s)
+        ring = Ring(alphabet[:-1])
+        cases = random_words(rng, alphabet, 30, max_len=10)
+        for _ in range(30):
+            g = random_words(rng, alphabet, 1, max_len=4)[0]
+            rho = random_ring_element(rng, ring, max_degree=3)
+            cases.append(g * r_map(rho, alphabet) * ~g)
+        cases += [Word.parse("m1 m9'"), Word.gen("m%d" % (s + 1))]
+        for word in cases:
+            got = _r_inverse_outcome(r_inverse, word, alphabet)
+            assert got == _r_inverse_outcome(reference_r_inverse, word, alphabet)
+            answers += got[0] == ring
+            refusals += got[0] is NotInKernelError
+    assert answers >= 300 and refusals >= 150
+    for word, error in ((Word(), ValueError), (Word.gen("m1"), UnknownGeneratorError)):
+        got = _r_inverse_outcome(r_inverse, word, ())
+        assert got[0] is error
+        assert got == _r_inverse_outcome(reference_r_inverse, word, ())
 
 
 def test_single_generator_alphabet_kernel():
