@@ -101,7 +101,7 @@ def cmd_grope(args):
         result = gropes.grope_class(tree)
     elif args.action == "boundary":
         names = [n.strip() for n in args.names.split(",")] if args.names else \
-            ["m%d" % (i + 1) for i in range(tree.leaf_count)]
+            milnor.default_alphabet(tree.leaf_count)
         result = gropes.boundary_expression(tree, names)
     else:
         result = gropes.export_dot(tree)

@@ -88,16 +88,13 @@ def compose(spec: CompositionSpec) -> LinkModel:
     return LinkModel(components, meridians, longitudes)
 
 
-def wedge_ring_element(q: SolidTorusLink, deleted=1) -> RingElement:
-    """r^{-1} of the wedge word, the deleted component's meridian taken as
-    the distinguished generator.  Raises NotInKernelError when deleting
-    that meridian does not trivialize the wedge word (it always does when
-    the pattern-with-wedge minus that component is homotopically trivial).
+def wedge_ring_element(q: SolidTorusLink) -> RingElement:
+    """r^{-1} of the wedge word over z2..zm, z1: the kernel generator is
+    always last, and here it is component 1's meridian.  Raises
+    NotInKernelError when deleting z1 does not trivialize the wedge word
+    (it does when the pattern-with-wedge minus component 1 is trivial).
     """
-    d = q.index_of(deleted)
-    alphabet = tuple(m for i, m in enumerate(q.meridians) if i != d)
-    alphabet += (q.meridians[d],)
-    return r_inverse(q.wedge, alphabet)
+    return r_inverse(q.wedge, q.meridians[1:] + q.meridians[:1])
 
 
 def _sigma_alphabets(spec: CompositionSpec):

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import LinkFormatError, NotInKernelError
-from .milnor import magnus_coefficient, r_inverse
+from .milnor import default_alphabet, magnus_coefficient, r_inverse
 from .words import Word
 
 __all__ = [
@@ -192,14 +192,30 @@ def is_almost_trivial(link: LinkModel) -> bool:
 _UNLINK = re.compile(r"unlink\((\d+)\)\Z")
 
 
-def _link(names, meridians, longitudes):
-    return LinkModel(tuple(names), tuple(meridians),
-                     tuple(Word.parse(w) for w in longitudes))
+def _link(*longitudes):
+    """The link l1..ln with meridians m1..mn and these longitude texts."""
+    n = len(longitudes)
+    return LinkModel(tuple("l%d" % (i + 1) for i in range(n)),
+                     default_alphabet(n), tuple(map(Word.parse, longitudes)))
+
+
+# built once: models are frozen and words immutable by convention
+_CATALOG = {
+    "hopf": _link("m2", "m1"),
+    "borromean": _link("[m2,m3]", "[m3,m1]", "[m1,m2]"),
+    # clasp through two channels: the longitude is a Milnor relation
+    "whitehead_pattern": _link("[m2, m3' m2 m3]", "1", "1"),
+    "core": SolidTorusLink(("q1",), ("z1",), (Word.gen("lambda"),),
+                           wedge=Word.gen("z1")),
+    "bing_double": SolidTorusLink(
+        ("q1", "q2"), ("z1", "z2"),
+        (Word.parse("[z2,lambda]"), Word.parse("[lambda,z1]")),
+        wedge=Word.parse("[z1,z2]")),
+}
 
 
 def catalog_names():
-    return ("unlink(n)", "hopf", "borromean", "whitehead_pattern",
-            "core", "bing_double")
+    return ("unlink(n)",) + tuple(_CATALOG)
 
 
 def catalog(name: str):
@@ -209,26 +225,9 @@ def catalog(name: str):
         n = int(m.group(1))
         if n < 1:
             raise LinkFormatError("unlink needs at least one component")
-        return _link(("l%d" % (i + 1) for i in range(n)),
-                     ("m%d" % (i + 1) for i in range(n)),
-                     ("1",) * n)
-    if name == "hopf":
-        return _link(("l1", "l2"), ("m1", "m2"), ("m2", "m1"))
-    if name == "borromean":
-        return _link(("l1", "l2", "l3"), ("m1", "m2", "m3"),
-                     ("[m2,m3]", "[m3,m1]", "[m1,m2]"))
-    if name == "whitehead_pattern":
-        # clasp through two channels: the longitude is a Milnor relation
-        return _link(("l1", "l2", "l3"), ("m1", "m2", "m3"),
-                     ("[m2, m3' m2 m3]", "1", "1"))
-    if name == "core":
-        return SolidTorusLink(("q1",), ("z1",), (Word.gen("lambda"),),
-                              wedge=Word.gen("z1"))
-    if name == "bing_double":
-        return SolidTorusLink(
-            ("q1", "q2"), ("z1", "z2"),
-            (Word.parse("[z2,lambda]"), Word.parse("[lambda,z1]")),
-            wedge=Word.parse("[z1,z2]"))
+        return _link(*("1",) * n)
+    if name in _CATALOG:
+        return _CATALOG[name]
     raise LinkFormatError("unknown catalog name %r (try one of %s)"
                           % (name, ", ".join(catalog_names())))
 

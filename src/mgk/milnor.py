@@ -135,7 +135,7 @@ def normal_form(word: Word, alphabet) -> MilnorElement:
         end = next((p for p in range(len(letters), 0, -1)
                     if letters[p - 1][0] == top), 0)
         components.append(RingElement(Ring(full[:top]),
-                                      scan(letters[:end], top, top)[1]))
+                                      scan(letters[:end], top)[1]))
         letters = [let for let in letters if let[0] != top]
     return MilnorElement(full, tuple(components), sum(e for _, e in letters))
 
@@ -181,7 +181,7 @@ def r_inverse(word: Word, alphabet) -> RingElement:
     letters = _positions(word, alphabet)
     if not alphabet:
         raise ValueError("empty alphabet has no kernel component")
-    running, rho = scan(letters, len(alphabet) - 1, len(alphabet) - 1)
+    running, rho = scan(letters, len(alphabet) - 1)
     if running != {0: 1}:
         raise NotInKernelError(
             "deleting %r does not trivialize the word" % alphabet[-1])

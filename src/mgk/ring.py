@@ -252,18 +252,19 @@ def add_scaled(terms: dict, other: dict, e: int) -> None:
             terms.pop(mono, None)
 
 
-def scan(letters, n: int, top: int = -1):
+def scan(letters, n: int):
     """Read (position, exponent) letters into R on n variables.
 
-    Returns term dicts (running, rho).  A letter (g, e) not at `top`
-    multiplies running by 1 + e*y_g, and a letter at `top` adds e*running
-    to rho; with no letter at `top`, running is the Magnus expansion.
+    Returns term dicts (running, rho).  The kernel letter is position n,
+    the generator after the ring's variables: a letter (g, e) with g < n
+    multiplies running by 1 + e*y_g, and a letter at n adds e*running to
+    rho; with no letter at n, running is the Magnus expansion.
     Only keys without g gain a term and the new keys all contain g, so a
     snapshot of the keys lacking g reads each coefficient before it moves."""
     w, full = n.bit_length(), (1 << n) - 1
     running, rho = {0: 1}, {}
     for g, e in letters:
-        if g == top:
+        if g == n:
             add_scaled(rho, running, e)
             continue
         bit = 1 << g
@@ -280,7 +281,7 @@ def scan(letters, n: int, top: int = -1):
     return running, rho
 
 
-def format_ring_element(elem: RingElement, display=variable_display) -> str:
+def format_ring_element(elem: RingElement) -> str:
     """Serialize as a signed monomial sum, e.g. ``1 + y2*y3 - y3*y2``.
 
     Keys sort in print order.  A monomial's text is its prefix's (one digit
@@ -290,7 +291,7 @@ def format_ring_element(elem: RingElement, display=variable_display) -> str:
         return "0"
     ring, terms = elem.ring, elem.terms
     n, w = len(ring.variables), ring.width
-    name = [""] + [display(v) for v in ring.variables]  # by digit
+    name = [""] + [variable_display(v) for v in ring.variables]  # by digit
     star, low = ["*" + v for v in name], (1 << w) - 1
     parts, prev, cur, limit = [], {}, {}, 1  # texts of last and this degree
     for mono in sorted(terms):

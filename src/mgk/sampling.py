@@ -23,16 +23,12 @@ def random_word(rng: random.Random, alphabet, max_len=12) -> Word:
                       for _ in range(n)))
 
 
-def random_ring_element(rng: random.Random, ring: Ring, max_terms=4,
-                        max_degree=None, max_coeff=3) -> RingElement:
-    nvars = len(ring.variables)
-    if max_degree is None:
-        max_degree = nvars
+def random_ring_element(rng: random.Random, ring: Ring) -> RingElement:
+    """Up to 4 terms of any degree, coefficients in +-1..3."""
     terms = {}
-    for _ in range(rng.randint(0, max_terms)):
-        deg = rng.randint(0, min(max_degree, nvars))
-        mono = tuple(rng.sample(ring.variables, deg))
-        coeff = rng.choice([c for c in range(-max_coeff, max_coeff + 1) if c])
+    for _ in range(rng.randint(0, 4)):
+        mono = tuple(rng.sample(ring.variables, rng.randint(0, len(ring.variables))))
+        coeff = rng.choice((-3, -2, -1, 1, 2, 3))
         terms[mono] = terms.get(mono, 0) + coeff
     return ring.element(terms)
 

@@ -152,13 +152,12 @@ def _is_identity(alphabet, word):
 
 def _split_exact_holds(alphabet, ring, rho1, rho2):
     w1, w2 = milnor.r_map(rho1, alphabet), milnor.r_map(rho2, alphabet)
-    scrubbed = Word(tuple(l for l in w1.letters if l[0] != alphabet[-1]))
     return (milnor.r_inverse(w1, alphabet) == rho1
             and milnor.normal_form(
                 w1 * w2 * ~milnor.r_map(rho1 + rho2, alphabet),
                 alphabet).is_identity
             and milnor.normal_form(commutator(w1, w2), alphabet).is_identity
-            and milnor.normal_form(scrubbed, alphabet[:-1]).is_identity)
+            and milnor.normal_form(w1.erase(alphabet[-1]), alphabet[:-1]).is_identity)
 
 
 def _conjugation_acts(alphabet, g, rho):
@@ -168,9 +167,8 @@ def _conjugation_acts(alphabet, g, rho):
 
 
 def _boundary_has_degree(tree, k):
-    names = ["m%d" % (i + 1) for i in range(tree.leaf_count)]
-    word = gropes.boundary_word(tree, names)
-    return milnor.lcs_degree(word, tuple(names)) == k
+    names = milnor.default_alphabet(tree.leaf_count)
+    return milnor.lcs_degree(gropes.boundary_word(tree, names), names) == k
 
 
 def _duals_hold(closed, genus1):

@@ -107,6 +107,7 @@ def commutator(u: Word, v: Word) -> Word:
 
 
 def _tokenize(text):
+    """The tokens as (text, position), ended by (None, len(text))."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -117,17 +118,17 @@ def _tokenize(text):
             break
         tokens.append((m.group(1), m.start(1)))
         pos = m.end()
+    tokens.append((None, len(text)))
     return tokens
 
 
 class _WordParser:
     def __init__(self, text):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
     def peek(self):
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+        return self.tokens[self.i][0]
 
     def next(self):
         tok = self.tokens[self.i]
@@ -136,8 +137,8 @@ class _WordParser:
 
     def parse(self):
         w = self.word()
-        if self.i < len(self.tokens):
-            tok, pos = self.tokens[self.i]
+        tok, pos = self.tokens[self.i]
+        if tok is not None:
             raise WordSyntaxError("unexpected %r" % tok, pos)
         return w
 
@@ -162,7 +163,7 @@ class _WordParser:
                 if self.peek() == "-":
                     self.next()
                     sign = -1
-                tok, pos = self.next() if self.peek() is not None else (None, len(self.text))
+                tok, pos = self.next()
                 if tok is None or not tok.isdigit():
                     raise WordSyntaxError("expected an integer after ^", pos)
                 w = w ** (sign * int(tok))
@@ -170,8 +171,7 @@ class _WordParser:
                 return w
 
     def atom(self):
-        if self.peek() is None:
-            raise WordSyntaxError("unexpected end of input", len(self.text))
+        # entered only at a token that starts a factor, never at the end
         tok, pos = self.next()
         if tok == "(":
             w = self.word()
@@ -190,7 +190,7 @@ class _WordParser:
         raise WordSyntaxError("unexpected %r" % tok, pos)
 
     def expect(self, wanted):
-        if self.peek() != wanted:
-            pos = self.tokens[self.i][1] if self.i < len(self.tokens) else len(self.text)
+        tok, pos = self.tokens[self.i]
+        if tok != wanted:
             raise WordSyntaxError("expected %r" % wanted, pos)
-        self.next()
+        self.i += 1

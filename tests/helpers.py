@@ -6,18 +6,22 @@ afterwards, ring arithmetic and formatting keep monomials keyed by
 variable names, kernel coordinates and the essentiality certificate are
 read from whole normal-form towers, Milnor-equal words are produced by
 explicit relator insertion, boundary words by a recursive commutator walk,
-and re-rooting works on a plain adjacency list.
+re-rooting works on a plain adjacency list, and the word parser checks
+its token index at every read.
 """
+
+import re
 
 from mgk.composition import (Certificate, CompositionSpec, _sigma_alphabets,
                              compose, wedge_ring_element)
-from mgk.errors import CompositionError, LinkFormatError, NotInKernelError
+from mgk.errors import (CompositionError, LinkFormatError, NotInKernelError,
+                        WordSyntaxError)
 from mgk.gropes import ClosedGropeTree, GropeTree
 from mgk.links import (SolidTorusLink, catalog, delete_component,
                        is_almost_trivial)
 from mgk.milnor import MilnorElement, magnus, normal_form, r_inverse
 from mgk.ring import Ring, variable_display
-from mgk.words import Word, commutator
+from mgk.words import IDENTITY, Word, commutator
 
 # -- free associative ring, projected to squarefree monomials at the end ------
 
@@ -95,11 +99,11 @@ def reference_monomial_key(variables, mono):
     return (len(mono), tuple(map(pos.__getitem__, mono)))
 
 
-def reference_format_ring_element(variables, terms, display=variable_display):
+def reference_format_ring_element(variables, terms):
     """Signed monomial sum of a name-keyed {monomial: coeff} dict."""
     if not terms:
         return "0"
-    name = {v: display(v) for v in variables}.__getitem__
+    name = {v: variable_display(v) for v in variables}.__getitem__
     parts = []
     for mono in sorted(terms, key=lambda m: reference_monomial_key(variables, m)):
         coeff = terms[mono]
@@ -488,7 +492,115 @@ def reroot_oracle(closed: ClosedGropeTree, tip):
     return ClosedGropeTree(grow(first, start))
 
 
+def random_ring_element_of_degree(rng, ring, max_degree):
+    """The draws of mgk.sampling.random_ring_element, in the same order,
+    with each term's degree drawn from 0..min(max_degree, n), not 0..n."""
+    nvars = len(ring.variables)
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        mono = tuple(rng.sample(ring.variables, rng.randint(0, min(max_degree, nvars))))
+        coeff = rng.choice([c for c in range(-3, 4) if c])
+        terms[mono] = terms.get(mono, 0) + coeff
+    return ring.element(terms)
+
+
 def random_words(rng, alphabet, count, max_len=12):
     return [Word(tuple((rng.choice(alphabet), rng.choice((1, -1)))
                        for _ in range(rng.randint(0, max_len))))
             for _ in range(count)]
+
+
+# -- the word parser with bounds checks -------------------------------------------
+# The library ends its token list with an end-of-input token; this one
+# checks the index against the list's length at every read.
+
+_REFERENCE_TOKEN = re.compile(r"\s*([A-Za-z][A-Za-z0-9]*|\d+|[\[\](),'^-])")
+
+
+def reference_parse(text):
+    return _ReferenceWordParser(text).parse()
+
+
+class _ReferenceWordParser:
+    def __init__(self, text):
+        self.text = text
+        self.tokens = []
+        pos = 0
+        while pos < len(text):
+            m = _REFERENCE_TOKEN.match(text, pos)
+            if not m:
+                if text[pos:].strip():
+                    raise WordSyntaxError("unexpected character %r" % text[pos], pos)
+                break
+            self.tokens.append((m.group(1), m.start(1)))
+            pos = m.end()
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+
+    def next(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def parse(self):
+        w = self.word()
+        if self.i < len(self.tokens):
+            tok, pos = self.tokens[self.i]
+            raise WordSyntaxError("unexpected %r" % tok, pos)
+        return w
+
+    def word(self):
+        letters = []
+        while True:
+            tok = self.peek()
+            if tok is None or tok in (")", "]", ","):
+                return Word(letters)
+            letters += self.factor().letters
+
+    def factor(self):
+        w = self.atom()
+        while True:
+            tok = self.peek()
+            if tok == "'":
+                self.next()
+                w = ~w
+            elif tok == "^":
+                self.next()
+                sign = 1
+                if self.peek() == "-":
+                    self.next()
+                    sign = -1
+                tok, pos = self.next() if self.peek() is not None else (None, len(self.text))
+                if tok is None or not tok.isdigit():
+                    raise WordSyntaxError("expected an integer after ^", pos)
+                w = w ** (sign * int(tok))
+            else:
+                return w
+
+    def atom(self):
+        if self.peek() is None:
+            raise WordSyntaxError("unexpected end of input", len(self.text))
+        tok, pos = self.next()
+        if tok == "(":
+            w = self.word()
+            self.expect(")")
+            return w
+        if tok == "[":
+            u = self.word()
+            self.expect(",")
+            v = self.word()
+            self.expect("]")
+            return commutator(u, v)
+        if tok == "1":
+            return IDENTITY
+        if tok[0].isalpha():
+            return Word.gen(tok)
+        raise WordSyntaxError("unexpected %r" % tok, pos)
+
+    def expect(self, wanted):
+        if self.peek() != wanted:
+            pos = self.tokens[self.i][1] if self.i < len(self.tokens) else len(self.text)
+            raise WordSyntaxError("expected %r" % wanted, pos)
+        self.next()

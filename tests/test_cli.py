@@ -2,6 +2,7 @@ import json
 import random
 import subprocess
 import sys
+from functools import partial
 
 import pytest
 
@@ -354,6 +355,52 @@ def test_verify_all_text(capsys):
     code, out, _ = run(capsys, "verify", "all", "--trials", "10", "--seed", "1")
     assert code == 0
     assert "summary: pass" in out
+
+
+def test_verify_all_reports_a_failing_check(capsys, monkeypatch):
+    import mgk.verify
+    label = "injected: first words are shorter than 9 letters"
+    monkeypatch.setattr(mgk.verify, "_SECTIONS", (partial(
+        mgk.verify._sweep, "magnus", label, mgk.verify._draw_word_pair,
+        lambda alphabet, w1, w2: len(w1) < 9, 1),))
+    config = mgk.verify.RunConfig(seed=3, trials=40)
+    rng = config.rng("magnus")
+    bad = [sample for sample in (mgk.verify._draw_word_pair(rng, config)
+                                 for _ in range(40)) if len(sample[1]) >= 9]
+    witness = ", ".join(map(str, bad[0]))
+    assert 0 < len(bad) < 40
+    code, out, _ = run(capsys, "verify", "all", "--trials", "40", "--seed", "3",
+                       "--json")
+    assert code == 1
+    report = json.loads(out)
+    assert report["cases"] == [{
+        "index": 0, "input": label, "expected": {"failures": 0},
+        "actual": {"trials": 40, "failures": len(bad), "witness": witness},
+        "status": "fail"}]
+    assert report["summary"] == {"total": 1, "passed": 0, "failed": 1,
+                                 "status": "fail"}
+    code, out, _ = run(capsys, "verify", "all", "--trials", "40", "--seed", "3")
+    assert code == 1
+    assert out.splitlines() == [
+        "[FAIL] %s: %d/40 failed (witness: %s)" % (label, len(bad), witness),
+        "summary: fail (0/1 passed)"]
+
+
+def test_verify_certificate_reports_a_wrong_certificate(capsys, monkeypatch):
+    import mgk.composition
+    wrong = mgk.composition.Certificate(a=1, b=1, c=-1)
+    monkeypatch.setattr(mgk.composition, "essentiality_certificate",
+                        lambda spec: wrong)
+    code, out, _ = run(capsys, "verify", "certificate", "--json")
+    assert code == 1
+    (case,) = json.loads(out)["cases"]
+    assert case["status"] == "fail"
+    assert case["actual"] == {"trials": 4, "failures": 4, "witness": repr(wrong)}
+    code, out, _ = run(capsys, "verify", "certificate")
+    assert code == 1
+    assert out.splitlines()[0] == (
+        "[FAIL] %s: 4/4 failed (witness: Certificate(a=1, b=1, c=-1))"
+        % case["input"])
 
 
 def test_verify_all_deterministic_json(capsys):

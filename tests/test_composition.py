@@ -104,8 +104,10 @@ def test_wedge_element_not_in_kernel():
 
 
 def test_wedge_element_delete_choice():
+    # the wedge element deletes component 1: its meridian goes last
     bing = catalog("bing_double")
-    assert wedge_ring_element(bing, deleted=2) == Ring(("z1",)).gen("z1")
+    assert wedge_ring_element(bing) == r_inverse(bing.wedge, ("z2", "z1"))
+    assert r_inverse(bing.wedge, ("z1", "z2")) == Ring(("z1",)).gen("z1")
 
 
 # -- sigma -------------------------------------------------------------------------

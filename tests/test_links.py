@@ -7,10 +7,10 @@ import pytest
 
 from mgk.composition import compose
 from mgk.errors import LinkFormatError
-from mgk.links import (LinkModel, SolidTorusLink, catalog, delete_component,
-                       is_almost_trivial, is_homotopically_trivial,
-                       link_from_dict, link_to_dict, load_link, mu_bar,
-                       save_link)
+from mgk.links import (LinkModel, SolidTorusLink, catalog, catalog_names,
+                       delete_component, is_almost_trivial,
+                       is_homotopically_trivial, link_from_dict, link_to_dict,
+                       load_link, mu_bar, save_link)
 from mgk.words import IDENTITY, Word
 
 from helpers import (conjugated_relator, iterated_bing_specs,
@@ -70,6 +70,12 @@ def test_fixture_mu_values():
 
 
 def test_catalog_names():
+    assert catalog_names() == ("unlink(n)", "hopf", "borromean",
+                               "whitehead_pattern", "core", "bing_double")
+    for name in catalog_names()[1:]:
+        assert catalog(name) is catalog(name)  # one table, built once
+    assert catalog("unlink(3)") is not catalog("unlink(3)")
+    assert catalog("unlink(3)").meridians == ("m1", "m2", "m3")
     assert catalog("unlink(3)").n == 3
     assert isinstance(catalog("core"), SolidTorusLink)
     with pytest.raises(LinkFormatError):

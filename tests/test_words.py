@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 from mgk.errors import WordSyntaxError
 from mgk.words import IDENTITY, Word, commutator
 
+from helpers import reference_parse
+
 NAMES = ("m1", "m2", "m3", "z1", "lambda")
 
 
@@ -51,6 +53,33 @@ def test_parse_errors_carry_positions():
     for text in ("[m1,m2", "m1)", "(m1", "m1^x", "m1 @", "[,m2]'^"):
         with pytest.raises(WordSyntaxError):
             Word.parse(text)
+
+
+_PIECES = ("m1", "m2", "z", "1", "2", "(", ")", "[", "]", ",", "'", "^",
+           "-", " ", "@", "m1m2", "^-", "^2", "^-3", "[m1,m2]", "")
+
+
+def _parse_outcome(parse, text):
+    try:
+        return "word", parse(text).letters
+    except WordSyntaxError as exc:
+        return "error", type(exc), str(exc), exc.position
+
+
+def test_parser_agrees_with_the_bounds_checked_reference():
+    # words, error types, messages and positions, on mostly malformed text
+    rng = random.Random(20261018)
+    outcomes = {"word": 0, "error": 0}
+    for _ in range(20000):
+        text = ""
+        for _ in range(rng.randint(0, 10)):
+            piece = rng.choice(_PIECES)
+            # a space ends a digit run, so no power has a huge exponent
+            text += piece + (" " if piece[-1:].isdigit() else rng.choice(("", " ")))
+        got = _parse_outcome(Word.parse, text)
+        assert got == _parse_outcome(reference_parse, text), text
+        outcomes[got[0]] += 1
+    assert outcomes["word"] > 2000 and outcomes["error"] > 10000
 
 
 def test_juxtaposed_names_are_one_token():
