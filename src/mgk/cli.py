@@ -162,11 +162,8 @@ def cmd_link(args):
 
 
 def _composition_spec(args):
-    lhat = _model(args.lhat)
-    q = _model(args.q)
-    if isinstance(lhat, links.SolidTorusLink):
-        raise MgkError("the ambient link cannot be a solid-torus pattern")
-    return composition.CompositionSpec(lhat, q, target=args.target)
+    return composition.CompositionSpec(_model(args.lhat), _model(args.q),
+                                       target=args.target)
 
 
 def cmd_compose(args):

@@ -53,6 +53,9 @@ class CompositionSpec:
     target: int | None = None
 
     def __post_init__(self):
+        if isinstance(self.lhat, SolidTorusLink):
+            raise CompositionError(
+                "the ambient link cannot be a solid-torus pattern")
         if not isinstance(self.q, SolidTorusLink):
             raise CompositionError("the pattern must carry a wedge word")
         t = self.target_index

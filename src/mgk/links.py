@@ -9,9 +9,12 @@ invariants for general links are out of scope.  Deleting a component sets
 its meridian to 1 by erasing its letters from the remaining longitudes.
 Triviality tests read each longitude's kernel coordinate by one scan.
 
+A solid-torus pattern is a link model plus a wedge word, the word of the
+solid torus' meridian circle, and a core symbol ("lambda" in the catalog)
+that its longitudes use for traversals of the S1 direction.
+
 The catalog entries come from the committed Wirtinger-oracle fixtures
-(tests/oracles, tests/fixtures); the solid-torus patterns additionally
-use the core symbol "lambda" to mark traversals of the S1 direction.
+(tests/oracles, tests/fixtures).
 """
 
 from __future__ import annotations
@@ -40,6 +43,10 @@ class LinkModel:
     longitudes: tuple[Word, ...]
 
     def __post_init__(self):
+        self._check(set(self.meridians))
+
+    def _check(self, known):
+        """The link checks; a longitude may use only the letters in known."""
         n = len(self.components)
         if n < 1:
             raise LinkFormatError("a link needs at least one component")
@@ -49,7 +56,6 @@ class LinkModel:
             raise LinkFormatError("component names must be distinct")
         if len(set(self.meridians)) != n:
             raise LinkFormatError("meridian names must be distinct")
-        known = set(self.meridians)
         for name, mer, word in zip(self.components, self.meridians, self.longitudes):
             for g, _ in word.letters:
                 if g == mer:
@@ -78,42 +84,24 @@ class LinkModel:
 
 
 @dataclass(frozen=True)
-class SolidTorusLink:
+class SolidTorusLink(LinkModel):
     """A link in the solid torus: meridians z_i, a wedge word (the word of
     the solid torus' own meridian circle in the pattern complement), and
     longitudes that may use the core symbol for S1-direction traversals.
     """
 
-    components: tuple[str, ...]
-    meridians: tuple[str, ...]
-    longitudes: tuple[Word, ...]
     wedge: Word
     core_symbol: str = "lambda"
 
     def __post_init__(self):
-        n = len(self.components)
-        if n < 1:
-            raise LinkFormatError("a pattern needs at least one component")
-        if len({*self.components}) != n or len({*self.meridians}) != n:
-            raise LinkFormatError("names must be distinct and aligned")
-        if len(self.meridians) != n or len(self.longitudes) != n:
-            raise LinkFormatError("components, meridians and longitudes must align")
         if self.core_symbol in self.meridians:
             raise LinkFormatError("core symbol clashes with a meridian")
-        known = set(self.meridians) | {self.core_symbol}
-        for name, mer, word in zip(self.components, self.meridians, self.longitudes):
-            for g, _ in word.letters:
-                if g == mer or g not in known:
-                    raise LinkFormatError(
-                        "bad letter %r in the longitude of %r" % (g, name))
+        self._check(set(self.meridians) | {self.core_symbol})
         for g, _ in self.wedge.letters:
             if g == self.core_symbol:
                 raise LinkFormatError("the wedge word cannot use the core symbol")
             if g not in self.meridians:
                 raise LinkFormatError("bad letter %r in the wedge word" % (g,))
-
-    n = LinkModel.n
-    index_of = LinkModel.index_of
 
     def ambient_model(self) -> LinkModel:
         """The pattern together with its wedge circle, component "wedge"
@@ -195,8 +183,8 @@ _UNLINK = re.compile(r"unlink\((\d+)\)\Z")
 def _link(*longitudes):
     """The link l1..ln with meridians m1..mn and these longitude texts."""
     n = len(longitudes)
-    return LinkModel(tuple("l%d" % (i + 1) for i in range(n)),
-                     default_alphabet(n), tuple(map(Word.parse, longitudes)))
+    return LinkModel(default_alphabet(n, "l"), default_alphabet(n),
+                     tuple(map(Word.parse, longitudes)))
 
 
 # built once: models are frozen and words immutable by convention
@@ -268,9 +256,8 @@ def link_from_dict(data: dict):
     raw = data["longitudes"]
     if not isinstance(raw, dict):
         raise LinkFormatError("link JSON 'longitudes' must map components to words")
-    prefix = "z" if "wedge" in data else "m"
     meridians = _names(data, "meridians") if data.get("meridians") else \
-        tuple("%s%d" % (prefix, i + 1) for i in range(len(components)))
+        default_alphabet(len(components), "z" if "wedge" in data else "m")
     try:
         longitudes = tuple(
             Word.parse(_text(raw[c], "longitude of %r" % c)) for c in components)

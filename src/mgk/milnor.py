@@ -44,8 +44,8 @@ __all__ = [
 ]
 
 
-def default_alphabet(s: int) -> tuple[str, ...]:
-    return tuple("m%d" % (i + 1) for i in range(s))
+def default_alphabet(s: int, prefix: str = "m") -> tuple[str, ...]:
+    return tuple("%s%d" % (prefix, i + 1) for i in range(s))
 
 
 def _positions(word: Word, alphabet) -> list:

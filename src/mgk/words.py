@@ -113,8 +113,9 @@ def _tokenize(text):
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
-            if text[pos:].strip():
-                raise WordSyntaxError("unexpected character %r" % text[pos], pos)
+            bad = len(text) - len(text[pos:].lstrip())
+            if bad < len(text):
+                raise WordSyntaxError("unexpected character %r" % text[bad], bad)
             break
         tokens.append((m.group(1), m.start(1)))
         pos = m.end()

@@ -6,8 +6,9 @@ afterwards, ring arithmetic and formatting keep monomials keyed by
 variable names, kernel coordinates and the essentiality certificate are
 read from whole normal-form towers, Milnor-equal words are produced by
 explicit relator insertion, boundary words by a recursive commutator walk,
-re-rooting works on a plain adjacency list, and the word parser checks
-its token index at every read.
+re-rooting works on a plain adjacency list, the word parser checks its
+token index at every read, and the solid-torus pattern checks are written
+out apart from the link checks.
 """
 
 import re
@@ -244,6 +245,32 @@ def reference_is_almost_trivial(link):
 # -- the essentiality certificate through normal-form towers --------------------
 # The library reads a, b and c by three chain scans; this reads each as one
 # coefficient of an r^{-1} kernel coordinate, refusing words outside the kernel.
+
+
+def reference_solid_torus_check(components, meridians, longitudes, wedge,
+                                core_symbol="lambda"):
+    """The pattern validator from before a pattern was a link model, with
+    its own wording; it accepts and rejects what `SolidTorusLink` does."""
+    n = len(components)
+    if n < 1:
+        raise LinkFormatError("a pattern needs at least one component")
+    if len({*components}) != n or len({*meridians}) != n:
+        raise LinkFormatError("names must be distinct and aligned")
+    if len(meridians) != n or len(longitudes) != n:
+        raise LinkFormatError("components, meridians and longitudes must align")
+    if core_symbol in meridians:
+        raise LinkFormatError("core symbol clashes with a meridian")
+    known = set(meridians) | {core_symbol}
+    for name, mer, word in zip(components, meridians, longitudes):
+        for g, _ in word.letters:
+            if g == mer or g not in known:
+                raise LinkFormatError(
+                    "bad letter %r in the longitude of %r" % (g, name))
+    for g, _ in wedge.letters:
+        if g == core_symbol:
+            raise LinkFormatError("the wedge word cannot use the core symbol")
+        if g not in meridians:
+            raise LinkFormatError("bad letter %r in the wedge word" % (g,))
 
 
 def reference_essentiality_certificate(spec):
@@ -529,8 +556,9 @@ class _ReferenceWordParser:
         while pos < len(text):
             m = _REFERENCE_TOKEN.match(text, pos)
             if not m:
-                if text[pos:].strip():
-                    raise WordSyntaxError("unexpected character %r" % text[pos], pos)
+                bad = len(text) - len(text[pos:].lstrip())
+                if bad < len(text):
+                    raise WordSyntaxError("unexpected character %r" % text[bad], bad)
                 break
             self.tokens.append((m.group(1), m.start(1)))
             pos = m.end()

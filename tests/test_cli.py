@@ -195,6 +195,23 @@ def test_link_bad_json_exit_2(tmp_path, data):
 
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"components": ["q1", "q1"], "longitudes": {"q1": "lambda"},
+      "wedge": "z1"}, "component names must be distinct"),
+    ({"components": ["q1"], "longitudes": {"q1": "lambda z1"}, "wedge": "z1"},
+     "longitude of 'q1' contains its own meridian 'z1'"),
+    ({"components": ["q1"], "longitudes": {"q1": "lambda"}, "wedge": "lambda"},
+     "the wedge word cannot use the core symbol"),
+])
+def test_link_show_bad_pattern_is_one_error_line(tmp_path, data, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    proc = subprocess.run([sys.executable, "-m", "mgk.cli", "link", "show",
+                           str(path)], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: %s\n" % message
+
+
 @pytest.fixture(scope="module")
 def twelve_component_link(tmp_path_factory):
     """12 components with ~5000-letter longitudes of conjugated Milnor
@@ -304,6 +321,10 @@ def test_compose_and_certificate(capsys, tmp_path):
     code, out, _ = run(capsys, "certificate", str(tmp_path / "missing.json"),
                        "core")
     assert code == 2
+
+    code, out, err = run(capsys, "compose", "bing_double", "core")
+    assert (code, out) == (2, "")
+    assert err == "error: the ambient link cannot be a solid-torus pattern\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -64,6 +64,9 @@ def test_compose_errors():
         CompositionSpec(lhat, clash)
     with pytest.raises(CompositionError):
         CompositionSpec(lhat, catalog("core"), target=5)
+    with pytest.raises(CompositionError,
+                       match="the ambient link cannot be a solid-torus pattern"):
+        CompositionSpec(catalog("bing_double"), catalog("core"))
 
 
 def test_compose_target_choice():

@@ -15,7 +15,8 @@ from mgk.words import IDENTITY, Word
 
 from helpers import (conjugated_relator, iterated_bing_specs,
                      reference_is_almost_trivial,
-                     reference_is_homotopically_trivial, reference_mu_bar)
+                     reference_is_homotopically_trivial, reference_mu_bar,
+                     reference_solid_torus_check)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures",
                         "catalog_longitudes.json")
@@ -78,6 +79,8 @@ def test_catalog_names():
     assert catalog("unlink(3)").meridians == ("m1", "m2", "m3")
     assert catalog("unlink(3)").n == 3
     assert isinstance(catalog("core"), SolidTorusLink)
+    assert isinstance(catalog("bing_double"), LinkModel)
+    assert catalog("bing_double").longitude("q2") == Word.parse("[lambda,z1]")
     with pytest.raises(LinkFormatError):
         catalog("granny")
     with pytest.raises(LinkFormatError):
@@ -322,12 +325,86 @@ def test_model_validation():
         LinkModel(("a", "a"), ("m1", "m2"), (Word(), Word()))
 
 
+# (components, meridians, longitudes, wedge) with one fault, and the message
+PATTERN_FAULTS = [
+    ((), (), (), "", "a link needs at least one component"),
+    (("q1", "q1"), ("z1", "z2"), ("", ""), "",
+     "component names must be distinct"),
+    (("q1", "q2"), ("z1", "z1"), ("", ""), "", "meridian names must be distinct"),
+    (("q1", "q2"), ("z1",), ("", ""), "",
+     "components, meridians and longitudes must align"),
+    (("q1",), ("z1",), ("lambda z1",), "",
+     "longitude of 'q1' contains its own meridian 'z1'"),
+    (("q1",), ("z1",), ("lambda q9",), "",
+     "longitude of 'q1' uses unknown generator 'q9'"),
+    (("q1",), ("lambda",), ("",), "", "core symbol clashes with a meridian"),
+    (("q1",), ("z1",), ("lambda",), "z1 lambda",
+     "the wedge word cannot use the core symbol"),
+    (("q1",), ("z1",), ("lambda",), "z9", "bad letter 'z9' in the wedge word"),
+]
+
+
 def test_solid_torus_validation():
-    with pytest.raises(LinkFormatError):
-        SolidTorusLink(("q1",), ("z1",), (Word.gen("lambda"),),
-                       wedge=Word.gen("lambda"))
-    with pytest.raises(LinkFormatError):
-        SolidTorusLink(("q1",), ("lambda",), (Word(),), wedge=Word())
+    for components, meridians, longitudes, wedge, message in PATTERN_FAULTS:
+        with pytest.raises(LinkFormatError) as exc:
+            SolidTorusLink(components, meridians,
+                           tuple(map(Word.parse, longitudes)), Word.parse(wedge))
+        assert str(exc.value) == message
+
+
+def random_pattern_kwargs(rng):
+    """SolidTorusLink arguments, well formed or with one random fault."""
+    n = rng.randint(1, 3)
+    core = rng.choice(("lambda", "t"))
+    components = ["q%d" % (i + 1) for i in range(n)]
+    meridians = ["z%d" % (i + 1) for i in range(n)]
+
+    def word(letters):
+        return Word((rng.choice(letters), rng.choice((1, -1)))
+                    for _ in range(rng.randint(0, 4)))
+
+    longitudes = [word([g for g in meridians if g != mer] + [core])
+                  for mer in meridians]
+    wedge = word(meridians)
+    fault = rng.randrange(10)
+    k = rng.randrange(n)
+    if fault == 1:
+        components, meridians, longitudes = [], [], []
+    elif fault == 2:
+        components[k] = components[k - 1]
+    elif fault == 3:
+        meridians[k] = meridians[k - 1]
+    elif fault == 4:
+        rng.choice((components, meridians, longitudes)).append(
+            rng.choice(("q9", "z9", Word())))
+    elif fault == 5:
+        longitudes[k] *= Word.gen(rng.choice((meridians[k], "q9", "lambda")))
+    elif fault == 6:
+        core = rng.choice(meridians)
+    elif fault == 7:
+        wedge *= Word.gen(rng.choice((core, "z9", "lambda")))
+    return {"components": tuple(components), "meridians": tuple(meridians),
+            "longitudes": tuple(longitudes), "wedge": wedge,
+            "core_symbol": core}
+
+
+def _accepts(check, kwargs):
+    try:
+        check(**kwargs)
+    except LinkFormatError:
+        return False
+    return True
+
+
+def test_pattern_validation_agrees_with_the_pattern_only_reference():
+    rng = random.Random(20261018)
+    decisions = {True: 0, False: 0}
+    for _ in range(5000):
+        kwargs = random_pattern_kwargs(rng)
+        accepted = _accepts(SolidTorusLink, kwargs)
+        assert accepted == _accepts(reference_solid_torus_check, kwargs), kwargs
+        decisions[accepted] += 1
+    assert decisions[True] > 1500 and decisions[False] > 1500
 
 
 def test_ambient_model_of_bing_double_is_borromean_shaped():

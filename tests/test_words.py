@@ -53,6 +53,13 @@ def test_parse_errors_carry_positions():
     for text in ("[m1,m2", "m1)", "(m1", "m1^x", "m1 @", "[,m2]'^"):
         with pytest.raises(WordSyntaxError):
             Word.parse(text)
+    # a bad character after whitespace is named, not the space before it
+    for text, position in (("m1 @", 3), ("m1@", 2), ("  \t@ m1", 3)):
+        with pytest.raises(WordSyntaxError) as exc:
+            Word.parse(text)
+        assert str(exc.value) == \
+            "unexpected character '@' (at position %d)" % position
+        assert exc.value.position == position
 
 
 _PIECES = ("m1", "m2", "z", "1", "2", "(", ")", "[", "]", ",", "'", "^",
