@@ -47,8 +47,7 @@ def _report_text(report):
         lines.append("[%s] %s: %s" % (case["status"].upper(), case["input"], detail))
     summary = report["summary"]
     lines.append("summary: %s (%d/%d passed)"
-                 % (summary["status"], summary.get("passed",
-                    summary["total"] - summary["failed"]), summary["total"]))
+                 % (summary["status"], summary["passed"], summary["total"]))
     return "\n".join(lines)
 
 

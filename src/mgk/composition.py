@@ -154,7 +154,8 @@ def verify_sigma(spec: CompositionSpec, trials=100, seed=0) -> dict:
                    "wedge": str(q.wedge),
                    "wedge_element": format_ring_element(wedge_elem)},
         "cases": cases,
-        "summary": {"total": len(samples), "failed": failures,
+        "summary": {"total": len(samples), "passed": len(samples) - failures,
+                    "failed": failures,
                     "status": "pass" if failures == 0 else "fail"},
     }
 
