@@ -19,6 +19,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
 
 from mgk.cli import main
@@ -136,10 +137,37 @@ LINK_FILES = [["link", action, "tests/fixtures/links/%s.json" % name] + opts
 TREES = ["*", "({* *})", "({({* *}) *})", "({* *} {* *})",
          "({({* *}) ({* *})})", "({({* *} {* *}) *} {* ({* ({* *})})})"]
 
+
+
+def _shuffled_chain(depth, seed):
+    """A genus-1 chain of the given depth whose continuing member sits on a
+    seeded side at each stage, e.g. ({* ({({* *}) *})})."""
+    rng = random.Random(seed)
+    text = "*"
+    for _ in range(depth):
+        text = "({%s *})" % text if rng.random() < 0.5 else "({* %s})" % text
+    return text
+
+
+# a genus-2 tree whose members repeat one subtree, and a depth-40 chain
+DUAL_TREES = TREES[1:] + [
+    "({({* *} {* *}) ({* *} {* *})} {({* *} {* *}) *})",
+    _shuffled_chain(40, 40)]
+
 GROPE = ([["grope", action, tree] for tree in TREES
           for action in ("class", "boundary")]
-         + [["grope", "duals", tree, "--json"] for tree in TREES[1:]]
+         + [["grope", "duals", tree] + opts for tree in DUAL_TREES
+            for opts in ([], ["--json"])]
          + [["grope", "dot", tree, "--closed"] for tree in TREES[1:]])
+# one tip: good paths, a path that leaves the tree, one that stops short
+# of a Leaf, and an unparsable step
+GROPE += [["grope", "duals", tree, "--tip", tip] + opts
+          for tree, tip, opts in (
+              ("({({* *}) *} {* *})", "0L/0R", []),
+              ("({({* *}) *} {* *})", "1L", ["--json"]),
+              ("({* *})", "0L/1R", []),
+              ("({({* *}) *})", "0L", []),
+              ("({* *})", "0X", []))]
 
 # the `sweep` benchmark workload's commands
 SWEEP = [["verify", "all", "--json", "--max-generators", "8", "--trials", "2",
