@@ -81,11 +81,10 @@ def cmd_grope(args):
         tips = ([gropes.parse_tip_path(args.tip)] if args.tip
                 else gropes.free_tips(closed))
         rows = []
-        for tip in tips:
-            dual = gropes.dual_tree(closed, tip).body
-            dc = dual.tree_class
+        for tip, text in zip(tips, gropes.dual_texts(closed, tips)):
+            dc = gropes.dual_class(closed, tip)
             rows.append({"tip": gropes.format_tip_path(tip),
-                         "dual": gropes.tree_text(dual),
+                         "dual": text,
                          "class": dc,
                          "bound": "%d >= %d %s" % (dc, k, "ok" if dc >= k else "VIOLATED")})
         lines = ["class %d, rank %d" % (k, closed.body.leaf_count)]

@@ -48,7 +48,7 @@ __all__ = [
     "GropeTree", "ClosedGropeTree", "LEAF", "parse_tree", "parse_closed_tree",
     "tree_text", "grope_class", "leaf_paths", "free_tips",
     "boundary_word", "boundary_expression", "dual_tree", "dual_class",
-    "canonical", "is_isomorphic", "rerooted", "format_tip_path",
+    "dual_texts", "canonical", "is_isomorphic", "rerooted", "format_tip_path",
     "parse_tip_path", "export_dot",
 ]
 
@@ -337,6 +337,43 @@ def dual_class(closed: ClosedGropeTree, tip) -> int:
     the class of the closed tree itself.
     """
     return 1 + sum(p.tree_class for p in _path_partners(closed, tip))
+
+
+def dual_texts(closed: ClosedGropeTree, tips):
+    """tree_text(dual_tree(closed, tip).body) for each tip, in order.
+
+    A dual folds the partners p1..pk, root to tip, into a chain, so its
+    text is "({" * k + "* " + text(p1) + "}) " + ... + text(pk) + "})", and
+    no dual tree is built.  The partners of all tips are rendered once
+    each, fewest leaves first: a partner inside a larger one has fewer
+    leaves, so the larger one copies its text.  With every free tip, every
+    subtree below the root is a partner and is built from its members'
+    texts; one tip's partners are disjoint, so each is rendered in full.
+    A bad tip raises the ValueError of dual_tree before any text.
+    """
+    walks = [_path_partners(closed, tip) for tip in tips]
+    texts = {}  # id of a partner -> its text, for this call only
+    partners = {id(p): p for walk in walks for p in walk}
+    for tree in sorted(partners.values(), key=lambda p: p.leaf_count):
+        parts = []
+        stack = [tree]  # as in _render, and rendered partners are copied
+        while stack:
+            item = stack.pop()
+            if type(item) is str:
+                parts.append(item)
+            elif id(item) in texts:
+                parts.append(texts[id(item)])
+            elif not item.pairs:
+                parts.append("*")
+            else:
+                stack.append("})")
+                for left, right in reversed(item.pairs):
+                    stack += (right, " ", left, "} {")
+                stack[-1] = "({"
+        texts[id(tree)] = "".join(parts)
+    for walk in walks:  # a walk has a step: the body is a Surface
+        yield "({" * len(walk) + "* " + "}) ".join(
+            [texts[id(p)] for p in walk]) + "})"
 
 
 # -- isomorphism and re-rooting ----------------------------------------------

@@ -252,11 +252,14 @@ def link_from_dict(data: dict):
     if not isinstance(data, dict) or "components" not in data \
             or "longitudes" not in data:
         raise LinkFormatError("link JSON needs 'components' and 'longitudes'")
+    if "core_symbol" in data and "wedge" not in data:
+        raise LinkFormatError("link JSON has the pattern key 'core_symbol' "
+                              "but no 'wedge'")
     components = _names(data, "components")
     raw = data["longitudes"]
     if not isinstance(raw, dict):
         raise LinkFormatError("link JSON 'longitudes' must map components to words")
-    meridians = _names(data, "meridians") if data.get("meridians") else \
+    meridians = _names(data, "meridians") if "meridians" in data else \
         default_alphabet(len(components), "z" if "wedge" in data else "m")
     try:
         longitudes = tuple(

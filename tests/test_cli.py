@@ -41,15 +41,23 @@ def test_grope_boundary_rejects_names_that_are_not_generators(capsys, names):
 
 
 def test_grope_duals_builds_each_dual_once(capsys, monkeypatch):
+    # each tip is handled once: one class, and its text from dual_texts,
+    # with no dual tree built and no tree rendered node by node
     calls = []
-    dual_tree = mgk.gropes.dual_tree
-    monkeypatch.setattr(mgk.gropes, "dual_tree",
-                        lambda closed, tip: calls.append(tip) or dual_tree(closed, tip))
-    monkeypatch.setattr(mgk.gropes, "dual_class", None)  # a call would raise
+    dual_class = mgk.gropes.dual_class
+    monkeypatch.setattr(mgk.gropes, "dual_class",
+                        lambda closed, tip: calls.append(tip) or dual_class(closed, tip))
+    monkeypatch.setattr(mgk.gropes, "dual_tree", None)  # a call would raise
+    monkeypatch.setattr(mgk.gropes, "tree_text", None)
     code, out, _ = run(capsys, "grope", "duals", "({({* *}) *} {* *})")
     assert code == 0 and out.count("tip ") == 5
     assert [mgk.gropes.format_tip_path(tip) for tip in calls] == \
         ["0L/0L", "0L/0R", "0R", "1L", "1R"]
+    calls.clear()
+    code, out, _ = run(capsys, "grope", "duals", "({({* *}) *} {* *})",
+                       "--tip", "0L/0R")
+    assert code == 0 and out.endswith("3 >= 2 ok    ({({* *}) *})\n")
+    assert [mgk.gropes.format_tip_path(tip) for tip in calls] == ["0L/0R"]
 
 
 @pytest.mark.parametrize("action, result", [
@@ -204,6 +212,23 @@ def test_link_bad_json_exit_2(tmp_path, data):
      "the wedge word cannot use the core symbol"),
 ])
 def test_link_show_bad_pattern_is_one_error_line(tmp_path, data, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    proc = subprocess.run([sys.executable, "-m", "mgk.cli", "link", "show",
+                           str(path)], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"components": ["a", "b"], "meridians": [],
+      "longitudes": {"a": "m2", "b": "1"}},
+     "components, meridians and longitudes must align"),
+    ({"components": ["a"], "longitudes": {"a": "1"}, "core_symbol": "t"},
+     "link JSON has the pattern key 'core_symbol' but no 'wedge'"),
+])
+def test_link_show_refuses_empty_meridians_and_a_wedgeless_core_symbol(
+        tmp_path, data, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     proc = subprocess.run([sys.executable, "-m", "mgk.cli", "link", "show",

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from mgk.errors import TreeSyntaxError
 from mgk.gropes import (LEAF, ClosedGropeTree, GropeTree, boundary_expression,
-                        boundary_word, canonical, dual_class, dual_tree,
-                        export_dot, format_tip_path, free_tips, grope_class,
+                        boundary_word, canonical, dual_class, dual_texts,
+                        dual_tree, export_dot, format_tip_path, free_tips, grope_class,
                         is_isomorphic, leaf_paths, parse_closed_tree,
                         parse_tip_path, parse_tree, rerooted,
                         tree_text)
@@ -228,6 +228,80 @@ def test_genus1_dual_is_rerooting():
             dual = dual_tree(closed, tip)
             assert is_isomorphic(dual, rerooted(closed, tip))
             assert is_isomorphic(dual, reroot_oracle(closed, tip))
+
+
+def pooled_tree(rng, max_genus, stages):
+    """A tree built through the API from a pool of shared subtree objects:
+    each stage pairs up pool members, so one object sits at many places."""
+    pool = [LEAF, GropeTree(), GropeTree(((LEAF, LEAF),))]
+    for _ in range(stages):
+        pool.append(GropeTree(tuple(
+            (rng.choice(pool[-6:]), rng.choice(pool))
+            for _ in range(rng.randint(1, max_genus)))))
+    return pool[-1]
+
+
+def dual_text_oracle(closed, tip):
+    return tree_text(dual_tree(closed, tip).body), dual_class(closed, tip)
+
+
+def test_dual_texts_agree_with_the_dual_trees():
+    rng = random.Random(12)
+    shared = 0
+    for trial in range(2000):
+        genus = 1 + trial % 3
+        if trial % 2:
+            tree = pooled_tree(rng, genus, rng.randint(1, 7))
+        else:
+            tree = random_grope_tree(rng, rng.randint(2, 7), max_genus=genus,
+                                     max_tips=24)
+        closed = ClosedGropeTree(tree)
+        tips = free_tips(closed)
+        # every tip in order, then a few in any order, repeats allowed
+        some = [rng.choice(tips) for _ in range(rng.randint(1, 4))]
+        for chosen in (tips, some):
+            texts = list(dual_texts(closed, chosen))
+            assert [(text, reference_dual_class(closed, tip))
+                    for text, tip in zip(texts, chosen)] == \
+                [dual_text_oracle(closed, tip) for tip in chosen]
+        nodes = [tree]
+        for node in nodes:
+            nodes += [m for pair in node.pairs for m in pair if m.pairs]
+        shared += len({id(n) for n in nodes}) < len(nodes)
+    assert shared > 500  # the pooled trees repeat subtree objects
+
+
+@pytest.mark.parametrize("depth", [1, 2, 40, 300, 1000])
+def test_dual_texts_of_deep_chains(depth):
+    rng = random.Random(depth)
+    partners = [None, parse_tree("({* *} {({* *}) *})")]
+    for partner in partners[:1 if depth > 300 else 2]:  # 5x the tips
+        closed = ClosedGropeTree(shuffled_chain(rng, depth, partner, LEAF))
+        tips = free_tips(closed)
+        texts = list(dual_texts(closed, tips))
+        assert len(texts) == len(tips)
+        picked = range(len(tips))
+        if depth > 40:  # the oracle renders every dual node by node
+            picked = [0, len(tips) - 1] + rng.sample(picked, 20)
+        for i in picked:
+            assert (texts[i], dual_class(closed, tips[i])) == \
+                dual_text_oracle(closed, tips[i])
+    # a single tip's partners are disjoint, so their texts are the output
+    closed = ClosedGropeTree(shuffled_chain(rng, depth))
+    tip = max(free_tips(closed), key=len)
+    assert list(dual_texts(closed, [tip])) == [dual_text_oracle(closed, tip)[0]]
+
+
+def test_dual_texts_refuse_a_bad_tip_as_the_dual_tree_does():
+    closed = parse_closed_tree("({({* *}) *} {* *})")
+    good = free_tips(closed)[0]
+    for bad in ((), ((0, 0),), ((0, 0), (0, 0), (0, 0)), ((2, 0),),
+                ((-1, 1),), ((0, 2),), ((1, 1), (0, 0))):
+        with pytest.raises(ValueError) as want:
+            dual_tree(closed, bad)
+        with pytest.raises(ValueError) as got:
+            list(dual_texts(closed, [good, bad]))
+        assert str(got.value) == str(want.value)
 
 
 def test_rerooted_rejects_higher_genus():

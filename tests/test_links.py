@@ -444,6 +444,24 @@ def test_json_defaults():
     assert pattern.meridians == ("z1",)
 
 
+def test_json_meridians_and_pattern_keys_are_read_when_present():
+    # a present "meridians" key is read, empty or not, so [] does not align
+    for meridians in ([], None, ["m1"]):
+        with pytest.raises(LinkFormatError):
+            link_from_dict({"components": ["a", "b"], "meridians": meridians,
+                            "longitudes": {"a": "m2", "b": "1"}})
+    model = link_from_dict({"components": ["a", "b"], "meridians": ["x", "y"],
+                            "longitudes": {"a": "y", "b": "1"}})
+    assert model.meridians == ("x", "y")
+    # a core symbol without a wedge is a pattern with its wedge key lost
+    with pytest.raises(LinkFormatError, match="'core_symbol' but no 'wedge'"):
+        link_from_dict({"components": ["a"], "longitudes": {"a": "1"},
+                        "core_symbol": "t"})
+    pattern = link_from_dict({"components": ["a"], "longitudes": {"a": "t"},
+                              "wedge": "z1", "core_symbol": "t"})
+    assert isinstance(pattern, SolidTorusLink) and pattern.core_symbol == "t"
+
+
 def test_json_errors():
     with pytest.raises(LinkFormatError):
         link_from_dict({"components": ["a"]})
@@ -464,6 +482,9 @@ BAD_LINK_JSON = [
      "core_symbol": ["lambda"]},
     ["a", "b"],
     "borromean",
+    {"components": ["a", "b"], "meridians": [],
+     "longitudes": {"a": "m2", "b": "1"}},
+    {"components": ["a"], "longitudes": {"a": "1"}, "core_symbol": "t"},
 ]
 
 
