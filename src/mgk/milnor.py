@@ -13,10 +13,9 @@ with 1 + yi), which is why the expansion shows up as a homomorphism into
 the units of the squarefree ring.
 
 Iterating the splitting expresses every group element uniquely as a tower
-of ring components plus one integer exponent; `normal_form` computes that
-tower by a single left-to-right scan per level, which makes the word
-problem for M(F) exact.  `magnus` and every tower level read the word
-through the one ring kernel, `ring.scan`, on packed-integer monomials.
+of ring components plus one integer exponent, which makes the word problem
+for M(F) exact.  `magnus` and `normal_form` read the word through the one
+ring kernel, `ring.scan`, on packed-integer monomials, once each.
 
 The tower is a projection of the Magnus expansion: the component for m_j
 is the part of M(w) on monomials mono*y_j with mono over y_1..y_{j-1},
@@ -26,6 +25,8 @@ M(F) (Milnor, *Link groups*, Ann. of Math. 59, 1954; Habegger-Lin, JAMS 3,
 1990).  So one kernel coefficient is one chain scan, `magnus_coefficient`,
 and `r_inverse` is the top level's scan alone: the word is in the kernel iff
 the scan's expansion without the last generator is 1, and rho is the answer.
+`normal_form` is that scan too: rho is the top component, and the
+expansion without the last generator projects to every lower one.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ __all__ = [
 
 
 def default_alphabet(s: int, prefix: str = "m") -> tuple[str, ...]:
+    if s < 0:
+        raise ValueError("generator count must be >= 0")
     return tuple("%s%d" % (prefix, i + 1) for i in range(s))
 
 
@@ -119,25 +122,36 @@ class MilnorElement:
 def normal_form(word: Word, alphabet) -> MilnorElement:
     """Normal form in M(F) on the alphabet, via the split-extension tower.
 
-    One scan per level: letters of the top generator contribute +-(Magnus
-    expansion of the preceding tail prefix) to the kernel coordinate, all
-    other letters accumulate into the tail, which is normalized
-    recursively.  Each step evaluates a homomorphism, so words equal in
-    M(F) get identical forms; the splitting makes the form unique.
+    One scan of the whole word: the top generator's letters add
+    +-(expansion of the preceding prefix) to the top coordinate, and the
+    other letters build the expansion without the top generator, which
+    holds every lower level (see the module docstring): the m_j component
+    is its terms whose last variable y_j is their largest, y_j stripped,
+    and the exponent is the coefficient of y_1.  Each level evaluates a
+    homomorphism, so words equal in M(F) get identical forms; the
+    splitting makes the form unique.
     """
     full = tuple(alphabet)
-    # each level's alphabet is a prefix of the full one, so a letter keeps
-    # its variable position on every level
     letters = _positions(word, full)
-    components = []
-    for top in range(len(full) - 1, 0, -1):  # R on full[:top] at each level
-        # letters after the last top letter add nothing to the coordinate
-        end = next((p for p in range(len(letters), 0, -1)
-                    if letters[p - 1][0] == top), 0)
-        components.append(RingElement(Ring(full[:top]),
-                                      scan(letters[:end], top)[1]))
-        letters = [let for let in letters if let[0] != top]
-    return MilnorElement(full, tuple(components), sum(e for _, e in letters))
+    n = max(len(full) - 1, 0)  # the top position; no alphabet, no letters
+    running, rho = scan(letters, n)
+    rings = [Ring(full[:t]) for t in range(n + 1)]  # level t: R on full[:t]
+    levels = [{} for _ in range(n)] + [rho]
+    big = rings[n]
+    width, low, full_mask = big.width, (1 << big.width) - 1, (1 << n) - 1
+    for mono, c in running.items():
+        used = mono & full_mask
+        t = used.bit_length() - 1  # the largest variable
+        digits = mono >> n
+        if t < 0 or digits & low != t + 1:  # the constant, or y_t not last
+            continue
+        if rings[t].width == width:  # strip y_t: drop its digit and its bit
+            key = digits >> width << t | used ^ 1 << t
+        else:  # and repack the digits to the level's narrower width
+            key = rings[t].pack(big.positions(mono)[:-1])
+        levels[t][key] = c
+    components = tuple(RingElement(rings[t], levels[t]) for t in range(n, 0, -1))
+    return MilnorElement(full, components, levels[0].get(0, 0))
 
 
 def words_equal(u: Word, v: Word, alphabet) -> bool:

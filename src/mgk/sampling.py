@@ -35,26 +35,39 @@ def random_ring_element(rng: random.Random, ring: Ring) -> RingElement:
 
 def random_grope_tree(rng: random.Random, k: int, max_genus=2,
                       max_tips=8) -> GropeTree:
-    """A tree of class exactly k with at most max_tips leaves."""
+    """A tree of class exactly k with at most max_tips leaves.
+
+    Candidates grow as nested pair tuples with their leaf counts; only the
+    accepted one becomes a `GropeTree`."""
     for attempt in range(64):
         genus_cap = max_genus if attempt < 32 else 1
-        tree = _grow(rng, k, genus_cap)
-        if tree.leaf_count <= max_tips:
-            return tree
-    return _grow(rng, k, 1)  # genus-1 tower: exactly k tips
+        shape, leaves = _grow(rng, k, genus_cap)
+        if leaves <= max_tips:
+            return _build(shape)
+    return _build(_grow(rng, k, 1)[0])  # genus-1 tower: exactly k tips
 
 
-def _grow(rng: random.Random, k: int, max_genus: int) -> GropeTree:
+def _grow(rng: random.Random, k: int, max_genus: int):
+    """(shape, leaf count) of a random tree of class k: a shape is the
+    tuple of its pairs of shapes, () for a leaf."""
     if k <= 1:
-        return LEAF
-    pairs = []
+        return (), 1
+    pairs, leaves = [], 0
     genus = rng.randint(1, max_genus)
     exact_at = rng.randrange(genus)
     for i in range(genus):
         total = k if i == exact_at else k + rng.randint(0, 1)
         p = rng.randint(1, total - 1)
-        pairs.append((_grow(rng, p, max_genus), _grow(rng, total - p, max_genus)))
-    return GropeTree(tuple(pairs))
+        left, right = _grow(rng, p, max_genus), _grow(rng, total - p, max_genus)
+        pairs.append((left[0], right[0]))
+        leaves += left[1] + right[1]
+    return tuple(pairs), leaves
+
+
+def _build(shape) -> GropeTree:
+    if not shape:
+        return LEAF
+    return GropeTree(tuple((_build(left), _build(right)) for left, right in shape))
 
 
 def random_closed_tree(rng: random.Random, k: int, max_genus=2,

@@ -71,10 +71,10 @@ class Word:
 
     def substitute(self, name: str, replacement: "Word") -> "Word":
         """Replace every occurrence of name^(+-1) by replacement^(+-1)."""
-        out = []
+        out, inverse = [], (~replacement).letters
         for g, e in self.letters:
             if g == name:
-                out.extend(replacement.letters if e > 0 else (~replacement).letters)
+                out.extend(replacement.letters if e > 0 else inverse)
             else:
                 out.append((g, e))
         return Word._trusted(tuple(out))

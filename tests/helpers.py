@@ -6,6 +6,7 @@ afterwards, ring arithmetic and formatting keep monomials keyed by
 variable names, kernel coordinates and the essentiality certificate are
 read from whole normal-form towers, Milnor-equal words are produced by
 explicit relator insertion, boundary words by a recursive commutator walk,
+random grope trees are built whole for every candidate,
 re-rooting works on a plain adjacency list, the word parser checks its
 token index at every read, and the solid-torus pattern checks are written
 out apart from the link checks.
@@ -17,7 +18,7 @@ from mgk.composition import (Certificate, CompositionSpec, _sigma_alphabets,
                              compose, wedge_ring_element)
 from mgk.errors import (CompositionError, LinkFormatError, NotInKernelError,
                         WordSyntaxError)
-from mgk.gropes import ClosedGropeTree, GropeTree
+from mgk.gropes import LEAF, ClosedGropeTree, GropeTree
 from mgk.links import (SolidTorusLink, catalog, delete_component,
                        is_almost_trivial)
 from mgk.milnor import MilnorElement, magnus, normal_form, r_inverse
@@ -517,6 +518,35 @@ def reroot_oracle(closed: ClosedGropeTree, tip):
 
     (first,) = adj[start]
     return ClosedGropeTree(grow(first, start))
+
+
+# -- the grope tree sampler that builds every candidate -------------------------
+# The library grows candidates as nested tuples and builds a GropeTree only
+# for the accepted one; this builds each candidate's trees as it grows,
+# with the same draws in the same order.
+
+
+def reference_random_grope_tree(rng, k, max_genus=2, max_tips=8):
+    for attempt in range(64):
+        genus_cap = max_genus if attempt < 32 else 1
+        tree = _reference_grow(rng, k, genus_cap)
+        if tree.leaf_count <= max_tips:
+            return tree
+    return _reference_grow(rng, k, 1)
+
+
+def _reference_grow(rng, k, max_genus):
+    if k <= 1:
+        return LEAF
+    pairs = []
+    genus = rng.randint(1, max_genus)
+    exact_at = rng.randrange(genus)
+    for i in range(genus):
+        total = k if i == exact_at else k + rng.randint(0, 1)
+        p = rng.randint(1, total - 1)
+        pairs.append((_reference_grow(rng, p, max_genus),
+                      _reference_grow(rng, total - p, max_genus)))
+    return GropeTree(tuple(pairs))
 
 
 def random_ring_element_of_degree(rng, ring, max_degree):

@@ -163,6 +163,12 @@ def test_milnor_nf(capsys):
     assert code == 0 and "m3-part: y1*y2" in out
 
 
+@pytest.mark.parametrize("action,gens", [("expand", "-5"), ("nf", "-2")])
+def test_negative_generator_count_is_an_error(capsys, action, gens):
+    code, out, err = run(capsys, "milnor", action, "1", "--gens", gens)
+    assert (code, out, err) == (2, "", "error: generator count must be >= 0\n")
+
+
 def test_link_mu(capsys):
     code, out, _ = run(capsys, "link", "mu", "borromean", "--index", "2,3,1")
     assert code == 0 and abs(int(out.strip())) == 1

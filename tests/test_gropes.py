@@ -18,7 +18,8 @@ from mgk.words import Word
 from helpers import (reference_all_genus_one, reference_boundary_word,
                      reference_canonical, reference_dual_class,
                      reference_grope_class, reference_leaf_paths,
-                     reference_tree_text, reroot_oracle, shuffled_chain)
+                     reference_random_grope_tree, reference_tree_text,
+                     reroot_oracle, shuffled_chain)
 
 TORUS = "({* *})"
 TOWER2 = "({({* *}) *})"
@@ -71,6 +72,25 @@ def test_round_trip_random(seed):
     rng = random.Random(seed)
     tree = random_grope_tree(rng, rng.randint(1, 6), max_tips=12)
     assert parse_tree(tree_text(tree)) == tree
+
+
+def test_sampler_draws_the_reference_trees():
+    # the sampler grows candidates as tuples and builds only the accepted
+    # one; it must draw as the reference does, so every verify report stays
+    seen = set()
+    for seed in range(4):
+        for k in range(1, 7):
+            for max_genus in (1, 2):
+                for max_tips in range(2, 13):
+                    rng = random.Random("%d/%d/%d/%d" % (seed, k, max_genus, max_tips))
+                    ref = random.Random()
+                    ref.setstate(rng.getstate())
+                    tree = random_grope_tree(rng, k, max_genus, max_tips)
+                    want = reference_random_grope_tree(ref, k, max_genus, max_tips)
+                    assert tree == want and tree_text(tree) == tree_text(want)
+                    assert rng.getstate() == ref.getstate()
+                    seen.add(tree.leaf_count <= max_tips)
+    assert seen == {True, False}  # some draws fell back to the genus-1 tower
 
 
 # -- class ----------------------------------------------------------------------

@@ -73,16 +73,48 @@ def sized_words():
         lambda a: st.tuples(st.just(a), words(a, max_len=24)))
 
 
+def assert_normal_forms_agree(word, alphabet):
+    got, want = normal_form(word, alphabet), reference_normal_form(word, alphabet)
+    assert len(got.components) == len(want.components) == max(len(alphabet) - 1, 0)
+    for g, r in zip(got.components, want.components):
+        assert g.ring == r.ring and g.terms == r.terms, (word, alphabet)
+    assert got.exponent == want.exponent, (word, alphabet)
+
+
 @settings(max_examples=60)
 @given(sized_words())
 def test_in_place_scans_match_ring_products(pair):
     alphabet, w = pair
     assert magnus(w, alphabet).terms == reference_magnus(w, alphabet).terms
-    got, want = normal_form(w, alphabet), reference_normal_form(w, alphabet)
-    assert len(got.components) == len(want.components) == len(alphabet) - 1
-    for g, r in zip(got.components, want.components):
-        assert g.ring == r.ring and g.terms == r.terms
-    assert got.exponent == want.exponent
+    assert_normal_forms_agree(w, alphabet)
+
+
+def test_normal_form_matches_the_tower_oracle_at_every_size():
+    # one scan reads every level: the letters after the last m_s letter
+    # reach the lower components only through it, so half the words put
+    # that letter early; from s = 3 on, a level whose digit width is
+    # narrower than the top's repacks its terms
+    rng = random.Random(131)
+    for s in range(1, 11):
+        alphabet = default_alphabet(s)
+        for word in random_words(rng, alphabet, 30, max_len=12):
+            assert_normal_forms_agree(word, alphabet)
+            if s > 1:
+                head = Word(((alphabet[-1], rng.choice((1, -1))),))
+                tail, = random_words(rng, alphabet[:-1], 1, max_len=12)
+                assert_normal_forms_agree(word * head * tail, alphabet)
+    assert_normal_forms_agree(Word(), ())
+
+
+def test_normal_form_matches_the_tower_oracle_on_sparse_words_at_s17():
+    # digit width 5 on top, 4 and less below: every lower level repacks
+    rng = random.Random(17)
+    alphabet = default_alphabet(17)
+    for _ in range(40):
+        used = rng.sample(alphabet[:-1], rng.randint(1, 5))
+        tail, = random_words(rng, used, 1, max_len=10)
+        word, = random_words(rng, used + [alphabet[-1]], 1, max_len=10)
+        assert_normal_forms_agree(word * Word.gen(alphabet[-1]) * tail, alphabet)
 
 
 @settings(max_examples=60)
@@ -95,6 +127,12 @@ def test_in_place_cancellation_leaves_no_zero_terms(pair):
 
 
 # -- normal forms ---------------------------------------------------------------
+
+def test_default_alphabet_refuses_a_negative_count():
+    assert default_alphabet(0) == ()
+    with pytest.raises(ValueError):
+        default_alphabet(-1)
+
 
 def test_identity_normal_form():
     nf = normal_form(Word(), A3)
