@@ -19,8 +19,8 @@ operations are pure, so everything is safe to share between threads.
 from .composition import (Certificate, CompositionSpec, compose,
                           essentiality_certificate, verify_sigma,
                           wedge_ring_element)
-from .errors import (CompositionError, LinkFormatError, MgkError,
-                     NotInKernelError, ParseError, TreeSyntaxError,
+from .errors import (BudgetExceeded, CompositionError, LinkFormatError,
+                     MgkError, NotInKernelError, ParseError, TreeSyntaxError,
                      UniverseMismatchError, UnknownGeneratorError,
                      WordSyntaxError)
 from .gropes import (LEAF, ClosedGropeTree, GropeTree, boundary_expression,

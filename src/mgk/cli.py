@@ -280,7 +280,7 @@ def main(argv=None) -> int:
     except (RecursionError, MemoryError, OverflowError) as exc:
         # exit 1 means "a check failed", so resource exhaustion is an error
         print("error: input too large or too deeply nested (%s)"
-              % (exc or type(exc).__name__), file=sys.stderr)
+              % (str(exc) or type(exc).__name__), file=sys.stderr)
         return 2
 
 

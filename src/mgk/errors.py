@@ -23,6 +23,10 @@ class TreeSyntaxError(ParseError):
     pass
 
 
+class BudgetExceeded(MgkError):
+    """An input would build a word over the letter budget."""
+
+
 class UnknownGeneratorError(MgkError):
     pass
 

@@ -12,8 +12,9 @@ built, from the same fields of its children, so reading them is O(1) and
 building a tree is O(1) work per pair.  The module keeps no cache, and
 every walk uses an explicit stack, so trees of any depth work under the
 default recursion limit.  `boundary_word` parses the text that
-`boundary_expression` renders, so it nests as deep as the word parser does;
-its word at least doubles in length per stage, so memory runs out first.
+`boundary_expression` renders; its word at least doubles in length per
+stage, so a deep tree's boundary word is refused with `BudgetExceeded`
+once it would pass the letter budget `mgk.words.MAX_LETTERS`.
 
 Text grammar (whitespace-insensitive):
 

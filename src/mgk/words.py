@@ -10,27 +10,48 @@ reduction is available but never forced.  The text grammar:
 
 NAME is alphanumeric starting with a letter (m1, z2, lambda, ...),
 postfix ' inverts, [u,v] is the commutator u v u' v', juxtaposition is
-the product.
+the product.  The parser makes one pass over the tokens with an explicit
+stack of open brackets, so it needs no recursion at any depth.  No word
+that `Word.parse` or `**` builds has more than `MAX_LETTERS` letters (the
+letter budget): each refuses a longer one with `BudgetExceeded` before
+allocating it.
 """
 
 from __future__ import annotations
 
 import re
 
-from .errors import WordSyntaxError
+from .errors import BudgetExceeded, WordSyntaxError
 
 NAME = re.compile(r"[A-Za-z][A-Za-z0-9]*")  # a generator name
-_TOKEN = re.compile(r"\s*(%s|\d+|[\[\](),'^-])" % NAME.pattern)
+_TOKEN = re.compile(r"%s|\d+|[\[\](),'^-]" % NAME.pattern)
+MAX_LETTERS = 2 ** 22  # the letter budget
+
+
+def _check_names(names):
+    for g in names:
+        if not (isinstance(g, str) and NAME.fullmatch(g)):
+            raise ValueError("%r is not a generator name" % (g,))
+
+
+def _check_length(n):
+    """Refuse a word of n letters if n is over the letter budget."""
+    if n > MAX_LETTERS:
+        raise BudgetExceeded("word longer than the letter limit of %d letters"
+                             % MAX_LETTERS)
 
 
 class Word:
     __slots__ = ("letters",)
 
     def __init__(self, letters=()):
+        """letters: pairs (name, e), each name matching NAME and each e the
+        int 1 or -1; anything else raises ValueError."""
         self.letters = tuple((g, e) for g, e in letters)
         for g, e in self.letters:
-            if e not in (1, -1):
-                raise ValueError("letter exponents must be +1 or -1")
+            if type(e) is not int or e not in (1, -1):
+                raise ValueError("letter exponents must be the int 1 or -1")
+        _check_names({g for g, _ in self.letters})  # each distinct name once
 
     @classmethod
     def _trusted(cls, letters: tuple) -> "Word":
@@ -41,11 +62,12 @@ class Word:
 
     @classmethod
     def gen(cls, name: str) -> "Word":
-        return cls(((name, 1),))
+        _check_names((name,))
+        return cls._trusted(((name, 1),))
 
     @classmethod
     def parse(cls, text: str) -> "Word":
-        return _WordParser(text).parse()
+        return cls._trusted(_parse(text))
 
     def __len__(self):
         return len(self.letters)
@@ -57,6 +79,9 @@ class Word:
         return Word._trusted(tuple((g, -e) for g, e in reversed(self.letters)))
 
     def __pow__(self, n: int) -> "Word":
+        if not self.letters:
+            return self
+        _check_length(abs(n) * len(self.letters))
         base = self if n >= 0 else ~self
         return Word._trusted(base.letters * abs(n))
 
@@ -106,92 +131,89 @@ def commutator(u: Word, v: Word) -> Word:
     return u * v * ~u * ~v
 
 
-def _tokenize(text):
-    """The tokens as (text, position), ended by (None, len(text))."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            bad = len(text) - len(text[pos:].lstrip())
-            if bad < len(text):
-                raise WordSyntaxError("unexpected character %r" % text[bad], bad)
-            break
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
-    tokens.append((None, len(text)))
-    return tokens
+def _inverse(letters):
+    return [(g, -e) for g, e in reversed(letters)]
 
 
-class _WordParser:
-    def __init__(self, text):
-        self.tokens = _tokenize(text)
-        self.i = 0
+def _closer(frame):
+    """The token that must end the word open in frame."""
+    bracket, _, comma = frame
+    return ")" if bracket == "(" else "," if comma is None else "]"
 
-    def peek(self):
-        return self.tokens[self.i][0]
 
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def parse(self):
-        w = self.word()
-        tok, pos = self.tokens[self.i]
-        if tok is not None:
-            raise WordSyntaxError("unexpected %r" % tok, pos)
-        return w
-
-    def word(self):
-        letters = []
-        while True:
-            tok = self.peek()
-            if tok is None or tok in (")", "]", ","):
-                return Word._trusted(tuple(letters))
-            letters += self.factor().letters
-
-    def factor(self):
-        w = self.atom()
-        while True:
-            tok = self.peek()
-            if tok == "'":
-                self.next()
-                w = ~w
-            elif tok == "^":
-                self.next()
-                sign = 1
-                if self.peek() == "-":
-                    self.next()
-                    sign = -1
-                tok, pos = self.next()
-                if tok is None or not tok.isdigit():
-                    raise WordSyntaxError("expected an integer after ^", pos)
-                w = w ** (sign * int(tok))
-            else:
-                return w
-
-    def atom(self):
-        # entered only at a token that starts a factor, never at the end
-        tok, pos = self.next()
-        if tok == "(":
-            w = self.word()
-            self.expect(")")
-            return w
-        if tok == "[":
-            u = self.word()
-            self.expect(",")
-            v = self.word()
-            self.expect("]")
-            return commutator(u, v)
-        if tok == "1":
-            return IDENTITY
+def _parse(text):
+    """The letters of text: one pass over its tokens, keeping the letters of
+    every open word in one list and each open bracket on an explicit stack."""
+    tokens = _TOKEN.findall(text)
+    if "".join(tokens) != "".join(text.split()):  # a character no token takes
+        _raise_bad_character(text)
+    letters = []
+    frames = []  # open brackets: [bracket, start, start of v or None]
+    last = None  # start of the innermost open word's last factor, if any
+    i, end = 0, len(tokens)
+    while i < end:
+        tok = tokens[i]
+        i += 1
         if tok[0].isalpha():
-            return Word.gen(tok)
-        raise WordSyntaxError("unexpected %r" % tok, pos)
+            last = len(letters)
+            letters.append((tok, 1))
+        elif tok == "'" and last is not None:
+            letters[last:] = _inverse(letters[last:])
+        elif tok == "^" and last is not None:
+            factor = letters[last:]
+            if i < end and tokens[i] == "-":
+                i += 1
+                factor = _inverse(factor)
+            if i == end or not tokens[i].isdigit():
+                _raise_syntax("expected an integer after ^", text, i)
+            count = int(tokens[i])
+            i += 1
+            if count and factor:
+                _check_length(len(letters) + (count - 1) * len(factor))
+                letters[last:] = factor * count
+            else:
+                del letters[last:]
+        elif tok == "(" or tok == "[":
+            frames.append([tok, len(letters), None])
+            last = None
+        elif tok == "1":
+            last = len(letters)
+        elif tok in (")", ",", "]") and frames:
+            frame = frames[-1]
+            if tok != _closer(frame):
+                _raise_syntax("expected %r" % _closer(frame), text, i - 1)
+            _, start, comma = frame
+            if tok == ",":
+                frame[2] = len(letters)
+                last = None
+                continue
+            if tok == "]":  # [u,v] = u v u' v'
+                _check_length(2 * len(letters) - start)
+                u, v = letters[start:comma], letters[comma:]
+                letters += _inverse(u)
+                letters += _inverse(v)
+            frames.pop()
+            last = start
+        else:
+            _raise_syntax("unexpected %r" % tok, text, i - 1)
+    if frames:
+        _raise_syntax("expected %r" % _closer(frames[-1]), text, end)
+    _check_length(len(letters))
+    return tuple(letters)
 
-    def expect(self, wanted):
-        tok, pos = self.tokens[self.i]
-        if tok != wanted:
-            raise WordSyntaxError("expected %r" % wanted, pos)
-        self.i += 1
+
+def _raise_bad_character(text):
+    """Name the first non-space character that starts no token."""
+    pos = 0
+    for m in _TOKEN.finditer(text + "1"):  # the extra token ends the last gap
+        gap = text[pos:m.start()].lstrip()
+        if gap:
+            bad = m.start() - len(gap)
+            raise WordSyntaxError("unexpected character %r" % text[bad], bad)
+        pos = m.end()
+
+
+def _raise_syntax(message, text, i):
+    """Raise at the i-th token of text, or at its end if there are only i."""
+    starts = [m.start() for m in _TOKEN.finditer(text)]
+    raise WordSyntaxError(message, starts[i] if i < len(starts) else len(text))

@@ -8,6 +8,7 @@ import pytest
 
 import mgk.cli
 import mgk.gropes
+import mgk.words
 from mgk.cli import main
 from mgk.gropes import tree_text
 from mgk.links import catalog, save_link
@@ -277,17 +278,47 @@ def test_link_mu_on_twelve_components(twelve_component_link, index, mu):
     assert proc.stdout == mu + "\n"
 
 
+def run_capped(argv):
+    """Run the CLI with its address space capped at 1 GB, so that a word
+    the letter budget misses fails at once instead of exhausting memory."""
+    resource = pytest.importorskip("resource")  # POSIX only
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+    return subprocess.run([sys.executable, "-m", "mgk.cli"] + argv,
+                          capture_output=True, text=True, timeout=120,
+                          preexec_fn=cap)
+
+
 @pytest.mark.parametrize("argv", [
-    ["milnor", "expand", "(" * 3000 + "m1" + ")" * 3000],
     ["milnor", "expand", "[" * 3000 + "m1" + ",m2]" * 3000],
     ["milnor", "expand", "m1^99999999999999999999"],
-], ids=["nested-parens", "nested-commutators", "huge-power"])
+    ["milnor", "expand", "(m1 m2)^1000000000000"],
+], ids=["nested-commutators", "huge-power", "long-power"])
 def test_deep_input_is_an_error_not_a_crash(argv):
-    proc = subprocess.run([sys.executable, "-m", "mgk.cli"] + argv,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_capped(argv)
     assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: word longer than the letter limit of " \
+        "%d letters\n" % mgk.words.MAX_LETTERS
+
+
+@pytest.mark.parametrize("argv", [
+    ["milnor", "expand", "(" * 3000 + "m1" + ")" * 3000],
+    ["milnor", "expand", "(" * 3000 + "m1" + ")'" * 3000],
+], ids=["nested-parens", "nested-primes"])
+def test_deep_input_answers(argv):
+    proc = run_capped(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1 + y1\n", "")
+
+
+def test_resource_error_names_its_type_without_a_message(capsys, monkeypatch):
+    def exhausted(text):
+        raise MemoryError()
+    monkeypatch.setattr(Word, "parse", exhausted)
+    code, out, err = run(capsys, "milnor", "expand", "m1")
+    assert (code, out) == (2, "")
+    assert err == "error: input too large or too deeply nested (MemoryError)\n"
 
 
 @pytest.mark.parametrize("argv", [

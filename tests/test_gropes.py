@@ -4,7 +4,8 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mgk.errors import TreeSyntaxError
+import mgk.words
+from mgk.errors import BudgetExceeded, TreeSyntaxError
 from mgk.gropes import (LEAF, ClosedGropeTree, GropeTree, boundary_expression,
                         boundary_word, canonical, dual_class, dual_texts,
                         dual_tree, export_dot, format_tip_path, free_tips, grope_class,
@@ -149,6 +150,15 @@ def test_boundary_name_errors():
         boundary_word(t, ["a"])
     with pytest.raises(ValueError):
         boundary_word(t, ["a", "a"])
+
+
+def test_boundary_word_of_a_deep_chain_is_refused(monkeypatch):
+    # a genus-1 chain of depth d has a boundary word of 3 * 2^d - 2 letters
+    monkeypatch.setattr(mgk.words, "MAX_LETTERS", 4096)
+    names = ["m%d" % i for i in range(1, 13)]
+    assert len(boundary_word(shuffled_chain(random.Random(10), 10), names[:11])) == 3070
+    with pytest.raises(BudgetExceeded, match="letter limit of 4096 letters"):
+        boundary_word(shuffled_chain(random.Random(11), 11), names)
 
 
 @pytest.mark.parametrize("names", [["1", "m2"], ["a b", "c"], ["a", "m2'"],

@@ -1,10 +1,13 @@
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
-from mgk.errors import WordSyntaxError
-from mgk.words import IDENTITY, Word, commutator
+import mgk.words
+from mgk.errors import BudgetExceeded, WordSyntaxError
+from mgk.words import IDENTITY, MAX_LETTERS, Word, commutator
 
 from helpers import reference_parse
 
@@ -89,6 +92,102 @@ def test_parser_agrees_with_the_bounds_checked_reference():
     assert outcomes["word"] > 2000 and outcomes["error"] > 10000
 
 
+def _nested_text(rng, depth):
+    """A well-formed word text nested depth brackets deep, and its length:
+    commutators and powers only wrap factors of at most 48 letters."""
+    if depth == 0:
+        return rng.choice((("m1", 1), ("m2'", 1), ("z1", 1), ("1", 0),
+                           ("lambda", 1)))
+    text, n = _nested_text(rng, depth - 1)
+    kind = rng.randrange(4)
+    if kind == 0 and n <= 48:
+        other, k = _nested_text(rng, rng.randint(0, 2))
+        text, n = "[%s,%s]" % ((text, other) if rng.random() < 0.5
+                               else (other, text)), 2 * (n + k)
+    else:
+        if kind == 1:
+            left, k = _nested_text(rng, 0)
+            text, n = left + rng.choice((" ", "  ", "\n")) + text, n + k
+        text = "(%s)" % text
+    while rng.random() < 0.4:
+        if n <= 48 and rng.random() < 0.5:
+            power = rng.randint(-3, 3)
+            text, n = text + "^%d" % power, n * abs(power)
+        else:
+            text += "'"
+    return text, n
+
+
+def test_parser_agrees_with_the_reference_on_deeply_nested_words():
+    rng = random.Random(40)
+    depths = []
+    for _ in range(3000):
+        text, n = _nested_text(rng, rng.randint(0, 40))
+        letters = Word.parse(text).letters
+        assert len(letters) == n and letters == reference_parse(text).letters, text
+        depths.append(text.count("(") + text.count("["))
+    assert max(depths) >= 40
+
+
+def test_deep_nesting_needs_no_recursion():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        assert Word.parse("(" * 100000 + "m1" + ")" * 100000) == Word.gen("m1")
+        assert Word.parse("(" * 10000 + "1" + ")'^2" * 10000) == IDENTITY
+        assert Word.parse("((m1)'^2 " * 10000 + "1" + ")" * 10000) == \
+            Word.parse("m1'") ** 20000
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_letter_budget_boundary(monkeypatch):
+    assert len(Word.parse("m1^%d" % MAX_LETTERS)) == MAX_LETTERS
+    assert len(Word.parse("m1^-%d" % MAX_LETTERS)) == MAX_LETTERS
+    assert len(Word.gen("m1") ** -MAX_LETTERS) == MAX_LETTERS
+    for text in ("m1^%d" % (MAX_LETTERS + 1), "m1 m1^%d" % MAX_LETTERS,
+                 "(m1 m2)^%d" % (MAX_LETTERS // 2 + 1),
+                 "[m1^%d,m2]" % (MAX_LETTERS // 2)):
+        with pytest.raises(BudgetExceeded, match="letter limit of %d " % MAX_LETTERS):
+            Word.parse(text)
+    for n in (MAX_LETTERS + 1, -MAX_LETTERS - 1):
+        with pytest.raises(BudgetExceeded):
+            Word.gen("m1") ** n
+    with pytest.raises(BudgetExceeded):
+        Word.parse("m1 m2") ** (MAX_LETTERS // 2 + 1)
+    # [u,v] has 2|u| + 2|v| letters, counted with the letters around it
+    monkeypatch.setattr(mgk.words, "MAX_LETTERS", 20)
+    assert len(Word.parse("[m1^4,m2 m3 m1^4]")) == 20
+    assert len(Word.parse("m3 m3 [m1^4,m2 m3 m1^3]")) == 20
+    for text in ("[m1^4,m2 m3 m1^4 m2]", "m3 [m1^4,m2 m3 m1^4]",
+                 "m3 m3 m3 [m1^4,m2 m3 m1^3]", "m1^21", "m1 " * 21):
+        with pytest.raises(BudgetExceeded):
+            Word.parse(text)
+
+
+@pytest.mark.parametrize("text", [
+    "m1^1000 " * 100, "(m1^1000 m2)" * 100, "[m1^500,m2] " * 100,
+    "(m2 [m1^300,m2^199]^-2)' m1^1000", "(" * 50 + "m1^1000" + ")" * 50 + " m1"],
+    ids=["powers", "groups", "commutators", "commutator-power", "last-letter"])
+def test_budget_refuses_before_building(monkeypatch, text):
+    # each text is refused as soon as it would hold over 1000 letters;
+    # checked only as a whole, the first three would build 10^5 letters
+    monkeypatch.setattr(mgk.words, "MAX_LETTERS", 1000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            Word.parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100000 + 2 * len(text)
+
+
+def test_empty_powers_allocate_nothing():
+    assert Word.parse("1^99999999999999999999 ()^-99999999999999999999") == IDENTITY
+    assert IDENTITY ** 10 ** 30 == IDENTITY
+
+
 def test_juxtaposed_names_are_one_token():
     # names are greedy: "m2m3" is a single (unknown) generator
     assert Word.parse("m2m3").letters == (("m2m3", 1),)
@@ -110,9 +209,19 @@ def test_product_length(u, v):
 
 
 def test_constructor_validates_exponents():
-    for bad in ((("m1", 2),), (("m1", 1), ("m2", 0))):
-        with pytest.raises(ValueError):
+    for bad in ((("m1", 2),), (("m1", 1), ("m2", 0)), (("m1", 1.0),),
+                (("m1", 1), ("m2", True)), (("m1", -1.0),)):
+        with pytest.raises(ValueError, match="the int 1 or -1"):
             Word(bad)
+
+
+def test_constructor_validates_names():
+    for bad in ("a b", "", "1", "m1'", "[m1,m2]", 7, None):
+        with pytest.raises(ValueError, match="not a generator name"):
+            Word([("m1", 1), (bad, -1)])
+        with pytest.raises(ValueError, match="not a generator name"):
+            Word.gen(bad)
+    assert str(Word([("lambda", 1), ("Z09", -1)])) == "lambda Z09'"
 
 
 @given(words(), words())
