@@ -18,9 +18,9 @@ import os
 import sys
 
 from . import composition, gropes, links, milnor, verify
-from .errors import MgkError, ParseError
+from .errors import LinkFormatError, MgkError, ParseError
 from .ring import format_ring_element
-from .words import Word
+from .words import Word, bounded_int
 
 
 def _write(args, payload, text=None):
@@ -59,6 +59,16 @@ def _model(arg):
         if os.path.exists(arg):
             return links.load_link(arg)
         raise
+
+
+def _component(text):
+    """A component named by its 1-based position or by its name."""
+    if not text.isdecimal():  # isdigit() takes '²', which int() refuses
+        return text
+    index = bounded_int(text, sys.maxsize)
+    if index == sys.maxsize:  # no link has that many components
+        raise LinkFormatError("component index %s out of range" % text)
+    return index
 
 
 def _alphabet_for(words, gens):
@@ -146,9 +156,8 @@ def cmd_link(args):
     if args.action == "mu":
         if not args.index:
             raise MgkError("link mu needs --index i1,...,ik,j")
-        idx = [int(p) if p.strip().isdigit() else p.strip()
-               for p in args.index.split(",")]
-        key, value = "mu", links.mu_bar(model, idx)
+        key, value = "mu", links.mu_bar(
+            model, [_component(p.strip()) for p in args.index.split(",")])
     elif args.action == "trivial":
         key, value = "trivial", links.is_homotopically_trivial(model)
     else:

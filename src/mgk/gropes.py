@@ -39,11 +39,12 @@ the partner classes, hence at least the class of the original tree.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from itertools import repeat
 
 from .errors import TreeSyntaxError
-from .words import NAME, Word
+from .words import NAME, Word, bounded_int
 
 __all__ = [
     "GropeTree", "ClosedGropeTree", "LEAF", "parse_tree", "parse_closed_tree",
@@ -54,6 +55,7 @@ __all__ = [
 ]
 
 LEFT, RIGHT = 0, 1
+_TREE_MARKS = ("({", " ", "} {", "})")  # tree_text's marks (see _render)
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,9 +200,10 @@ def parse_closed_tree(text: str) -> ClosedGropeTree:
     return ClosedGropeTree(tree)
 
 
-def _render(tree: GropeTree, leaves, marks) -> str:
+def _render(tree: GropeTree, leaves, marks, texts=None) -> str:
     """Text of a tree: the next of `leaves` for each Leaf, and for a Surface
-    opening L middle R (separator L middle R)... closing, from `marks`."""
+    opening L middle R (separator L middle R)... closing, from `marks`, or
+    its text in `texts` (id of a Surface -> text) if it has one there."""
     opening, middle, separator, closing = marks
     parts = []
     stack = [tree]  # trees to write and the text between them, last first
@@ -210,6 +213,8 @@ def _render(tree: GropeTree, leaves, marks) -> str:
             parts.append(item)
         elif not item.pairs:
             parts.append(next(leaves))
+        elif texts and id(item) in texts:
+            parts.append(texts[id(item)])
         else:
             stack.append(closing)
             for left, right in reversed(item.pairs):
@@ -220,7 +225,7 @@ def _render(tree: GropeTree, leaves, marks) -> str:
 
 def tree_text(tree: GropeTree) -> str:
     """Canonical text; round-trips through parse_tree character-for-character."""
-    return _render(tree, repeat("*"), ("({", " ", "} {", "})"))
+    return _render(tree, repeat("*"), _TREE_MARKS)
 
 
 # -- class and tips ----------------------------------------------------------
@@ -267,7 +272,10 @@ def parse_tip_path(text: str):
         m = _STEP.match(part.strip())
         if not m:
             raise TreeSyntaxError("bad tip step %r; want e.g. 0L/1R" % part)
-        steps.append((int(m.group(1)), LEFT if m.group(2) == "L" else RIGHT))
+        index = bounded_int(m.group(1), sys.maxsize)
+        if index == sys.maxsize:  # no tree has that many pairs
+            raise ValueError("tip path %s leaves the tree" % text)
+        steps.append((index, LEFT if m.group(2) == "L" else RIGHT))
     return tuple(steps)
 
 
@@ -356,25 +364,11 @@ def dual_texts(closed: ClosedGropeTree, tips):
     texts = {}  # id of a partner -> its text, for this call only
     partners = {id(p): p for walk in walks for p in walk}
     for tree in sorted(partners.values(), key=lambda p: p.leaf_count):
-        parts = []
-        stack = [tree]  # as in _render, and rendered partners are copied
-        while stack:
-            item = stack.pop()
-            if type(item) is str:
-                parts.append(item)
-            elif id(item) in texts:
-                parts.append(texts[id(item)])
-            elif not item.pairs:
-                parts.append("*")
-            else:
-                stack.append("})")
-                for left, right in reversed(item.pairs):
-                    stack += (right, " ", left, "} {")
-                stack[-1] = "({"
-        texts[id(tree)] = "".join(parts)
+        texts[id(tree)] = _render(tree, repeat("*"), _TREE_MARKS, texts)
+    opening, middle, _, closing = _TREE_MARKS
     for walk in walks:  # a walk has a step: the body is a Surface
-        yield "({" * len(walk) + "* " + "}) ".join(
-            [texts[id(p)] for p in walk]) + "})"
+        yield opening * len(walk) + "*" + middle + (closing + middle).join(
+            [texts[id(p)] for p in walk]) + closing
 
 
 # -- isomorphism and re-rooting ----------------------------------------------

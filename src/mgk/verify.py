@@ -2,13 +2,12 @@
 
 Every sweep draws from a random.Random seeded by the run seed and the
 section name, so identical configurations produce byte-identical JSON
-reports.  The generator guard keeps ring ranks bounded (the rank grows
-superexponentially in the number of variables).
+reports.  Each draw bounds its own alphabet, since the ring rank grows
+superexponentially in the number of variables.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -19,16 +18,7 @@ from .sampling import (random_closed_tree, random_grope_tree,
                        random_ring_element, random_word)
 from .words import Word, commutator
 
-__all__ = ["RunConfig", "run_all", "report", "GUARD_ENV", "generator_guard"]
-
-GUARD_ENV = "MGK_MAX_GENERATORS"
-
-
-def generator_guard() -> int:
-    try:
-        return max(1, int(os.environ.get(GUARD_ENV, "8")))
-    except ValueError:
-        return 8
+__all__ = ["RunConfig", "run_all", "report"]
 
 
 @dataclass
@@ -42,13 +32,9 @@ class RunConfig:
             raise ValueError("trials must be >= 1")
         if self.max_generators < 1:
             raise ValueError("max_generators must be >= 1")
-        self.max_generators = min(self.max_generators, generator_guard())
 
     def rng(self, section: str) -> random.Random:
         return random.Random("%d/%s" % (self.seed, section))
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _case(name, trials, failures, witness=None):
@@ -111,7 +97,7 @@ def _draw_conjugate(rng, config):
 
 def _draw_class_tree(rng, config):
     k = rng.randint(1, 6)
-    tips_cap = max(2, min(8, config.max_generators + 2))
+    tips_cap = min(8, config.max_generators + 2)
     return (random_grope_tree(rng, k, max_tips=tips_cap), k)
 
 
@@ -307,7 +293,7 @@ def report(command: str, config: RunConfig, sections) -> dict:
     failed = sum(c["status"] == "fail" for c in cases)
     return {
         "command": command,
-        "config": config.as_dict(),
+        "config": asdict(config),
         "cases": cases,
         "summary": {"total": len(cases), "passed": len(cases) - failed,
                     "failed": failed,

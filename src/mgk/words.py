@@ -34,6 +34,17 @@ def _check_names(names):
             raise ValueError("%r is not a generator name" % (g,))
 
 
+def bounded_int(digits: str, cap: int) -> int:
+    """min(int(digits), cap) for decimal digits of any script and number.
+
+    Leading zeros are dropped and no more digits than cap has reach int(),
+    so a long string never meets Python's limit on int() of a str."""
+    if not digits.isascii():
+        digits = "".join(str(int(c)) for c in digits)
+    digits = digits.lstrip("0")
+    return cap if len(digits) > len(str(cap)) else min(int(digits or 0), cap)
+
+
 def _check_length(n):
     """Refuse a word of n letters if n is over the letter budget."""
     if n > MAX_LETTERS:
@@ -166,7 +177,8 @@ def _parse(text):
                 factor = _inverse(factor)
             if i == end or not tokens[i].isdigit():
                 _raise_syntax("expected an integer after ^", text, i)
-            count = int(tokens[i])
+            # every count over the letter budget reads as MAX_LETTERS + 1
+            count = bounded_int(tokens[i], MAX_LETTERS + 1)
             i += 1
             if count and factor:
                 _check_length(len(letters) + (count - 1) * len(factor))

@@ -9,6 +9,7 @@ import pytest
 import mgk.cli
 import mgk.gropes
 import mgk.words
+from mgk import verify
 from mgk.cli import main
 from mgk.gropes import tree_text
 from mgk.links import catalog, save_link
@@ -508,15 +509,72 @@ def test_verify_all_subprocess_matches_inprocess(capsys):
     assert proc.stdout == out
 
 
-def test_verify_respects_generator_guard(capsys, monkeypatch):
+def test_verify_draws_ignore_the_environment_and_large_max_generators(
+        capsys, monkeypatch):
+    # each draw bounds its own alphabet, so no environment variable caps
+    # max_generators, and every value from 6 up draws the default's samples
     monkeypatch.setenv("MGK_MAX_GENERATORS", "3")
     code, out, _ = run(capsys, "verify", "all", "--trials", "5", "--seed", "2",
-                       "--json")
+                       "--json", "--max-generators", "20")
     assert code == 0
-    assert json.loads(out)["config"]["max_generators"] == 3
+    assert json.loads(out)["config"]["max_generators"] == 20
+
+    def samples(max_generators):
+        config = verify.RunConfig(seed=2, trials=20,
+                                  max_generators=max_generators)
+        drawn = []
+        for section, _, draw, _, _ in verify._SWEEPS:
+            rng = config.rng(section)
+            drawn += [", ".join(map(str, draw(rng, config)))
+                      for _ in range(config.trials)]
+        return drawn
+
+    assert samples(20) == samples(6) == samples(7) != samples(3)
 
 
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["grope"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("trials, max_generators, message", [
+    (0, 6, "trials must be >= 1"), (5, 0, "max_generators must be >= 1")])
+def test_run_config_refuses_nonpositive_counts(capsys, trials, max_generators,
+                                               message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        verify.RunConfig(trials=trials, max_generators=max_generators)
+    code, out, err = run(capsys, "verify", "all", "--trials", str(trials),
+                         "--max-generators", str(max_generators))
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["milnor", "equal", "m1"], "milnor equal takes two words, got 1"),
+    (["link", "mu", "borromean"], "link mu needs --index i1,...,ik,j"),
+    (["link", "mu", "borromean", "--index", "\u00b2,1"],
+     "unknown component '\u00b2'"),
+    (["link", "mu", "borromean", "--index", "9" * 5000 + ",1"],
+     "component index %s out of range" % ("9" * 5000)),
+    (["grope", "duals", "({* *})", "--tip", "9" * 5000 + "L"],
+     "tip path %sL leaves the tree" % ("9" * 5000)),
+    (["milnor", "expand", "m1^" + "9" * 5000],
+     "word longer than the letter limit of 4194304 letters"),
+], ids=["equal-one-word", "mu-no-index", "mu-superscript", "mu-long-index",
+        "duals-long-tip", "expand-long-power"])
+def test_argument_errors_are_one_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("argv, answer", [
+    (["milnor", "expand", "m1^" + "0" * 5000 + "1"], "1 + y1"),
+    (["milnor", "expand", "1^" + "9" * 5000], "1"),
+    (["grope", "duals", "({* *})", "--tip", "0" * 5000 + "L"],
+     "class 2, rank 2\ntip 0L         class 2   2 >= 2 ok    ({* *})"),
+    (["link", "mu", "borromean", "--index", "0" * 5000 + "2,3,1"], "1"),
+], ids=["zeros-power", "identity-long-power", "zeros-tip", "zeros-index"])
+def test_long_digit_strings_answer(capsys, argv, answer):
+    # Python's int() of a str stops at 4300 digits; no parser meets that limit
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, answer + "\n", "")

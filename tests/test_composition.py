@@ -67,6 +67,14 @@ def test_compose_errors():
     with pytest.raises(CompositionError,
                        match="the ambient link cannot be a solid-torus pattern"):
         CompositionSpec(catalog("bing_double"), catalog("core"))
+    same_name = SolidTorusLink(("l1",), ("z1",), (Word(),), wedge=Word())
+    with pytest.raises(CompositionError, match="^component names collide$"):
+        CompositionSpec(lhat, same_name)
+    core_m1 = SolidTorusLink(("q1",), ("z1",), (Word(),), wedge=Word(),
+                             core_symbol="m1")
+    with pytest.raises(CompositionError,
+                       match="^core symbol clashes with the ambient link$"):
+        CompositionSpec(lhat, core_m1)
 
 
 def test_compose_target_choice():

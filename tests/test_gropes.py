@@ -53,6 +53,8 @@ def test_parse_errors():
         with pytest.raises(TreeSyntaxError) as err:
             parse_tree(text)
         assert err.value.position == pos
+    with pytest.raises(TreeSyntaxError, match=r"^expected '\}' \(at position 6\)$"):
+        parse_tree("({* * *})")
 
 
 def test_closed_rejects_leaf_body():
@@ -127,6 +129,10 @@ def test_tip_paths_resolve():
         assert parse_tip_path(format_tip_path(tip)) == tip
         assert dual_class(closed, tip) == reference_dual_class(closed, tip)
     assert parse_tip_path("0L/0R") == ((0, 0), (0, 1))
+    assert parse_tip_path("0" * 5000 + "L/00R") == ((0, 0), (0, 1))
+    huge = "9" * 5000 + "R"
+    with pytest.raises(ValueError, match="^tip path 0L/%s leaves the tree$" % huge):
+        parse_tip_path("0L/" + huge)
     for bad in (((0, 0),), ((0, 0), (0, 0), (0, 0)), ((1, 0),), ((-1, 1),),
                 ((0, 2),)):
         with pytest.raises(ValueError):  # stops at a Surface or leaves the tree

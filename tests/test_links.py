@@ -83,6 +83,8 @@ def test_catalog_names():
     assert catalog("bing_double").longitude("q2") == Word.parse("[lambda,z1]")
     with pytest.raises(LinkFormatError):
         catalog("granny")
+    with pytest.raises(LinkFormatError, match="^unknown component 'l4'$"):
+        catalog("borromean").index_of("l4")
     with pytest.raises(LinkFormatError):
         catalog("unlink(0)")
 

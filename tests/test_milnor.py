@@ -192,6 +192,12 @@ def test_r_map_rejects_distinguished_variable():
         r_map(Ring(A3).gen("m3"), A3)
 
 
+def test_r_map_needs_the_distinguished_generator():
+    with pytest.raises(ValueError,
+                       match="^alphabet must contain the distinguished generator$"):
+        r_map(Ring(()).one, ())
+
+
 def test_r_inverse_examples():
     assert r_inverse(Word.gen("m3"), A3) == 1
     assert r_inverse(Word.parse("[m2,m3]"), A3) == Ring(A3[:-1]).gen("m2")

@@ -222,6 +222,14 @@ def test_basis_rank():
     assert basis_rank(0) == 1
     assert basis_rank(2) == 5
     assert basis_rank(3) == 16
+    with pytest.raises(ValueError, match="^variable count must be >= 0$"):
+        basis_rank(-1)
+
+
+def test_ring_variables_are_distinct():
+    with pytest.raises(ValueError,
+                       match=r"^duplicate ring variables: \('m1', 'm1'\)$"):
+        Ring(("m1", "m1"))
 
 
 def test_formatting():

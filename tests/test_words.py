@@ -188,6 +188,31 @@ def test_empty_powers_allocate_nothing():
     assert IDENTITY ** 10 ** 30 == IDENTITY
 
 
+def test_long_exponents_are_never_converted_whole():
+    # int() of a str refuses more than 4300 digits; the parser strips
+    # leading zeros, and a longer exponent of a non-empty factor is over
+    # the letter budget whatever its digits
+    zeros, nines = "0" * 5000, "9" * 5000
+    assert Word.parse("m1^%s1" % zeros) == Word.gen("m1")
+    assert Word.parse("m1^-%s2 m2^%s" % (zeros, zeros)) == Word.parse("m1'^2")
+    assert Word.parse("1^%s ()^-%s" % (nines, nines)) == IDENTITY
+    assert len(Word.parse("m1^%s%d" % (zeros, MAX_LETTERS))) == MAX_LETTERS
+    for text in ("m1^" + nines, "[m1,m2]^" + nines,
+                 "m1^%s%d" % (zeros, MAX_LETTERS + 1)):
+        with pytest.raises(BudgetExceeded, match="letter limit"):
+            Word.parse(text)
+
+
+@pytest.mark.parametrize("digits, cap, value", [
+    ("0", 5, 0), ("", 5, 0), ("0007", 10, 7), ("11", 10, 10),
+    ("9" * 5000, 10, 10), ("0" * 5000 + "3", 10, 3),
+    ("\u0663\u0660", 100, 30), ("\u0660" * 50 + "\u0661", 5, 1),
+], ids=["zero", "empty", "leading-zeros", "over-cap", "long-over-cap",
+        "long-zeros", "arabic-indic", "arabic-indic-zeros"])
+def test_bounded_int(digits, cap, value):
+    assert mgk.words.bounded_int(digits, cap) == value
+
+
 def test_juxtaposed_names_are_one_token():
     # names are greedy: "m2m3" is a single (unknown) generator
     assert Word.parse("m2m3").letters == (("m2m3", 1),)
