@@ -78,7 +78,10 @@ def _alphabet_for(words, gens):
     for word in words:
         for g, _ in word.letters:
             if g.startswith("m") and g[1:].isdigit():
-                top = max(top, int(g[1:]))
+                index = bounded_int(g[1:], sys.maxsize)
+                if index == sys.maxsize:  # no alphabet has that many generators
+                    raise MgkError("generator %s out of range" % g)
+                top = max(top, index)
     return milnor.default_alphabet(top)
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from .errors import NotInKernelError, UnknownGeneratorError
 from .ring import Ring, RingElement, basis_rank, format_ring_element, scan
-from .words import Word, commutator
+from .words import IDENTITY, Word, commutator
 
 __all__ = [
     "magnus", "magnus_coefficient", "normal_form", "words_equal", "MilnorElement",
@@ -52,9 +52,12 @@ def default_alphabet(s: int, prefix: str = "m") -> tuple[str, ...]:
 
 
 def _positions(word: Word, alphabet) -> list:
-    """The word's letters as (variable position, exponent) pairs; the first
+    """The word's letters as (variable position, exponent) pairs; an
+    alphabet that repeats a generator raises ValueError, and the first
     generator, in word order, that is not in the alphabet raises."""
     pos = {g: i for i, g in enumerate(alphabet)}
+    if len(pos) != len(alphabet):
+        raise ValueError("the alphabet %r repeats a generator" % (tuple(alphabet),))
     try:
         return [(pos[g], e) for g, e in word.letters]
     except KeyError as exc:
@@ -172,6 +175,7 @@ def r_map(rho: RingElement, alphabet) -> Word:
     alphabet = tuple(alphabet)
     if not alphabet:
         raise ValueError("alphabet must contain the distinguished generator")
+    _positions(IDENTITY, alphabet)  # refuses a repeated generator
     last = alphabet[-1]
     extra = sorted(set(rho.ring.variables) - set(alphabet[:-1]))
     if extra:

@@ -51,14 +51,13 @@ def variable_display(name: str) -> str:
 class Ring:
     """R over an ordered tuple of named variables."""
 
-    __slots__ = ("variables", "width", "_pos", "_mask")
+    __slots__ = ("variables", "width", "_mask")
 
     def __init__(self, variables):
         self.variables = tuple(variables)
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate ring variables: %r" % (self.variables,))
         self.width = len(self.variables).bit_length()
-        self._pos = {v: i for i, v in enumerate(self.variables)}
         self._mask = (1 << len(self.variables)) - 1
 
     def __repr__(self):
@@ -105,9 +104,9 @@ class Ring:
         if len(set(names)) != len(names):
             raise ValueError("monomial repeats a variable: %r" % (names,))
         for v in names:
-            if v not in self._pos:
+            if v not in self.variables:
                 raise UniverseMismatchError("%r is not a variable of %r" % (v, self))
-        return self.pack(map(self._pos.__getitem__, names))
+        return self.pack(map(self.variables.index, names))
 
     def element(self, terms) -> RingElement:
         """Build an element from a {names: coefficient} mapping."""
@@ -169,7 +168,7 @@ class RingElement:
         if missing:
             raise UniverseMismatchError(
                 "cannot embed: variables %s missing from %r" % (sorted(missing), ring))
-        to = tuple(map(ring._pos.__getitem__, self.ring.variables)).__getitem__
+        to = tuple(map(ring.variables.index, self.ring.variables)).__getitem__
         return RingElement(ring, {ring.pack(map(to, self.ring.positions(m))): c
                                   for m, c in self.terms.items()})
 
@@ -205,9 +204,6 @@ class RingElement:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return RingElement(self.ring, {m: c * other for m, c in self.terms.items()
-                                           if other})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -230,10 +226,7 @@ class RingElement:
                     del out[mono]
         return RingElement(self.ring, out)
 
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__  # only for int * element, and integers are central
 
     def __str__(self):
         return format_ring_element(self)

@@ -12,9 +12,9 @@ NAME is alphanumeric starting with a letter (m1, z2, lambda, ...),
 postfix ' inverts, [u,v] is the commutator u v u' v', juxtaposition is
 the product.  The parser makes one pass over the tokens with an explicit
 stack of open brackets, so it needs no recursion at any depth.  No word
-that `Word.parse` or `**` builds has more than `MAX_LETTERS` letters (the
-letter budget): each refuses a longer one with `BudgetExceeded` before
-allocating it.
+that `Word.parse`, `*`, `**` or `substitute` builds has more than
+`MAX_LETTERS` letters (the letter budget): each refuses a longer one with
+`BudgetExceeded` before allocating it.
 """
 
 from __future__ import annotations
@@ -84,6 +84,7 @@ class Word:
         return len(self.letters)
 
     def __mul__(self, other: "Word") -> "Word":
+        _check_length(len(self.letters) + len(other.letters))
         return Word._trusted(self.letters + other.letters)
 
     def __invert__(self) -> "Word":
@@ -107,6 +108,8 @@ class Word:
 
     def substitute(self, name: str, replacement: "Word") -> "Word":
         """Replace every occurrence of name^(+-1) by replacement^(+-1)."""
+        hits = sum(g == name for g, _ in self.letters)
+        _check_length(len(self.letters) + hits * (len(replacement.letters) - 1))
         out, inverse = [], (~replacement).letters
         for g, e in self.letters:
             if g == name:

@@ -8,14 +8,17 @@ import pytest
 
 import mgk.cli
 import mgk.gropes
+import mgk.milnor
 import mgk.words
 from mgk import verify
 from mgk.cli import main
 from mgk.gropes import tree_text
 from mgk.links import catalog, save_link
+from mgk.milnor import default_alphabet
 from mgk.words import Word
 
 from helpers import conjugated_relator, shuffled_chain
+from test_composition import over_budget_composition
 from test_links import BAD_LINK_JSON
 
 
@@ -578,3 +581,34 @@ def test_long_digit_strings_answer(capsys, argv, answer):
     # Python's int() of a str stops at 4300 digits; no parser meets that limit
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (0, answer + "\n", "")
+
+
+@pytest.mark.parametrize("action", ["expand", "nf", "equal", "lcs-degree", "rinv"])
+@pytest.mark.parametrize("name, message", [
+    ("m" + "1" * 4400, "generator m%s out of range" % ("1" * 4400)),
+    ("m" + "9" * 19, "generator m%s out of range" % ("9" * 19)),
+    ("m" + "0" * 5000 + "2", "generator 'm%s2' is not in the alphabet "
+     "('m1', 'm2')" % ("0" * 5000)),
+], ids=["4400-digits", "past-maxsize", "leading-zeros"])
+def test_inferred_alphabets_read_long_generator_indices(capsys, monkeypatch,
+                                                        action, name, message):
+    # the inferred alphabet never meets Python's limit on int() of a str;
+    # a lost refusal would build sys.maxsize names, so the test stops that
+    def small_alphabet(s, prefix="m"):
+        assert s < 10 ** 6, "an alphabet of %d generators" % s
+        return default_alphabet(s, prefix)
+    monkeypatch.setattr(mgk.milnor, "default_alphabet", small_alphabet)
+    words = [name] * (2 if action == "equal" else 1)
+    code, out, err = run(capsys, "milnor", action, *words)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+    assert "set_int_max_str_digits" not in err
+
+
+def test_compose_over_the_letter_budget_is_one_error_line(capsys, tmp_path):
+    lhat, q = over_budget_composition()
+    save_link(lhat, tmp_path / "lhat.json")
+    save_link(q, tmp_path / "q.json")
+    code, out, err = run(capsys, "compose", str(tmp_path / "lhat.json"),
+                         str(tmp_path / "q.json"))
+    assert (code, out, err) == (
+        2, "", "error: word longer than the letter limit of 4194304 letters\n")

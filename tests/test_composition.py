@@ -5,7 +5,7 @@ import pytest
 from mgk.composition import (Certificate, CompositionSpec, compose,
                              essentiality_certificate, verify_sigma,
                              wedge_ring_element)
-from mgk.errors import CompositionError, NotInKernelError
+from mgk.errors import BudgetExceeded, CompositionError, NotInKernelError
 from mgk.links import (LinkModel, SolidTorusLink, catalog,
                        is_homotopically_trivial, mu_bar)
 from mgk.milnor import r_inverse, r_map
@@ -75,6 +75,23 @@ def test_compose_errors():
     with pytest.raises(CompositionError,
                        match="^core symbol clashes with the ambient link$"):
         CompositionSpec(lhat, core_m1)
+
+
+def over_budget_composition():
+    """Two inputs within the letter budget whose composition is not: the
+    first longitude, m2^2100 with each m2 a 2400-letter wedge word, would
+    have 5,040,000 letters."""
+    lhat = LinkModel(("l1", "l2"), ("m1", "m2"),
+                     (Word.parse("m2^2100"), Word.parse("m1^2100")))
+    bing = catalog("bing_double")
+    q = SolidTorusLink(bing.components, bing.meridians, bing.longitudes,
+                       wedge=Word.parse("[z1,z2]^600"))
+    return lhat, q
+
+
+def test_compose_is_in_the_letter_budget():
+    with pytest.raises(BudgetExceeded, match="letter limit of 4194304 letters"):
+        compose(CompositionSpec(*over_budget_composition()))
 
 
 def test_compose_target_choice():

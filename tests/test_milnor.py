@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -190,6 +191,25 @@ def test_r_map_base_cases():
 def test_r_map_rejects_distinguished_variable():
     with pytest.raises(UnknownGeneratorError):
         r_map(Ring(A3).gen("m3"), A3)
+
+
+def test_a_repeated_generator_is_refused():
+    # the prefix rings of the tower and the kernel generator never see the
+    # whole alphabet, so each function refuses it before it reads a letter
+    aba = ("a", "b", "a")
+    message = r"^the alphabet \('a', 'b', 'a'\) repeats a generator$"
+    word = Word.parse("a b a' b'")
+    for call in (lambda: magnus(word, aba), lambda: normal_form(word, aba),
+                 lambda: words_equal(word, word, aba),
+                 lambda: r_inverse(word, aba), lambda: lcs_degree(word, aba),
+                 lambda: r_map(Ring(("a", "b")).gen("b"), aba)):
+        with pytest.raises(ValueError, match=message):
+            call()
+    # repeats that only the kernel generator sees
+    with pytest.raises(ValueError, match="repeats a generator"):
+        normal_form(Word.parse("a"), ("a", "a"))
+    with pytest.raises(ValueError, match="repeats a generator"):
+        r_map(Ring(("a",)).gen("a"), ("a", "a"))
 
 
 def test_r_map_needs_the_distinguished_generator():
@@ -384,3 +404,20 @@ def test_magnus_coefficient_is_one_coefficient_of_magnus():
     assert magnus_coefficient(word, ()) == 1
     with pytest.raises(ValueError):
         magnus_coefficient(word, ("m1", "m2", "m1"))
+
+
+def test_the_tower_costs_memory_linear_in_the_alphabet():
+    # the s prefix rings hold s^2/2 names in all; a name table per ring
+    # would add as many dict entries (a 110 MB peak); the tuples take 16 MB
+    alphabet = default_alphabet(2000)
+    tracemalloc.start()
+    try:
+        lines = normal_form(Word.parse("m2000"), alphabet).describe()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20
+    assert len(lines) == 2000
+    assert lines[0] == "m2000-part: 1"
+    assert lines[1:-1] == ["m%d-part: 0" % j for j in range(1999, 1, -1)]
+    assert lines[-1] == "m1-exponent: 0"

@@ -183,6 +183,30 @@ def test_budget_refuses_before_building(monkeypatch, text):
     assert peak < 100000 + 2 * len(text)
 
 
+def test_products_and_substitutions_are_in_the_letter_budget(monkeypatch):
+    half = Word.parse("m1^2097153")  # two of them are 4 letters over budget
+    with pytest.raises(BudgetExceeded, match="letter limit of %d " % MAX_LETTERS):
+        half * half
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):  # 5,040,000 letters
+            Word.parse("m2^2100").substitute("m2", Word.parse("[z1,z2]^600"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100000  # refused before any letter is copied
+    monkeypatch.setattr(mgk.words, "MAX_LETTERS", 20)
+    assert len(Word.parse("m1^9") * Word.parse("m2^11")) == 20
+    with pytest.raises(BudgetExceeded):
+        Word.parse("m1^10") * Word.parse("m2^11")
+    w = Word.parse("m1 m2 m1'")
+    assert len(w.substitute("m1", Word.parse("z1^9"))) == 19
+    assert len(w.substitute("m3", Word.parse("z1^20"))) == 3  # no occurrence
+    assert len(Word.parse("m1^20").substitute("m1", IDENTITY)) == 0
+    with pytest.raises(BudgetExceeded):
+        w.substitute("m1", Word.parse("z1^10"))
+
+
 def test_empty_powers_allocate_nothing():
     assert Word.parse("1^99999999999999999999 ()^-99999999999999999999") == IDENTITY
     assert IDENTITY ** 10 ** 30 == IDENTITY
