@@ -28,7 +28,7 @@ from .gropes import (LEAF, ClosedGropeTree, GropeTree, boundary_expression,
                      dual_tree, export_dot, format_tip_path, free_tips,
                      grope_class, is_isomorphic, leaf_paths,
                      parse_closed_tree, parse_tip_path, parse_tree, rerooted,
-                     tree_text)
+                     tip_duals, tree_text)
 from .links import (LinkModel, SolidTorusLink, catalog, catalog_names,
                     delete_component, is_almost_trivial,
                     is_homotopically_trivial, link_from_dict, link_to_dict,

@@ -72,12 +72,14 @@ def _component(text):
 
 
 def _alphabet_for(words, gens):
+    """m1..mK for the largest K named as mK; m02 is not m2, so a zero-padded
+    index sizes nothing."""
     if gens is not None:
         return milnor.default_alphabet(gens)
     top = 1
     for word in words:
         for g, _ in word.letters:
-            if g.startswith("m") and g[1:].isdigit():
+            if g.startswith("m") and g[1:].isdigit() and g[1] != "0":
                 index = bounded_int(g[1:], sys.maxsize)
                 if index == sys.maxsize:  # no alphabet has that many generators
                     raise MgkError("generator %s out of range" % g)
@@ -91,12 +93,20 @@ def cmd_grope(args):
     if args.action == "duals":
         closed = gropes.parse_closed_tree(args.tree)
         k = gropes.grope_class(closed.body)
-        tips = ([gropes.parse_tip_path(args.tip)] if args.tip
-                else gropes.free_tips(closed))
+        if args.tip is None:
+            duals = gropes.tip_duals(closed)
+        else:  # '' parses to the root, which dual_texts refuses as no tip
+            tip = gropes.parse_tip_path(args.tip)
+            duals = zip([tip], [gropes.format_tip_path(tip)],
+                        gropes.dual_texts(closed, [tip]))
         rows = []
-        for tip, text in zip(tips, gropes.dual_texts(closed, tips)):
+        for tip, path, text in duals:
+            # the walk has each tip's partners, but the benchmark tracer times
+            # the duals layer only through dual_tree and dual_class, so the
+            # class keeps its own path walk until the tracer stops pinning
+            # names (ROADMAP item 3)
             dc = gropes.dual_class(closed, tip)
-            rows.append({"tip": gropes.format_tip_path(tip),
+            rows.append({"tip": path,
                          "dual": text,
                          "class": dc,
                          "bound": "%d >= %d %s" % (dc, k, "ok" if dc >= k else "VIOLATED")})

@@ -34,6 +34,10 @@ pair, then re-root at the chosen tip.  The result is a chain of genus-1
 surfaces (the path) carrying the retained partner subtrees, ending at the
 leaf that used to be the extra root edge.  Its class is 1 plus the sum of
 the partner classes, hence at least the class of the original tree.
+No dual tree is needed for its text, which strings the partner texts on a
+chain: `tip_duals` lists every tip's dual from one depth-first walk that
+keeps the current path's steps, step texts and partners on live stacks,
+the walk that `leaf_paths` reads its tips from.
 """
 
 from __future__ import annotations
@@ -50,8 +54,8 @@ __all__ = [
     "GropeTree", "ClosedGropeTree", "LEAF", "parse_tree", "parse_closed_tree",
     "tree_text", "grope_class", "leaf_paths", "free_tips",
     "boundary_word", "boundary_expression", "dual_tree", "dual_class",
-    "dual_texts", "canonical", "is_isomorphic", "rerooted", "format_tip_path",
-    "parse_tip_path", "export_dot",
+    "dual_texts", "tip_duals", "canonical", "is_isomorphic", "rerooted",
+    "format_tip_path", "parse_tip_path", "export_dot",
 ]
 
 LEFT, RIGHT = 0, 1
@@ -235,20 +239,31 @@ def grope_class(tree: GropeTree) -> int:
     return tree.tree_class
 
 
-def leaf_paths(tree: GropeTree):
-    """Every Leaf position in depth-first order, as (pair, side) steps."""
-    out = []
-    stack = [(tree, ())]
+def _tip_walk(tree: GropeTree):
+    """At each Leaf, in depth-first order, the live stacks of the path to
+    it: its (pair, side) steps, their texts ("0L") and the partner of the
+    traversed child at each step.  The lists change as the walk goes on."""
+    steps, step_texts, partners = [], [], []
+    stack = [(tree, 0, None, None, None)]  # (node, depth, step, text, partner)
     while stack:
-        node, path = stack.pop()
+        node, depth, step, text, partner = stack.pop()
+        if depth:  # leave the previous path at this node's parent
+            del steps[depth - 1:], step_texts[depth - 1:], partners[depth - 1:]
+            steps.append(step)
+            step_texts.append(text)
+            partners.append(partner)
         if not node.pairs:
-            out.append(path)
+            yield steps, step_texts, partners
             continue
         for i in range(len(node.pairs) - 1, -1, -1):
             left, right = node.pairs[i]
-            stack.append((right, path + ((i, RIGHT),)))
-            stack.append((left, path + ((i, LEFT),)))
-    return tuple(out)
+            stack.append((right, depth + 1, (i, RIGHT), "%dR" % i, left))
+            stack.append((left, depth + 1, (i, LEFT), "%dL" % i, right))
+
+
+def leaf_paths(tree: GropeTree):
+    """Every Leaf position in depth-first order, as (pair, side) steps."""
+    return tuple(tuple(steps) for steps, _, _ in _tip_walk(tree))
 
 
 def free_tips(closed: ClosedGropeTree):
@@ -348,27 +363,56 @@ def dual_class(closed: ClosedGropeTree, tip) -> int:
     return 1 + sum(p.tree_class for p in _path_partners(closed, tip))
 
 
+def _partner_texts(partners):
+    """id -> text of each tree in `partners`, rendered once each, fewest
+    leaves first: a partner inside a larger one has fewer leaves, so the
+    larger one copies its text."""
+    texts = {}
+    for tree in sorted(partners, key=lambda p: p.leaf_count):
+        texts[id(tree)] = _render(tree, repeat("*"), _TREE_MARKS, texts)
+    return texts
+
+
+def _chain_text(partners, texts) -> str:
+    """The dual's text: its partners p1..pk, root to tip, folded into a
+    chain, "({" * k + "* " + text(p1) + "}) " + ... + text(pk) + "})"."""
+    opening, middle, _, closing = _TREE_MARKS
+    return (opening * len(partners) + "*" + middle
+            + (closing + middle).join(map(texts.__getitem__, map(id, partners)))
+            + closing)
+
+
 def dual_texts(closed: ClosedGropeTree, tips):
     """tree_text(dual_tree(closed, tip).body) for each tip, in order.
 
-    A dual folds the partners p1..pk, root to tip, into a chain, so its
-    text is "({" * k + "* " + text(p1) + "}) " + ... + text(pk) + "})", and
-    no dual tree is built.  The partners of all tips are rendered once
-    each, fewest leaves first: a partner inside a larger one has fewer
-    leaves, so the larger one copies its text.  With every free tip, every
-    subtree below the root is a partner and is built from its members'
-    texts; one tip's partners are disjoint, so each is rendered in full.
-    A bad tip raises the ValueError of dual_tree before any text.
+    No dual tree is built: each text is the chain of the tip's partner
+    texts, and the partners of all tips are rendered once each.  One
+    tip's partners are disjoint, so each is rendered in full.  A bad tip
+    raises the ValueError of dual_tree before any text.
     """
     walks = [_path_partners(closed, tip) for tip in tips]
-    texts = {}  # id of a partner -> its text, for this call only
-    partners = {id(p): p for walk in walks for p in walk}
-    for tree in sorted(partners.values(), key=lambda p: p.leaf_count):
-        texts[id(tree)] = _render(tree, repeat("*"), _TREE_MARKS, texts)
-    opening, middle, _, closing = _TREE_MARKS
+    texts = _partner_texts({id(p): p for walk in walks for p in walk}.values())
     for walk in walks:  # a walk has a step: the body is a Surface
-        yield opening * len(walk) + "*" + middle + (closing + middle).join(
-            [texts[id(p)] for p in walk]) + closing
+        yield _chain_text(walk, texts)
+
+
+def tip_duals(closed: ClosedGropeTree):
+    """(tip, format_tip_path(tip), dual text) for every free tip, in the
+    order of free_tips, from one depth-first walk.
+
+    Every subtree below the root is some tip's partner, so each is
+    rendered once up front; then a tip costs the length of its output.
+    """
+    subtrees = {}  # id -> every distinct subtree below the root
+    stack = [closed.body]
+    while stack:
+        for member in (m for pair in stack.pop().pairs for m in pair):
+            if id(member) not in subtrees:
+                subtrees[id(member)] = member
+                stack.append(member)
+    texts = _partner_texts(subtrees.values())
+    for steps, step_texts, partners in _tip_walk(closed.body):
+        yield tuple(steps), "/".join(step_texts), _chain_text(partners, texts)
 
 
 # -- isomorphism and re-rooting ----------------------------------------------

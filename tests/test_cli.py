@@ -46,23 +46,27 @@ def test_grope_boundary_rejects_names_that_are_not_generators(capsys, names):
 
 
 def test_grope_duals_builds_each_dual_once(capsys, monkeypatch):
-    # each tip is handled once: one class, and its text from dual_texts,
-    # with no dual tree built and no tree rendered node by node
-    calls = []
-    dual_class = mgk.gropes.dual_class
-    monkeypatch.setattr(mgk.gropes, "dual_class",
-                        lambda closed, tip: calls.append(tip) or dual_class(closed, tip))
+    # without --tip one walk lists every tip, its path text and its dual's
+    # text, and dual_class walks each tip's path once more for the class
+    # column; no dual tree is built and no tree is rendered node by node
+    walked = []
+    path_partners = mgk.gropes._path_partners
+    monkeypatch.setattr(mgk.gropes, "_path_partners", lambda closed, tip:
+                        walked.append(tip) or path_partners(closed, tip))
     monkeypatch.setattr(mgk.gropes, "dual_tree", None)  # a call would raise
     monkeypatch.setattr(mgk.gropes, "tree_text", None)
-    code, out, _ = run(capsys, "grope", "duals", "({({* *}) *} {* *})")
+    with monkeypatch.context() as patch:
+        for name in ("format_tip_path", "free_tips", "dual_texts"):
+            patch.setattr(mgk.gropes, name, None)
+        code, out, _ = run(capsys, "grope", "duals", "({({* *}) *} {* *})")
     assert code == 0 and out.count("tip ") == 5
-    assert [mgk.gropes.format_tip_path(tip) for tip in calls] == \
-        ["0L/0L", "0L/0R", "0R", "1L", "1R"]
-    calls.clear()
+    assert walked == [mgk.gropes.parse_tip_path(path) for path in
+                      ["0L/0L", "0L/0R", "0R", "1L", "1R"]]
+    walked.clear()
     code, out, _ = run(capsys, "grope", "duals", "({({* *}) *} {* *})",
                        "--tip", "0L/0R")
     assert code == 0 and out.endswith("3 >= 2 ok    ({({* *}) *})\n")
-    assert [mgk.gropes.format_tip_path(tip) for tip in calls] == ["0L/0R"]
+    assert walked == [((0, 0), (0, 1))] * 2  # its text, then its class
 
 
 @pytest.mark.parametrize("action, result", [
@@ -561,10 +565,16 @@ def test_run_config_refuses_nonpositive_counts(capsys, trials, max_generators,
      "component index %s out of range" % ("9" * 5000)),
     (["grope", "duals", "({* *})", "--tip", "9" * 5000 + "L"],
      "tip path %sL leaves the tree" % ("9" * 5000)),
+    # an empty path names the root, which is no tip, not every tip
+    (["grope", "duals", "({* *})", "--tip", ""],
+     "tip path  does not reach a Leaf"),
+    (["grope", "duals", "({* *})", "--tip", "   "],
+     "tip path  does not reach a Leaf"),
     (["milnor", "expand", "m1^" + "9" * 5000],
      "word longer than the letter limit of 4194304 letters"),
 ], ids=["equal-one-word", "mu-no-index", "mu-superscript", "mu-long-index",
-        "duals-long-tip", "expand-long-power"])
+        "duals-long-tip", "duals-empty-tip", "duals-blank-tip",
+        "expand-long-power"])
 def test_argument_errors_are_one_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", "error: %s\n" % message)
@@ -588,8 +598,9 @@ def test_long_digit_strings_answer(capsys, argv, answer):
     ("m" + "1" * 4400, "generator m%s out of range" % ("1" * 4400)),
     ("m" + "9" * 19, "generator m%s out of range" % ("9" * 19)),
     ("m" + "0" * 5000 + "2", "generator 'm%s2' is not in the alphabet "
-     "('m1', 'm2')" % ("0" * 5000)),
-], ids=["4400-digits", "past-maxsize", "leading-zeros"])
+     "('m1',)" % ("0" * 5000)),
+    ("m02", "generator 'm02' is not in the alphabet ('m1',)"),
+], ids=["4400-digits", "past-maxsize", "leading-zeros", "m02"])
 def test_inferred_alphabets_read_long_generator_indices(capsys, monkeypatch,
                                                         action, name, message):
     # the inferred alphabet never meets Python's limit on int() of a str;

@@ -10,7 +10,7 @@ from mgk.gropes import (LEAF, ClosedGropeTree, GropeTree, boundary_expression,
                         boundary_word, canonical, dual_class, dual_texts,
                         dual_tree, export_dot, format_tip_path, free_tips, grope_class,
                         is_isomorphic, leaf_paths, parse_closed_tree,
-                        parse_tip_path, parse_tree, rerooted,
+                        parse_tip_path, parse_tree, rerooted, tip_duals,
                         tree_text)
 from mgk.milnor import lcs_degree
 from mgk.sampling import random_closed_tree, random_grope_tree
@@ -293,6 +293,7 @@ def test_dual_texts_agree_with_the_dual_trees():
                                      max_tips=24)
         closed = ClosedGropeTree(tree)
         tips = free_tips(closed)
+        assert tips == reference_leaf_paths(tree)
         # every tip in order, then a few in any order, repeats allowed
         some = [rng.choice(tips) for _ in range(rng.randint(1, 4))]
         for chosen in (tips, some):
@@ -300,6 +301,11 @@ def test_dual_texts_agree_with_the_dual_trees():
             assert [(text, reference_dual_class(closed, tip))
                     for text, tip in zip(texts, chosen)] == \
                 [dual_text_oracle(closed, tip) for tip in chosen]
+        # and every tip from one walk, with its path text
+        assert [(tip, path, text, reference_dual_class(closed, tip))
+                for tip, path, text in tip_duals(closed)] == \
+            [(tip, format_tip_path(tip)) + dual_text_oracle(closed, tip)
+             for tip in tips]
         nodes = [tree]
         for node in nodes:
             nodes += [m for pair in node.pairs for m in pair if m.pairs]
@@ -314,8 +320,13 @@ def test_dual_texts_of_deep_chains(depth):
     for partner in partners[:1 if depth > 300 else 2]:  # 5x the tips
         closed = ClosedGropeTree(shuffled_chain(rng, depth, partner, LEAF))
         tips = free_tips(closed)
+        if depth <= 300:  # the reference recurses and copies each path
+            assert tips == reference_leaf_paths(closed.body)
         texts = list(dual_texts(closed, tips))
+        walk = list(tip_duals(closed))
         assert len(texts) == len(tips)
+        assert walk == [(tip, format_tip_path(tip), text)
+                        for tip, text in zip(tips, texts)]
         picked = range(len(tips))
         if depth > 40:  # the oracle renders every dual node by node
             picked = [0, len(tips) - 1] + rng.sample(picked, 20)
