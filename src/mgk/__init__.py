@@ -24,11 +24,11 @@ from .errors import (BudgetExceeded, CompositionError, LinkFormatError,
                      UniverseMismatchError, UnknownGeneratorError,
                      WordSyntaxError)
 from .gropes import (LEAF, ClosedGropeTree, GropeTree, boundary_expression,
-                     boundary_word, canonical, dual_class, dual_texts,
-                     dual_tree, export_dot, format_tip_path, free_tips,
-                     grope_class, is_isomorphic, leaf_paths,
-                     parse_closed_tree, parse_tip_path, parse_tree, rerooted,
-                     tip_duals, tree_text)
+                     boundary_word, canonical, dual_class, dual_tree,
+                     export_dot, format_tip_path, free_tips, grope_class,
+                     is_isomorphic, leaf_paths, parse_closed_tree,
+                     parse_tip_path, parse_tree, rerooted, tip_duals,
+                     tree_text)
 from .links import (LinkModel, SolidTorusLink, catalog, catalog_names,
                     delete_component, is_almost_trivial,
                     is_homotopically_trivial, link_from_dict, link_to_dict,

@@ -90,15 +90,18 @@ def _alphabet_for(words, gens):
 # -- subcommand handlers -------------------------------------------------------
 
 def cmd_grope(args):
+    for option, reader in (("names", "boundary"), ("tip", "duals"), ("closed", "dot")):
+        if getattr(args, option) not in (None, False) and args.action != reader:
+            raise MgkError("--%s is read only by grope %s" % (option, reader))
     if args.action == "duals":
         closed = gropes.parse_closed_tree(args.tree)
         k = gropes.grope_class(closed.body)
         if args.tip is None:
             duals = gropes.tip_duals(closed)
-        else:  # '' parses to the root, which dual_texts refuses as no tip
+        else:  # '' parses to the root, which dual_tree refuses as no tip
             tip = gropes.parse_tip_path(args.tip)
-            duals = zip([tip], [gropes.format_tip_path(tip)],
-                        gropes.dual_texts(closed, [tip]))
+            duals = [(tip, gropes.format_tip_path(tip),
+                      gropes.tree_text(gropes.dual_tree(closed, tip).body))]
         rows = []
         for tip, path, text in duals:
             # the walk has each tip's partners, but the benchmark tracer times
@@ -116,13 +119,13 @@ def cmd_grope(args):
         _write(args, {"command": "grope duals", "input": args.tree, "class": k,
                       "rank": closed.body.leaf_count, "duals": rows}, "\n".join(lines))
         return 0 if all(r["class"] >= k for r in rows) else 1
-    tree = (gropes.parse_closed_tree(args.tree) if args.action == "dot" and args.closed
+    tree = (gropes.parse_closed_tree(args.tree) if args.closed
             else gropes.parse_tree(args.tree))
     if args.action == "class":
         result = gropes.grope_class(tree)
     elif args.action == "boundary":
-        names = [n.strip() for n in args.names.split(",")] if args.names else \
-            milnor.default_alphabet(tree.leaf_count)
+        names = milnor.default_alphabet(tree.leaf_count) if args.names is None \
+            else [n.strip() for n in args.names.split(",")]
         result = gropes.boundary_expression(tree, names)
     else:
         result = gropes.export_dot(tree)
@@ -201,13 +204,18 @@ def cmd_certificate(args):
 
 
 def cmd_verify(args):
+    for option in ("lhat", "q", "target"):
+        if getattr(args, option) is not None and args.what != "sigma":
+            raise MgkError("--%s is read only by verify sigma" % option)
     config = verify.RunConfig(seed=args.seed, trials=args.trials,
                               max_generators=args.max_generators)
-    if args.what == "all":
+    if args.what == "sigma":
+        spec = composition.CompositionSpec(
+            _model("borromean" if args.lhat is None else args.lhat),
+            _model("bing_double" if args.q is None else args.q), target=args.target)
+        report = composition.verify_sigma(spec, trials=config.trials, seed=config.seed)
+    elif args.what == "all":
         report = verify.run_all(config)
-    elif args.what == "sigma":
-        report = composition.verify_sigma(
-            _composition_spec(args), trials=config.trials, seed=config.seed)
     else:
         report = verify.report("verify certificate", config,
                                [verify.check_certificate])
@@ -267,8 +275,8 @@ def build_parser():
 
     v = sub.add_parser("verify", help="randomized property sweeps")
     v.add_argument("what", choices=["sigma", "certificate", "all"])
-    v.add_argument("--lhat", default="borromean")
-    v.add_argument("--q", default="bing_double")
+    v.add_argument("--lhat")
+    v.add_argument("--q")
     v.add_argument("--target", type=int)
     v.add_argument("--trials", type=int, default=200)
     v.add_argument("--seed", type=int, default=0)

@@ -54,7 +54,7 @@ __all__ = [
     "GropeTree", "ClosedGropeTree", "LEAF", "parse_tree", "parse_closed_tree",
     "tree_text", "grope_class", "leaf_paths", "free_tips",
     "boundary_word", "boundary_expression", "dual_tree", "dual_class",
-    "dual_texts", "tip_duals", "canonical", "is_isomorphic", "rerooted",
+    "tip_duals", "canonical", "is_isomorphic", "rerooted",
     "format_tip_path", "parse_tip_path", "export_dot",
 ]
 
@@ -363,45 +363,17 @@ def dual_class(closed: ClosedGropeTree, tip) -> int:
     return 1 + sum(p.tree_class for p in _path_partners(closed, tip))
 
 
-def _partner_texts(partners):
-    """id -> text of each tree in `partners`, rendered once each, fewest
-    leaves first: a partner inside a larger one has fewer leaves, so the
-    larger one copies its text."""
-    texts = {}
-    for tree in sorted(partners, key=lambda p: p.leaf_count):
-        texts[id(tree)] = _render(tree, repeat("*"), _TREE_MARKS, texts)
-    return texts
-
-
-def _chain_text(partners, texts) -> str:
-    """The dual's text: its partners p1..pk, root to tip, folded into a
-    chain, "({" * k + "* " + text(p1) + "}) " + ... + text(pk) + "})"."""
-    opening, middle, _, closing = _TREE_MARKS
-    return (opening * len(partners) + "*" + middle
-            + (closing + middle).join(map(texts.__getitem__, map(id, partners)))
-            + closing)
-
-
-def dual_texts(closed: ClosedGropeTree, tips):
-    """tree_text(dual_tree(closed, tip).body) for each tip, in order.
-
-    No dual tree is built: each text is the chain of the tip's partner
-    texts, and the partners of all tips are rendered once each.  One
-    tip's partners are disjoint, so each is rendered in full.  A bad tip
-    raises the ValueError of dual_tree before any text.
-    """
-    walks = [_path_partners(closed, tip) for tip in tips]
-    texts = _partner_texts({id(p): p for walk in walks for p in walk}.values())
-    for walk in walks:  # a walk has a step: the body is a Surface
-        yield _chain_text(walk, texts)
-
-
 def tip_duals(closed: ClosedGropeTree):
     """(tip, format_tip_path(tip), dual text) for every free tip, in the
-    order of free_tips, from one depth-first walk.
+    order of free_tips, from one depth-first walk; each text is
+    tree_text(dual_tree(closed, tip).body), built from no dual tree.
 
     Every subtree below the root is some tip's partner, so each is
-    rendered once up front; then a tip costs the length of its output.
+    rendered once up front, fewest leaves first: a subtree inside a larger
+    one has fewer leaves, so the larger one copies its text.  A dual's text
+    strings its partners p1..pk, root to tip, on a chain,
+    "({" * k + "* " + text(p1) + "}) " + ... + text(pk) + "})", so a tip
+    costs the length of its output.
     """
     subtrees = {}  # id -> every distinct subtree below the root
     stack = [closed.body]
@@ -410,9 +382,15 @@ def tip_duals(closed: ClosedGropeTree):
             if id(member) not in subtrees:
                 subtrees[id(member)] = member
                 stack.append(member)
-    texts = _partner_texts(subtrees.values())
+    texts = {}
+    for tree in sorted(subtrees.values(), key=lambda p: p.leaf_count):
+        texts[id(tree)] = _render(tree, repeat("*"), _TREE_MARKS, texts)
+    opening, middle, _, closing = _TREE_MARKS
     for steps, step_texts, partners in _tip_walk(closed.body):
-        yield tuple(steps), "/".join(step_texts), _chain_text(partners, texts)
+        yield (tuple(steps), "/".join(step_texts),
+               opening * len(partners) + "*" + middle
+               + (closing + middle).join(map(texts.__getitem__, map(id, partners)))
+               + closing)
 
 
 # -- isomorphism and re-rooting ----------------------------------------------

@@ -17,6 +17,7 @@ from mgk.links import catalog, save_link
 from mgk.milnor import default_alphabet
 from mgk.words import Word
 
+from golden import DUAL_TREES
 from helpers import conjugated_relator, shuffled_chain
 from test_composition import over_budget_composition
 from test_links import BAD_LINK_JSON
@@ -49,24 +50,40 @@ def test_grope_duals_builds_each_dual_once(capsys, monkeypatch):
     # without --tip one walk lists every tip, its path text and its dual's
     # text, and dual_class walks each tip's path once more for the class
     # column; no dual tree is built and no tree is rendered node by node
-    walked = []
+    walked, built = [], []
     path_partners = mgk.gropes._path_partners
     monkeypatch.setattr(mgk.gropes, "_path_partners", lambda closed, tip:
                         walked.append(tip) or path_partners(closed, tip))
-    monkeypatch.setattr(mgk.gropes, "dual_tree", None)  # a call would raise
-    monkeypatch.setattr(mgk.gropes, "tree_text", None)
     with monkeypatch.context() as patch:
-        for name in ("format_tip_path", "free_tips", "dual_texts"):
-            patch.setattr(mgk.gropes, name, None)
+        for name in ("dual_tree", "tree_text", "format_tip_path", "free_tips"):
+            patch.setattr(mgk.gropes, name, None)  # a call would raise
         code, out, _ = run(capsys, "grope", "duals", "({({* *}) *} {* *})")
     assert code == 0 and out.count("tip ") == 5
     assert walked == [mgk.gropes.parse_tip_path(path) for path in
                       ["0L/0L", "0L/0R", "0R", "1L", "1R"]]
+    # one tip builds its one dual tree
     walked.clear()
+    dual_tree = mgk.gropes.dual_tree
+    monkeypatch.setattr(mgk.gropes, "dual_tree", lambda closed, tip:
+                        built.append(tip) or dual_tree(closed, tip))
     code, out, _ = run(capsys, "grope", "duals", "({({* *}) *} {* *})",
                        "--tip", "0L/0R")
     assert code == 0 and out.endswith("3 >= 2 ok    ({({* *}) *})\n")
-    assert walked == [((0, 0), (0, 1))] * 2  # its text, then its class
+    assert built == [((0, 0), (0, 1))]
+    assert walked == [((0, 0), (0, 1))] * 2  # its dual tree, then its class
+
+
+def test_grope_duals_one_tip_is_its_row_of_every_tip(capsys):
+    # --tip renders its one dual tree, the run without it lists every tip
+    # from one walk; both must give a tip the same row
+    for tree in DUAL_TREES:
+        code, out, _ = run(capsys, "grope", "duals", tree, "--json")
+        every = json.loads(out)
+        assert code == 0 and len(every["duals"]) == every["rank"]
+        for row in every["duals"]:
+            code, out, _ = run(capsys, "grope", "duals", tree, "--tip",
+                               row["tip"], "--json")
+            assert code == 0 and json.loads(out) == {**every, "duals": [row]}
 
 
 @pytest.mark.parametrize("action, result", [
@@ -570,14 +587,46 @@ def test_run_config_refuses_nonpositive_counts(capsys, trials, max_generators,
      "tip path  does not reach a Leaf"),
     (["grope", "duals", "({* *})", "--tip", "   "],
      "tip path  does not reach a Leaf"),
+    # empty names are one empty name, not the default names
+    (["grope", "boundary", "({* *})", "--names", ""],
+     "need 2 tip names, got 1"),
+    (["grope", "boundary", "({* *})", "--names", " "],
+     "need 2 tip names, got 1"),
     (["milnor", "expand", "m1^" + "9" * 5000],
      "word longer than the letter limit of 4194304 letters"),
 ], ids=["equal-one-word", "mu-no-index", "mu-superscript", "mu-long-index",
         "duals-long-tip", "duals-empty-tip", "duals-blank-tip",
-        "expand-long-power"])
+        "boundary-empty-names", "boundary-blank-names", "expand-long-power"])
 def test_argument_errors_are_one_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("argv, option, reader", [
+    # --trials 1 keeps a lost refusal quick
+    (["verify", "certificate", "--lhat", "nonsense", "--trials", "1"],
+     "lhat", "verify sigma"),
+    (["verify", "all", "--lhat", "nonsense", "--q", "x", "--target", "9",
+      "--trials", "1"], "lhat", "verify sigma"),
+    (["verify", "all", "--q", "bing_double", "--trials", "1"],
+     "q", "verify sigma"),
+    (["verify", "certificate", "--target", "0", "--trials", "1"],
+     "target", "verify sigma"),
+    (["grope", "class", "({* *})", "--tip", "0L", "--names", "a", "--closed"],
+     "names", "grope boundary"),
+    (["grope", "duals", "({* *})", "--names", ""], "names", "grope boundary"),
+    (["grope", "class", "({* *})", "--tip", "0L"], "tip", "grope duals"),
+    (["grope", "dot", "({* *})", "--tip", ""], "tip", "grope duals"),
+    (["grope", "boundary", "({* *})", "--closed"], "closed", "grope dot"),
+    (["grope", "duals", "({* *})", "--closed"], "closed", "grope dot"),
+], ids=["certificate-lhat", "all-lhat-q-target", "all-q", "certificate-target",
+        "class-names-tip-closed", "duals-empty-names", "class-tip",
+        "dot-empty-tip", "boundary-closed", "duals-closed"])
+def test_an_option_its_action_never_reads_is_refused(capsys, argv, option,
+                                                     reader):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (
+        2, "", "error: --%s is read only by %s\n" % (option, reader))
 
 
 @pytest.mark.parametrize("argv, answer", [
