@@ -204,11 +204,15 @@ def cmd_certificate(args):
 
 
 def cmd_verify(args):
-    for option in ("lhat", "q", "target"):
-        if getattr(args, option) is not None and args.what != "sigma":
-            raise MgkError("--%s is read only by verify sigma" % option)
-    config = verify.RunConfig(seed=args.seed, trials=args.trials,
-                              max_generators=args.max_generators)
+    for option, readers in (("lhat", "sigma"), ("q", "sigma"), ("target", "sigma"),
+                            ("trials", "all sigma"), ("seed", "all sigma"),
+                            ("max_generators", "all")):
+        if getattr(args, option) is not None and args.what not in readers.split():
+            raise MgkError("--%s is read only by verify %s" % (
+                option.replace("_", "-"), " and verify ".join(readers.split())))
+    config = verify.RunConfig(**{option: getattr(args, option) for option in
+                                 ("seed", "trials", "max_generators")
+                                 if getattr(args, option) is not None})
     if args.what == "sigma":
         spec = composition.CompositionSpec(
             _model("borromean" if args.lhat is None else args.lhat),
@@ -278,9 +282,9 @@ def build_parser():
     v.add_argument("--lhat")
     v.add_argument("--q")
     v.add_argument("--target", type=int)
-    v.add_argument("--trials", type=int, default=200)
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--max-generators", type=int, default=6)
+    v.add_argument("--trials", type=int)
+    v.add_argument("--seed", type=int)
+    v.add_argument("--max-generators", type=int)
     v.add_argument("--json", action="store_true")
     v.add_argument("--out")
     v.set_defaults(func=cmd_verify)

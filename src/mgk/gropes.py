@@ -59,7 +59,6 @@ __all__ = [
 ]
 
 LEFT, RIGHT = 0, 1
-_TREE_MARKS = ("({", " ", "} {", "})")  # tree_text's marks (see _render)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,16 +100,9 @@ class GropeTree:
     def __eq__(self, other):
         if not isinstance(other, GropeTree):
             return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if a._hash != b._hash or len(a.pairs) != len(b.pairs):
-                return False
-            for pa, pb in zip(a.pairs, b.pairs):
-                stack += zip(pa, pb)
-        return True
+        # tree_text round-trips, so equal trees are exactly equal texts
+        return self is other or (self._hash == other._hash
+                                 and tree_text(self) == tree_text(other))
 
     def __hash__(self):
         return self._hash
@@ -204,10 +196,9 @@ def parse_closed_tree(text: str) -> ClosedGropeTree:
     return ClosedGropeTree(tree)
 
 
-def _render(tree: GropeTree, leaves, marks, texts=None) -> str:
+def _render(tree: GropeTree, leaves, marks) -> str:
     """Text of a tree: the next of `leaves` for each Leaf, and for a Surface
-    opening L middle R (separator L middle R)... closing, from `marks`, or
-    its text in `texts` (id of a Surface -> text) if it has one there."""
+    opening L middle R (separator L middle R)... closing, from `marks`."""
     opening, middle, separator, closing = marks
     parts = []
     stack = [tree]  # trees to write and the text between them, last first
@@ -217,8 +208,6 @@ def _render(tree: GropeTree, leaves, marks, texts=None) -> str:
             parts.append(item)
         elif not item.pairs:
             parts.append(next(leaves))
-        elif texts and id(item) in texts:
-            parts.append(texts[id(item)])
         else:
             stack.append(closing)
             for left, right in reversed(item.pairs):
@@ -229,7 +218,7 @@ def _render(tree: GropeTree, leaves, marks, texts=None) -> str:
 
 def tree_text(tree: GropeTree) -> str:
     """Canonical text; round-trips through parse_tree character-for-character."""
-    return _render(tree, repeat("*"), _TREE_MARKS)
+    return _render(tree, repeat("*"), ("({", " ", "} {", "})"))
 
 
 # -- class and tips ----------------------------------------------------------
@@ -368,70 +357,64 @@ def tip_duals(closed: ClosedGropeTree):
     order of free_tips, from one depth-first walk; each text is
     tree_text(dual_tree(closed, tip).body), built from no dual tree.
 
-    Every subtree below the root is some tip's partner, so each is
-    rendered once up front, fewest leaves first: a subtree inside a larger
-    one has fewer leaves, so the larger one copies its text.  A dual's text
-    strings its partners p1..pk, root to tip, on a chain,
+    Every subtree below the root is some tip's partner, so one post-order
+    pass gives each its text, joined from its members' texts.  A dual's
+    text strings its partners p1..pk, root to tip, on a chain,
     "({" * k + "* " + text(p1) + "}) " + ... + text(pk) + "})", so a tip
     costs the length of its output.
     """
-    subtrees = {}  # id -> every distinct subtree below the root
-    stack = [closed.body]
+    texts = {}  # id -> text of every distinct subtree below the root
+    stack = [(m, False) for pair in closed.body.pairs for m in pair]
     while stack:
-        for member in (m for pair in stack.pop().pairs for m in pair):
-            if id(member) not in subtrees:
-                subtrees[id(member)] = member
-                stack.append(member)
-    texts = {}
-    for tree in sorted(subtrees.values(), key=lambda p: p.leaf_count):
-        texts[id(tree)] = _render(tree, repeat("*"), _TREE_MARKS, texts)
-    opening, middle, _, closing = _TREE_MARKS
+        node, members_done = stack.pop()
+        if id(node) in texts:
+            continue
+        if not node.pairs:
+            texts[id(node)] = "*"
+        elif members_done:
+            texts[id(node)] = "(%s)" % " ".join(
+                "{%s %s}" % (texts[id(a)], texts[id(b)]) for a, b in node.pairs)
+        else:
+            stack.append((node, True))
+            stack += ((m, False) for pair in node.pairs for m in pair)
     for steps, step_texts, partners in _tip_walk(closed.body):
-        yield (tuple(steps), "/".join(step_texts),
-               opening * len(partners) + "*" + middle
-               + (closing + middle).join(map(texts.__getitem__, map(id, partners)))
-               + closing)
+        yield (tuple(steps), "/".join(step_texts), "({" * len(partners) + "* "
+               + "}) ".join([texts[id(p)] for p in partners]) + "})")
 
 
 # -- isomorphism and re-rooting ----------------------------------------------
 
-def canonical(tree: GropeTree) -> GropeTree:
-    """Representative modulo pair swaps and pair permutations.
-
-    One bottom-up pass: each canonical subtree's text is rendered once,
-    from its members' texts, and members and pairs are sorted on
-    (class, text).
-    """
-    done = []  # (canonical subtree, (class, text)) in depth-first order
+def _canonical_text(tree: GropeTree) -> str:
+    """tree_text of canonical(tree), from one bottom-up pass that keeps the
+    (class, text) keys of the finished subtrees whose parent is still open."""
+    done = []  # (class, text) of those subtrees, in depth-first order
     stack = [(tree, False)]
     while stack:
         node, members_done = stack.pop()
         if not node.pairs:
-            done.append((node, (1, "*")))
+            done.append((1, "*"))
         elif not members_done:
-            stack.append((node, True))
-            for left, right in reversed(node.pairs):
-                stack += ((right, False), (left, False))
+            stack.append((node, True))  # members finish last first; sorted below
+            stack += ((m, False) for pair in node.pairs for m in pair)
         else:
-            members = done[-2 * len(node.pairs):]
-            del done[-2 * len(node.pairs):]
-            pairs = []
-            for a, b in zip(members[::2], members[1::2]):
-                pairs.append((b, a) if b[1] < a[1] else (a, b))
-            pairs.sort(key=lambda p: (p[0][1], p[1][1]))
-            text = "(%s)" % " ".join(
-                "{%s %s}" % (a[1][1], b[1][1]) for a, b in pairs)
-            done.append((GropeTree(tuple((a[0], b[0]) for a, b in pairs)),
-                         (node.tree_class, text)))
-    return done[0][0]
+            cut = len(done) - 2 * len(node.pairs)
+            pairs = sorted((a, b) if a <= b else (b, a)
+                           for a, b in zip(done[cut::2], done[cut + 1::2]))
+            del done[cut:]
+            done.append((node.tree_class, "(%s)" % " ".join(
+                "{%s %s}" % (a[1], b[1]) for a, b in pairs)))
+    return done[0][1]
+
+
+def canonical(tree: GropeTree) -> GropeTree:
+    """Representative modulo pair swaps and pair permutations: members and
+    pairs sorted on (class, text), bottom-up, then parsed from its text."""
+    return parse_tree(_canonical_text(tree))
 
 
 def is_isomorphic(a, b) -> bool:
-    if isinstance(a, ClosedGropeTree):
-        a = a.body
-    if isinstance(b, ClosedGropeTree):
-        b = b.body
-    return canonical(a) == canonical(b)
+    a, b = (t.body if isinstance(t, ClosedGropeTree) else t for t in (a, b))
+    return _canonical_text(a) == _canonical_text(b)
 
 
 def rerooted(closed: ClosedGropeTree, tip) -> ClosedGropeTree:

@@ -223,5 +223,7 @@ def lcs_degree(word: Word, alphabet):
     iterated commutators always has degree >= k, so this bounds the
     lower-central-series filtration from below.
     """
-    deg = magnus(word, alphabet).min_positive_degree()
-    return math.inf if deg is None else deg
+    expansion = magnus(word, alphabet)
+    # keys sort by degree first; the key 0 is the constant term's
+    least = min(filter(None, expansion.terms), default=0)
+    return expansion.ring.degree(least) if least else math.inf

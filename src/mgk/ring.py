@@ -158,10 +158,6 @@ class RingElement:
         order, which is numeric order."""
         return sorted(self.terms)
 
-    def min_positive_degree(self):
-        """Smallest degree of a nonconstant term (the least key's), else None."""
-        return self.ring.degree(min(filter(None, self.terms), default=0)) or None
-
     def embed(self, ring: Ring) -> RingElement:
         """The same element in a ring whose variables contain ours."""
         missing = set(self.ring.variables) - set(ring.variables)

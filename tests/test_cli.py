@@ -612,6 +612,14 @@ def test_argument_errors_are_one_line(capsys, argv, message):
      "q", "verify sigma"),
     (["verify", "certificate", "--target", "0", "--trials", "1"],
      "target", "verify sigma"),
+    (["verify", "certificate", "--max-generators", "1", "--trials", "1",
+      "--seed", "99"], "trials", "verify all and verify sigma"),
+    (["verify", "certificate", "--seed", "99"],
+     "seed", "verify all and verify sigma"),
+    (["verify", "certificate", "--max-generators", "6"],
+     "max-generators", "verify all"),
+    (["verify", "sigma", "--max-generators", "1", "--trials", "2"],
+     "max-generators", "verify all"),
     (["grope", "class", "({* *})", "--tip", "0L", "--names", "a", "--closed"],
      "names", "grope boundary"),
     (["grope", "duals", "({* *})", "--names", ""], "names", "grope boundary"),
@@ -620,6 +628,8 @@ def test_argument_errors_are_one_line(capsys, argv, message):
     (["grope", "boundary", "({* *})", "--closed"], "closed", "grope dot"),
     (["grope", "duals", "({* *})", "--closed"], "closed", "grope dot"),
 ], ids=["certificate-lhat", "all-lhat-q-target", "all-q", "certificate-target",
+        "certificate-trials-seed-generators", "certificate-seed",
+        "certificate-generators", "sigma-generators",
         "class-names-tip-closed", "duals-empty-names", "class-tip",
         "dot-empty-tip", "boundary-closed", "duals-closed"])
 def test_an_option_its_action_never_reads_is_refused(capsys, argv, option,

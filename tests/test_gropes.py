@@ -353,6 +353,33 @@ def test_bad_tip_paths():
         dual_tree(closed, ())
 
 
+@pytest.mark.parametrize("name, broken", [
+    # one less than the dual tree's class
+    ("dual_class", lambda real: lambda closed, tip: real(closed, tip) - 1),
+    # one leaf more than the re-rooted tree, so never isomorphic to the dual
+    ("rerooted", lambda real: lambda closed, tip: ClosedGropeTree(
+        GropeTree(((real(closed, tip).body, LEAF),)))),
+], ids=["dual-class", "rerooted"])
+def test_grope_duality_check_can_fail(monkeypatch, name, broken):
+    import mgk.gropes
+    from mgk import verify
+
+    def duality_case():
+        report = verify.run_all(verify.RunConfig(seed=1, trials=20))
+        (case,) = [c for c in report["cases"] if c["input"].startswith("duals:")]
+        return case
+
+    assert duality_case()["status"] == "pass"
+    monkeypatch.setattr(mgk.gropes, name, broken(getattr(mgk.gropes, name)))
+    case = duality_case()
+    assert case["status"] == "fail" and case["actual"]["failures"] > 0
+    # the witness is a failing sample: (closed tree, genus-1 flag)
+    tree, genus1 = case["actual"]["witness"].split(", ")
+    assert parse_closed_tree(tree) and genus1 in ("True", "False")
+    if name == "rerooted":
+        assert genus1 == "True"  # only genus-1 samples are re-rooted
+
+
 # -- canonical form -----------------------------------------------------------------
 
 def test_canonical_sorts():
@@ -449,6 +476,16 @@ def test_trees_built_apart_compare_by_structure():
         assert a != c and not a == c  # only the deepest Leaf differs
         object.__setattr__(c, "_hash", hash(a))  # a hash collision at the root
         assert a != c
+
+
+def test_a_tree_is_unequal_to_a_non_tree_and_reprs_to_itself():
+    tree = parse_tree(TOWER2)
+    assert tree.__eq__(TOWER2) is NotImplemented
+    assert tree != TOWER2 and not tree == tree.pairs
+    assert repr(tree) == "parse_tree('({({* *}) *})')"
+    for t in (tree, LEAF):
+        copy = eval(repr(t), {"parse_tree": parse_tree})
+        assert copy == t and hash(copy) == hash(t)
 
 
 # -- depth far beyond the recursion limit -------------------------------------

@@ -189,8 +189,6 @@ def test_packed_monomials_round_trip_sort_and_count_degree(case):
     assert [decode_monomial(ring.variables, k) for k in sorted(elem.terms)] \
         == sorted(named_terms(elem), key=lambda m: reference_monomial_key(
             ring.variables, m))
-    degrees = [len(p) for p in monos if p]
-    assert elem.min_positive_degree() == (min(degrees) if degrees else None)
 
 
 @given(elements())
@@ -208,6 +206,28 @@ def test_universe_mismatch():
         R.one + other.one
     with pytest.raises(UniverseMismatchError):
         R.gen("z1")
+
+
+def test_non_ring_operands_are_not_implemented():
+    y1 = R.gen("m1")
+    for op in (lambda: y1 + "a", lambda: y1 - "a", lambda: y1 * "a"):
+        with pytest.raises(TypeError):
+            op()
+    assert y1.__eq__("a") is NotImplemented
+    assert not y1 == "a" and y1 != "a"
+
+
+@given(elements(), elements())
+def test_equal_elements_hash_alike(u, v):
+    w = u + v - v  # equal to u, built apart
+    assert w is not u and w == u and hash(w) == hash(u)
+    assert len({u, w, v}) == (1 if u == v else 2)
+
+
+def test_repr_names_the_element():
+    y1, y2 = R.gen("m1"), R.gen("m2")
+    assert repr(1 + y1 * y2 - 2 * y2) == "<RingElement 1 - 2*y2 + y1*y2>"
+    assert repr(R.zero) == "<RingElement 0>"
 
 
 def test_embed():
@@ -263,10 +283,3 @@ def test_formatting_other_variable_names():
     assert format_ring_element((1 + z) * (1 - w) * (1 + 2 * y)) == (
         "1 + z1 - w + 2*y2 - z1*w + 2*z1*y2 - 2*w*y2 - 2*z1*w*y2")
     assert format_ring_element(w * z - 3 * y * w) == "w*z1 - 3*y2*w"
-
-
-def test_min_positive_degree():
-    y1, y2 = R.gen("m1"), R.gen("m2")
-    assert R.one.min_positive_degree() is None
-    assert (1 + y1 * y2).min_positive_degree() == 2
-    assert (y1 + y1 * y2).min_positive_degree() == 1

@@ -247,6 +247,11 @@ def test_print_parse_round_trip(w):
     assert Word.parse(str(w)) == w
 
 
+def test_repr_holds_the_word_text():
+    assert repr(Word.parse("m1 [m2, z1]^-1")) == "Word(\"m1 z1 m2 z1' m2'\")"
+    assert repr(IDENTITY) == "Word('1')"
+
+
 @given(words())
 def test_inverse_reduces_to_identity(w):
     assert (w * ~w).free_reduce() == IDENTITY
