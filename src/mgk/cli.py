@@ -87,12 +87,21 @@ def _alphabet_for(words, gens):
     return milnor.default_alphabet(top)
 
 
+def _refuse_unread(args, action, readers):
+    """Refuse each set option whose (option, actions) pair omits action."""
+    for option, actions in readers:
+        value = getattr(args, option)
+        if value is not None and value is not False and action not in actions.split():
+            raise MgkError("--%s is read only by %s %s" % (
+                option.replace("_", "-"), args.command,
+                (" and %s " % args.command).join(actions.split())))
+
+
 # -- subcommand handlers -------------------------------------------------------
 
 def cmd_grope(args):
-    for option, reader in (("names", "boundary"), ("tip", "duals"), ("closed", "dot")):
-        if getattr(args, option) not in (None, False) and args.action != reader:
-            raise MgkError("--%s is read only by grope %s" % (option, reader))
+    _refuse_unread(args, args.action,
+                   (("names", "boundary"), ("tip", "duals"), ("closed", "dot")))
     if args.action == "duals":
         closed = gropes.parse_closed_tree(args.tree)
         k = gropes.grope_class(closed.body)
@@ -104,10 +113,8 @@ def cmd_grope(args):
                       gropes.tree_text(gropes.dual_tree(closed, tip).body))]
         rows = []
         for tip, path, text in duals:
-            # the walk has each tip's partners, but the benchmark tracer times
-            # the duals layer only through dual_tree and dual_class, so the
-            # class keeps its own path walk until the tracer stops pinning
-            # names (ROADMAP item 3)
+            # the benchmark tracer times the duals layer only through dual_tree
+            # and dual_class, so the class keeps its own path walk (ROADMAP item 3)
             dc = gropes.dual_class(closed, tip)
             rows.append({"tip": path,
                          "dual": text,
@@ -163,6 +170,7 @@ def cmd_milnor(args):
 
 
 def cmd_link(args):
+    _refuse_unread(args, args.action, (("index", "mu"),))
     model = _model(args.model)
     if args.action == "show":
         _write(args, links.link_to_dict(model))
@@ -204,12 +212,9 @@ def cmd_certificate(args):
 
 
 def cmd_verify(args):
-    for option, readers in (("lhat", "sigma"), ("q", "sigma"), ("target", "sigma"),
-                            ("trials", "all sigma"), ("seed", "all sigma"),
-                            ("max_generators", "all")):
-        if getattr(args, option) is not None and args.what not in readers.split():
-            raise MgkError("--%s is read only by verify %s" % (
-                option.replace("_", "-"), " and verify ".join(readers.split())))
+    _refuse_unread(args, args.what, (("lhat", "sigma"), ("q", "sigma"),
+                                     ("target", "sigma"), ("trials", "all sigma"),
+                                     ("seed", "all sigma"), ("max_generators", "all")))
     config = verify.RunConfig(**{option: getattr(args, option) for option in
                                  ("seed", "trials", "max_generators")
                                  if getattr(args, option) is not None})

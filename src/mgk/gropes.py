@@ -7,14 +7,14 @@ circle, class 1) or a Surface with an ordered list of pairs of subtrees
 (one pair per genus).  The class of a Surface is the minimum over its
 pairs of the sum of the two members' classes.
 
-Every `GropeTree` fixes its class, its leaf count and its hash when it is
-built, from the same fields of its children, so reading them is O(1) and
-building a tree is O(1) work per pair.  The module keeps no cache, and
-every walk uses an explicit stack, so trees of any depth work under the
-default recursion limit.  `boundary_word` parses the text that
-`boundary_expression` renders; its word at least doubles in length per
-stage, so a deep tree's boundary word is refused with `BudgetExceeded`
-once it would pass the letter budget `mgk.words.MAX_LETTERS`.
+A `GropeTree` is a plain slotted value, like a `Word`: `__init__` fixes
+its class, leaf count and hash from the same slots of its children, so
+reading them is O(1) and building a tree is O(1) work per pair.  The
+module keeps no cache, and every walk uses an explicit stack, so trees
+of any depth work under the default recursion limit.  `boundary_word`
+parses the text that `boundary_expression` renders; its word at least
+doubles in length per stage, so a deep tree's boundary word is refused
+with `BudgetExceeded` once it passes the budget `mgk.words.MAX_LETTERS`.
 
 Text grammar (whitespace-insensitive):
 
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 
 from .errors import TreeSyntaxError
@@ -61,33 +61,24 @@ __all__ = [
 LEFT, RIGHT = 0, 1
 
 
-@dataclass(frozen=True, eq=False)
 class GropeTree:
     """Leaf when `pairs` is empty, Surface of genus len(pairs) otherwise.
 
     `tree_class` and `leaf_count` are the class and the number of Leaves.
+    A tree is immutable by convention, like a `Word`: no slot is reassigned.
     """
 
-    pairs: tuple[tuple["GropeTree", "GropeTree"], ...] = ()
-    tree_class: int = field(init=False, repr=False)
-    leaf_count: int = field(init=False, repr=False)
-    _hash: int = field(init=False, repr=False)
+    __slots__ = ("pairs", "tree_class", "leaf_count", "_hash")
 
-    def __post_init__(self):
-        tree_class = leaf_count = 1
-        key = []
-        if self.pairs:
-            classes = []
-            leaf_count = 0
-            for left, right in self.pairs:
-                classes.append(left.tree_class + right.tree_class)
-                leaf_count += left.leaf_count + right.leaf_count
-                key += (left._hash, right._hash)
-            tree_class = min(classes)
-        set_field = object.__setattr__  # the dataclass is frozen
-        set_field(self, "tree_class", tree_class)
-        set_field(self, "leaf_count", leaf_count)
-        set_field(self, "_hash", hash(tuple(key)))
+    def __init__(self, pairs: tuple[tuple["GropeTree", "GropeTree"], ...] = ()):
+        self.pairs = pairs
+        classes, key, leaf_count = [], [], 0
+        for left, right in pairs:
+            classes.append(left.tree_class + right.tree_class)
+            leaf_count += left.leaf_count + right.leaf_count
+            key += (left._hash, right._hash)
+        self.tree_class, self.leaf_count = min(classes, default=1), leaf_count or 1
+        self._hash = hash(tuple(key))
 
     @property
     def is_leaf(self) -> bool:
@@ -336,9 +327,8 @@ def dual_tree(closed: ClosedGropeTree, tip) -> ClosedGropeTree:
     was the old root edge) and whose second member is the retained
     partner, deepest partner carried by the new bottom stage.
     """
-    partners = _path_partners(closed, tip)
     chain = LEAF  # the old root edge, now an ordinary leaf
-    for partner in partners:
+    for partner in _path_partners(closed, tip):
         chain = GropeTree(((chain, partner),))
     return ClosedGropeTree(chain)
 

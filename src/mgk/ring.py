@@ -118,7 +118,8 @@ class RingElement:
     """A sparse integer combination of squarefree monomials.
 
     Values are immutable by convention: arithmetic always allocates.
-    Plain ints coerce to constants, so ``1 + y2`` works.
+    Plain ints coerce to constants, so ``1 + y2`` works and a constant
+    equals, and hashes as, its int.
     """
 
     __slots__ = ("ring", "terms")
@@ -169,12 +170,15 @@ class RingElement:
                                   for m, c in self.terms.items()})
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.terms == other.terms
+        if isinstance(other, int):
+            return self.terms == ({0: other} if other else {})
+        if isinstance(other, RingElement):  # elements of two rings are unequal
+            return self.ring == other.ring and self.terms == other.terms
+        return NotImplemented
 
     def __hash__(self):
+        if self.terms.keys() <= {0}:  # a constant hashes as its int, as == asks
+            return hash(self.constant_term)
         return hash((self.ring, frozenset(self.terms.items())))
 
     def __neg__(self):

@@ -62,7 +62,7 @@ class Word:
         for g, e in self.letters:
             if type(e) is not int or e not in (1, -1):
                 raise ValueError("letter exponents must be the int 1 or -1")
-        _check_names({g for g, _ in self.letters})  # each distinct name once
+        _check_names(dict.fromkeys(g for g, _ in self.letters))  # in word order
 
     @classmethod
     def _trusted(cls, letters: tuple) -> "Word":
@@ -134,7 +134,7 @@ class Word:
         return " ".join(g + ("'" if e < 0 else "") for g, e in self.letters)
 
     def __repr__(self):
-        return "Word(%r)" % (str(self),)
+        return "Word.parse(%r)" % (str(self),)
 
 
 IDENTITY = Word()

@@ -627,11 +627,16 @@ def test_argument_errors_are_one_line(capsys, argv, message):
     (["grope", "dot", "({* *})", "--tip", ""], "tip", "grope duals"),
     (["grope", "boundary", "({* *})", "--closed"], "closed", "grope dot"),
     (["grope", "duals", "({* *})", "--closed"], "closed", "grope dot"),
+    (["link", "trivial", "hopf", "--index", "1,2"], "index", "link mu"),
+    (["link", "almost-trivial", "borromean", "--index", "1,2,3"], "index",
+     "link mu"),
+    (["link", "show", "nonsense", "--index", ""], "index", "link mu"),
 ], ids=["certificate-lhat", "all-lhat-q-target", "all-q", "certificate-target",
         "certificate-trials-seed-generators", "certificate-seed",
         "certificate-generators", "sigma-generators",
         "class-names-tip-closed", "duals-empty-names", "class-tip",
-        "dot-empty-tip", "boundary-closed", "duals-closed"])
+        "dot-empty-tip", "boundary-closed", "duals-closed", "trivial-index",
+        "almost-trivial-index", "show-empty-index"])
 def test_an_option_its_action_never_reads_is_refused(capsys, argv, option,
                                                      reader):
     code, out, err = run(capsys, *argv)

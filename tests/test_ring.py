@@ -224,6 +224,17 @@ def test_equal_elements_hash_alike(u, v):
     assert len({u, w, v}) == (1 if u == v else 2)
 
 
+def test_a_constant_hashes_as_its_int():
+    assert len({R.one, 1}) == 1 and {R.one: "a"}.get(1) == "a"
+    assert hash(R.zero) == hash(0) and hash(R.one - 3) == hash(-2)
+
+
+def test_elements_of_two_rings_are_unequal():
+    other = Ring(("z1",))
+    assert other.one != R.one and not other.zero == R.zero
+    assert len({R.one, other.one}) == 2
+
+
 def test_repr_names_the_element():
     y1, y2 = R.gen("m1"), R.gen("m2")
     assert repr(1 + y1 * y2 - 2 * y2) == "<RingElement 1 - 2*y2 + y1*y2>"

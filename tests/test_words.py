@@ -1,4 +1,6 @@
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
 
@@ -248,8 +250,13 @@ def test_print_parse_round_trip(w):
 
 
 def test_repr_holds_the_word_text():
-    assert repr(Word.parse("m1 [m2, z1]^-1")) == "Word(\"m1 z1 m2 z1' m2'\")"
-    assert repr(IDENTITY) == "Word('1')"
+    assert repr(Word.parse("m1 [m2, z1]^-1")) == "Word.parse(\"m1 z1 m2 z1' m2'\")"
+    assert repr(IDENTITY) == "Word.parse('1')"
+
+
+@given(words())
+def test_repr_evaluates_back_to_the_word(w):
+    assert eval(repr(w), {"Word": Word}).letters == w.letters
 
 
 @given(words())
@@ -276,6 +283,18 @@ def test_constructor_validates_names():
         with pytest.raises(ValueError, match="not a generator name"):
             Word.gen(bad)
     assert str(Word([("lambda", 1), ("Z09", -1)])) == "lambda Z09'"
+
+
+def test_the_first_bad_name_in_word_order_is_named_under_any_hash_seed():
+    code = ('from mgk.words import Word\ntry:\n    Word([("m1", 1), ("9x", 1), '
+            '("m2", 1), ("8y", 1), ("7z", 1)])\nexcept ValueError as e:\n'
+            '    print(e)')
+    src = os.path.dirname(os.path.dirname(mgk.words.__file__))
+    messages = {subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)).stdout
+        for seed in ("0", "1", "2", "3")}
+    assert messages == {"'9x' is not a generator name\n"}
 
 
 @given(words(), words())
