@@ -8,9 +8,9 @@ classes added together.
 """
 
 from mgk import (boundary_expression, boundary_word, dual_class, dual_tree,
-                 export_dot, format_tip_path, free_tips, grope_class,
-                 is_isomorphic, lcs_degree, leaf_paths, parse_closed_tree,
-                 parse_tree, rerooted, tree_text)
+                 export_dot, format_tip_path, grope_class, is_isomorphic,
+                 lcs_degree, leaf_paths, parse_closed_tree, parse_tree,
+                 rerooted, tree_text)
 
 print("== classes " + "=" * 50)
 for text in ("*", "({* *})", "({({* *}) *})", "({({* *}) ({* *})} {* *})"):
@@ -38,8 +38,8 @@ print("== dual trees " + "=" * 47)
 # it is never below the original class.
 closed = parse_closed_tree("({({* *}) ({* *})})")
 k = grope_class(closed.body)
-print("tree %s, class %d, rank %d" % (closed, k, len(free_tips(closed))))
-for tip in free_tips(closed):
+print("tree %s, class %d, rank %d" % (closed, k, len(leaf_paths(closed.body))))
+for tip in leaf_paths(closed.body):
     dual = dual_tree(closed, tip)
     print("  tip %-8s dual %-24s class %d >= %d"
           % (format_tip_path(tip), tree_text(dual.body),
@@ -48,7 +48,7 @@ for tip in free_tips(closed):
 print()
 print("== genus-1 trees: duality is re-rooting " + "=" * 21)
 tower = parse_closed_tree("({({({* *}) *}) *})")
-for tip in free_tips(tower):
+for tip in leaf_paths(tower.body):
     dual = dual_tree(tower, tip)
     same = is_isomorphic(dual, rerooted(tower, tip))
     print("  tip %-10s dual %-22s re-rooted tree identical: %s"

@@ -7,11 +7,14 @@ circle, class 1) or a Surface with an ordered list of pairs of subtrees
 (one pair per genus).  The class of a Surface is the minimum over its
 pairs of the sum of the two members' classes.
 
-A `GropeTree` is a plain slotted value, like a `Word`: `__init__` fixes
-its class, leaf count and hash from the same slots of its children, so
-reading them is O(1) and building a tree is O(1) work per pair.  The
-module keeps no cache, and every walk uses an explicit stack, so trees
-of any depth work under the default recursion limit.  `boundary_word`
+A `GropeTree` is a plain value with three slots, like a `Word`: its
+pairs, and the class and leaf count that `__init__` fixes from its
+children's in O(1) work per pair.  A tree is its text: `tree_text`
+round-trips, so `==` and `hash` read the texts.  One post-order pass,
+`_subtree_texts`, writes every subtree's text for `tip_duals`, or sorted
+for `canonical` and `is_isomorphic`.  The module keeps no cache, and every
+walk uses an explicit stack, so trees of any depth work under the
+default recursion limit.  `boundary_word`
 parses the text that `boundary_expression` renders; its word at least
 doubles in length per stage, so a deep tree's boundary word is refused
 with `BudgetExceeded` once it passes the budget `mgk.words.MAX_LETTERS`.
@@ -24,8 +27,8 @@ Text grammar (whitespace-insensitive):
 A closed (sphere-like) grope is encoded by the same tree plus one extra
 edge at the root standing for the deleted 2-cell; `ClosedGropeTree` wraps
 a Surface body and supplies that convention.  The leaves of the body are
-the free tips; their count is the rank of the first homology of the
-closed grope.
+the free tips, `leaf_paths(closed.body)`; their count is the rank of the
+first homology of the closed grope.
 
 The dual-tree algorithm: fix a free tip and walk from it down to the
 root.  At each surface vertex on the way, erase every branch except the
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import re
 import sys
+from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -52,10 +56,9 @@ from .words import NAME, Word, bounded_int
 
 __all__ = [
     "GropeTree", "ClosedGropeTree", "LEAF", "parse_tree", "parse_closed_tree",
-    "tree_text", "grope_class", "leaf_paths", "free_tips",
-    "boundary_word", "boundary_expression", "dual_tree", "dual_class",
-    "tip_duals", "canonical", "is_isomorphic", "rerooted",
-    "format_tip_path", "parse_tip_path", "export_dot",
+    "tree_text", "grope_class", "leaf_paths", "boundary_word",
+    "boundary_expression", "dual_tree", "dual_class", "tip_duals", "canonical",
+    "is_isomorphic", "rerooted", "format_tip_path", "parse_tip_path", "export_dot",
 ]
 
 LEFT, RIGHT = 0, 1
@@ -68,17 +71,15 @@ class GropeTree:
     A tree is immutable by convention, like a `Word`: no slot is reassigned.
     """
 
-    __slots__ = ("pairs", "tree_class", "leaf_count", "_hash")
+    __slots__ = ("pairs", "tree_class", "leaf_count")
 
     def __init__(self, pairs: tuple[tuple["GropeTree", "GropeTree"], ...] = ()):
         self.pairs = pairs
-        classes, key, leaf_count = [], [], 0
+        classes, leaf_count = [], 0
         for left, right in pairs:
             classes.append(left.tree_class + right.tree_class)
             leaf_count += left.leaf_count + right.leaf_count
-            key += (left._hash, right._hash)
         self.tree_class, self.leaf_count = min(classes, default=1), leaf_count or 1
-        self._hash = hash(tuple(key))
 
     @property
     def is_leaf(self) -> bool:
@@ -92,11 +93,10 @@ class GropeTree:
         if not isinstance(other, GropeTree):
             return NotImplemented
         # tree_text round-trips, so equal trees are exactly equal texts
-        return self is other or (self._hash == other._hash
-                                 and tree_text(self) == tree_text(other))
+        return self is other or tree_text(self) == tree_text(other)
 
     def __hash__(self):
-        return self._hash
+        return hash(tree_text(self))
 
     def __repr__(self):
         return "parse_tree(%r)" % tree_text(self)
@@ -212,6 +212,31 @@ def tree_text(tree: GropeTree) -> str:
     return _render(tree, repeat("*"), ("({", " ", "} {", "})"))
 
 
+def _subtree_texts(tree: GropeTree, sort=False):
+    """(subtree, text) for every subtree in post-order, from one pass that
+    keeps the (class, text) keys of the finished subtrees whose parent is
+    still open; with sort, members and pairs sorted on (class, text)."""
+    done = []  # (class, text) of those subtrees, in depth-first order
+    stack = [(tree, False)]
+    while stack:
+        node, members_done = stack.pop()
+        if not node.pairs:
+            done.append((1, "*"))
+            yield node, "*"
+        elif not members_done:
+            stack.append((node, True))  # members finish in order
+            stack += [(m, False) for pair in node.pairs for m in pair][::-1]
+        else:
+            cut = len(done) - 2 * len(node.pairs)
+            pairs = zip(done[cut::2], done[cut + 1::2])
+            if sort:
+                pairs = sorted((a, b) if a <= b else (b, a) for a, b in pairs)
+            text = "(%s)" % " ".join(["{%s %s}" % (a[1], b[1]) for a, b in pairs])
+            del done[cut:]
+            done.append((node.tree_class, text))
+            yield node, text
+
+
 # -- class and tips ----------------------------------------------------------
 
 def grope_class(tree: GropeTree) -> int:
@@ -244,11 +269,6 @@ def _tip_walk(tree: GropeTree):
 def leaf_paths(tree: GropeTree):
     """Every Leaf position in depth-first order, as (pair, side) steps."""
     return tuple(tuple(steps) for steps, _, _ in _tip_walk(tree))
-
-
-def free_tips(closed: ClosedGropeTree):
-    """Free tips of a closed grope tree; the count is the rank of H1."""
-    return leaf_paths(closed.body)
 
 
 def format_tip_path(tip) -> str:
@@ -344,29 +364,16 @@ def dual_class(closed: ClosedGropeTree, tip) -> int:
 
 def tip_duals(closed: ClosedGropeTree):
     """(tip, format_tip_path(tip), dual text) for every free tip, in the
-    order of free_tips, from one depth-first walk; each text is
-    tree_text(dual_tree(closed, tip).body), built from no dual tree.
+    order of `leaf_paths(closed.body)`, from one depth-first walk; each text
+    is tree_text(dual_tree(closed, tip).body), built from no dual tree.
 
-    Every subtree below the root is some tip's partner, so one post-order
-    pass gives each its text, joined from its members' texts.  A dual's
-    text strings its partners p1..pk, root to tip, on a chain,
+    Every subtree below the root is some tip's partner, so the post-order
+    pass `_subtree_texts` gives each its text.  A dual's text strings its
+    partners p1..pk, root to tip, on a chain,
     "({" * k + "* " + text(p1) + "}) " + ... + text(pk) + "})", so a tip
     costs the length of its output.
     """
-    texts = {}  # id -> text of every distinct subtree below the root
-    stack = [(m, False) for pair in closed.body.pairs for m in pair]
-    while stack:
-        node, members_done = stack.pop()
-        if id(node) in texts:
-            continue
-        if not node.pairs:
-            texts[id(node)] = "*"
-        elif members_done:
-            texts[id(node)] = "(%s)" % " ".join(
-                "{%s %s}" % (texts[id(a)], texts[id(b)]) for a, b in node.pairs)
-        else:
-            stack.append((node, True))
-            stack += ((m, False) for pair in node.pairs for m in pair)
+    texts = {id(node): text for node, text in _subtree_texts(closed.body)}
     for steps, step_texts, partners in _tip_walk(closed.body):
         yield (tuple(steps), "/".join(step_texts), "({" * len(partners) + "* "
                + "}) ".join([texts[id(p)] for p in partners]) + "})")
@@ -375,25 +382,8 @@ def tip_duals(closed: ClosedGropeTree):
 # -- isomorphism and re-rooting ----------------------------------------------
 
 def _canonical_text(tree: GropeTree) -> str:
-    """tree_text of canonical(tree), from one bottom-up pass that keeps the
-    (class, text) keys of the finished subtrees whose parent is still open."""
-    done = []  # (class, text) of those subtrees, in depth-first order
-    stack = [(tree, False)]
-    while stack:
-        node, members_done = stack.pop()
-        if not node.pairs:
-            done.append((1, "*"))
-        elif not members_done:
-            stack.append((node, True))  # members finish last first; sorted below
-            stack += ((m, False) for pair in node.pairs for m in pair)
-        else:
-            cut = len(done) - 2 * len(node.pairs)
-            pairs = sorted((a, b) if a <= b else (b, a)
-                           for a, b in zip(done[cut::2], done[cut + 1::2]))
-            del done[cut:]
-            done.append((node.tree_class, "(%s)" % " ".join(
-                "{%s %s}" % (a[1], b[1]) for a, b in pairs)))
-    return done[0][1]
+    """tree_text of canonical(tree): the last of the sorted subtree texts."""
+    return deque(_subtree_texts(tree, sort=True), maxlen=1)[0][1]
 
 
 def canonical(tree: GropeTree) -> GropeTree:

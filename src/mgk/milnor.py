@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from .errors import NotInKernelError, UnknownGeneratorError
 from .ring import Ring, RingElement, basis_rank, format_ring_element, scan
-from .words import IDENTITY, Word, commutator
+from .words import IDENTITY, Word, _check_length, commutator
 
 __all__ = [
     "magnus", "magnus_coefficient", "normal_form", "words_equal", "MilnorElement",
@@ -187,7 +187,9 @@ def r_map(rho: RingElement, alphabet) -> Word:
         w = Word.gen(last)
         for v in reversed(ring.positions(mono)):
             w = commutator(Word.gen(ring.variables[v]), w)
-        letters += (w ** rho.terms[mono]).letters
+        c = rho.terms[mono]
+        _check_length(len(letters) + abs(c) * len(w.letters))  # the sum's budget
+        letters += (w ** c).letters
     return Word._trusted(tuple(letters))
 
 

@@ -119,7 +119,7 @@ class RingElement:
 
     Values are immutable by convention: arithmetic always allocates.
     Plain ints coerce to constants, so ``1 + y2`` works and a constant
-    equals, and hashes as, its int.
+    equals, and hashes as, its int, whatever its ring.
     """
 
     __slots__ = ("ring", "terms")
@@ -172,8 +172,9 @@ class RingElement:
     def __eq__(self, other):
         if isinstance(other, int):
             return self.terms == ({0: other} if other else {})
-        if isinstance(other, RingElement):  # elements of two rings are unequal
-            return self.ring == other.ring and self.terms == other.terms
+        if isinstance(other, RingElement):  # a constant is its int in any ring
+            return self.terms == other.terms and (self.ring == other.ring
+                                                  or self.terms.keys() <= {0})
         return NotImplemented
 
     def __hash__(self):

@@ -159,7 +159,7 @@ def _boundary_has_degree(tree, k):
 
 def _duals_hold(closed, genus1):
     k = gropes.grope_class(closed.body)
-    for tip in gropes.free_tips(closed):
+    for tip in gropes.leaf_paths(closed.body):
         dual = gropes.dual_tree(closed, tip)
         dc = gropes.dual_class(closed, tip)
         if dc < k or dc != gropes.grope_class(dual.body):

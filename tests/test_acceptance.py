@@ -12,8 +12,8 @@ import sys
 
 from mgk.composition import CompositionSpec, compose, essentiality_certificate
 from mgk.errors import CompositionError
-from mgk.gropes import (dual_class, dual_tree, free_tips, grope_class,
-                        is_isomorphic, leaf_paths)
+from mgk.gropes import (dual_class, dual_tree, grope_class, is_isomorphic,
+                        leaf_paths)
 from mgk.gropes import boundary_word
 from mgk.links import (SolidTorusLink, catalog, is_homotopically_trivial,
                        mu_bar)
@@ -23,6 +23,8 @@ from mgk.ring import Ring
 from mgk.sampling import (random_closed_tree, random_grope_tree,
                           random_ring_element, random_word)
 from mgk.words import Word, commutator
+
+from helpers import reroot_oracle
 
 
 def report(num, description, ok):
@@ -118,40 +120,6 @@ def test_criterion_05_boundary_degree():
     report(5, "boundary word degree equals the class (200 trees, k <= 6)", ok)
 
 
-def _reroot_oracle(closed, tip):
-    """Independent re-rooting on adjacency lists (genus-1 trees)."""
-    from mgk.gropes import ClosedGropeTree, GropeTree
-    adj, tips, counter = {}, {}, itertools.count()
-
-    def build(node, path):
-        v = next(counter)
-        adj.setdefault(v, [])
-        if node.is_leaf:
-            tips[path] = v
-        for i, pair in enumerate(node.pairs):
-            for side, child in enumerate(pair):
-                c = build(child, path + ((i, side),))
-                adj[v].append(c)
-                adj[c].append(v)
-        return v
-
-    root = build(closed.body, ())
-    extra = next(counter)
-    adj[extra] = [root]
-    adj[root].append(extra)
-
-    def grow(v, parent):
-        kids = [u for u in adj[v] if u != parent]
-        if not kids:
-            return GropeTree()
-        assert len(kids) == 2
-        return GropeTree(((grow(kids[0], v), grow(kids[1], v)),))
-
-    start = tips[tuple(tip)]
-    (first,) = adj[start]
-    return ClosedGropeTree(grow(first, start))
-
-
 def test_criterion_06_grope_duality():
     rng = random.Random(106)
     ok = True
@@ -161,14 +129,14 @@ def test_criterion_06_grope_duality():
         closed = random_closed_tree(rng, k, max_genus=1 if genus1 else 2,
                                     max_tips=10)
         k_actual = grope_class(closed.body)
-        tips = free_tips(closed)
+        tips = leaf_paths(closed.body)
         duals = [dual_tree(closed, tip) for tip in tips]
         ok = ok and len(duals) == len(tips)
         for tip, dual in zip(tips, duals):
             ok = ok and dual_class(closed, tip) >= k_actual
             ok = ok and dual_class(closed, tip) == grope_class(dual.body)
             if genus1:
-                ok = ok and is_isomorphic(dual, _reroot_oracle(closed, tip))
+                ok = ok and is_isomorphic(dual, reroot_oracle(closed, tip))
         if not ok:
             break
     report(6, "dual classes bound the class; genus-1 duals re-root "

@@ -55,7 +55,7 @@ def test_grope_duals_builds_each_dual_once(capsys, monkeypatch):
     monkeypatch.setattr(mgk.gropes, "_path_partners", lambda closed, tip:
                         walked.append(tip) or path_partners(closed, tip))
     with monkeypatch.context() as patch:
-        for name in ("dual_tree", "tree_text", "format_tip_path", "free_tips"):
+        for name in ("dual_tree", "tree_text", "format_tip_path", "leaf_paths"):
             patch.setattr(mgk.gropes, name, None)  # a call would raise
         code, out, _ = run(capsys, "grope", "duals", "({({* *}) *} {* *})")
     assert code == 0 and out.count("tip ") == 5

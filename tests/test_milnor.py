@@ -5,7 +5,8 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mgk.errors import NotInKernelError, UnknownGeneratorError
+import mgk.words
+from mgk.errors import BudgetExceeded, NotInKernelError, UnknownGeneratorError
 from mgk.milnor import (basis_rank, conjugation_action, default_alphabet,
                         lcs_degree, magnus, magnus_coefficient, normal_form,
                         r_inverse, r_map, words_equal)
@@ -186,6 +187,16 @@ def test_r_map_base_cases():
     assert r_map(ring.zero, A3) == Word()
     assert r_map(ring.one, A3) == Word.gen("m3")
     assert r_map(ring.gen("m2"), A3) == Word.parse("[m2,m3]")
+
+
+def test_r_map_refuses_a_word_over_the_letter_budget(monkeypatch):
+    # each term's power fits the budget; their concatenation must fit too
+    rho = Ring(A3[:-1]).element({("m1",): 20, ("m2",): 20})
+    monkeypatch.setattr(mgk.words, "MAX_LETTERS", 160)
+    assert r_map(rho, A3) == Word.parse("[m1,m3]^20 [m2,m3]^20")
+    monkeypatch.setattr(mgk.words, "MAX_LETTERS", 159)
+    with pytest.raises(BudgetExceeded, match="letter limit of 159 letters"):
+        r_map(rho, A3)
 
 
 def test_r_map_rejects_distinguished_variable():

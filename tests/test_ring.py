@@ -231,8 +231,16 @@ def test_a_constant_hashes_as_its_int():
 
 def test_elements_of_two_rings_are_unequal():
     other = Ring(("z1",))
-    assert other.one != R.one and not other.zero == R.zero
-    assert len({R.one, other.one}) == 2
+    assert other.gen("z1") != R.gen("m1") and not other.gen("z1") == R.gen("m1")
+    assert other.one + other.gen("z1") != R.one + R.gen("m1")
+    assert len({R.gen("m1"), other.gen("z1")}) == 2
+
+
+def test_a_constant_equals_its_int_in_every_ring():
+    # so == is transitive: a set's size does not depend on insertion order
+    other = Ring(("z1",))
+    assert len({R.one, other.one, 1}) == 1 and len({1, R.one, other.one}) == 1
+    assert R.zero == other.zero and R.one - 3 == other.one * -2
 
 
 def test_repr_names_the_element():
