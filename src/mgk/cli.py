@@ -72,19 +72,20 @@ def _component(text):
 
 
 def _alphabet_for(words, gens):
-    """m1..mK for the largest K named as mK; m02 is not m2, so a zero-padded
-    index sizes nothing."""
-    if gens is not None:
-        return milnor.default_alphabet(gens)
-    top = 1
-    for word in words:
-        for g, _ in word.letters:
-            if g.startswith("m") and g[1:].isdigit() and g[1] != "0":
-                index = bounded_int(g[1:], sys.maxsize)
-                if index == sys.maxsize:  # no alphabet has that many generators
-                    raise MgkError("generator %s out of range" % g)
-                top = max(top, index)
-    return milnor.default_alphabet(top)
+    """m1..mK for K = gens, or else the largest K named as mK (m02 is not m2,
+    so a zero-padded index sizes nothing); K is checked against the
+    alphabet budget before any name is built."""
+    if gens is None:
+        gens = 1
+        for word in words:
+            for g, _ in word.letters:
+                if g.startswith("m") and g[1:].isdigit() and g[1] != "0":
+                    index = bounded_int(g[1:], sys.maxsize)
+                    if index == sys.maxsize:  # no alphabet has that many generators
+                        raise MgkError("generator %s out of range" % g)
+                    gens = max(gens, index)
+    milnor._check_alphabet_size(gens)
+    return milnor.default_alphabet(gens)
 
 
 def _refuse_unread(args, action, readers):
@@ -106,20 +107,18 @@ def cmd_grope(args):
         closed = gropes.parse_closed_tree(args.tree)
         k = gropes.grope_class(closed.body)
         if args.tip is None:
-            duals = gropes.tip_duals(closed)
-        else:  # '' parses to the root, which dual_tree refuses as no tip
-            tip = gropes.parse_tip_path(args.tip)
-            duals = [(tip, gropes.format_tip_path(tip),
-                      gropes.tree_text(gropes.dual_tree(closed, tip).body))]
-        rows = []
-        for tip, path, text in duals:
             # the benchmark tracer times the duals layer only through dual_tree
             # and dual_class, so the class keeps its own path walk (ROADMAP item 3)
-            dc = gropes.dual_class(closed, tip)
-            rows.append({"tip": path,
-                         "dual": text,
-                         "class": dc,
-                         "bound": "%d >= %d %s" % (dc, k, "ok" if dc >= k else "VIOLATED")})
+            duals = [(path, text, gropes.dual_class(closed, tip))
+                     for tip, path, text in gropes.tip_duals(closed)]
+        else:  # '' parses to the root, which dual_tree refuses as no tip
+            tip = gropes.parse_tip_path(args.tip)
+            dual = gropes.dual_tree(closed, tip).body
+            duals = [(gropes.format_tip_path(tip), gropes.tree_text(dual),
+                      dual.tree_class)]
+        rows = [{"tip": path, "dual": text, "class": dc,
+                 "bound": "%d >= %d %s" % (dc, k, "ok" if dc >= k else "VIOLATED")}
+                for path, text, dc in duals]
         lines = ["class %d, rank %d" % (k, closed.body.leaf_count)]
         lines += ["tip %-10s class %-3d %-12s %s"
                   % (r["tip"], r["class"], r["bound"], r["dual"]) for r in rows]

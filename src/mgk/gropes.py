@@ -367,13 +367,13 @@ def tip_duals(closed: ClosedGropeTree):
     order of `leaf_paths(closed.body)`, from one depth-first walk; each text
     is tree_text(dual_tree(closed, tip).body), built from no dual tree.
 
-    Every subtree below the root is some tip's partner, so the post-order
-    pass `_subtree_texts` gives each its text.  A dual's text strings its
-    partners p1..pk, root to tip, on a chain,
-    "({" * k + "* " + text(p1) + "}) " + ... + text(pk) + "})", so a tip
-    costs the length of its output.
+    Every subtree below the root is some tip's partner, so `_subtree_texts`
+    passes over the root's pair members give each its text, not the root's.
+    A dual strings its partners p1..pk, root to tip, on a chain, "({" * k +
+    "* " + text(p1) + "}) " + ... + text(pk) + "})": a tip costs its output.
     """
-    texts = {id(node): text for node, text in _subtree_texts(closed.body)}
+    texts = {id(node): text for pair in closed.body.pairs for member in pair
+             for node, text in _subtree_texts(member)}
     for steps, step_texts, partners in _tip_walk(closed.body):
         yield (tuple(steps), "/".join(step_texts), "({" * len(partners) + "* "
                + "}) ".join([texts[id(p)] for p in partners]) + "})")

@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 
 from .errors import LinkFormatError, NotInKernelError
-from .milnor import default_alphabet, magnus_coefficient, r_inverse
-from .words import Word
+from .milnor import (_check_alphabet_size, default_alphabet, magnus_coefficient,
+                     r_inverse)
+from .words import Word, bounded_int
 
 __all__ = [
     "LinkModel", "SolidTorusLink", "mu_bar", "is_homotopically_trivial",
@@ -210,9 +212,10 @@ def catalog(name: str):
     """Built-in models; longitudes match the committed oracle fixtures."""
     m = _UNLINK.match(name.strip())
     if m:
-        n = int(m.group(1))
+        n = bounded_int(m.group(1), sys.maxsize)
         if n < 1:
             raise LinkFormatError("unlink needs at least one component")
+        _check_alphabet_size(n)
         return _link(*("1",) * n)
     if name in _CATALOG:
         return _CATALOG[name]

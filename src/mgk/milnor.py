@@ -27,6 +27,12 @@ and `r_inverse` is the top level's scan alone: the word is in the kernel iff
 the scan's expansion without the last generator is 1, and rho is the answer.
 `normal_form` is that scan too: rho is the top component, and the
 expansion without the last generator projects to every lower one.
+
+The tower holds s prefix rings, about s^2/2 names in all, so the command
+line and the catalog refuse an alphabet of more than `MAX_GENERATORS`
+generators (the alphabet budget) with `BudgetExceeded` before they build
+one.  `default_alphabet` itself is unbounded: it names the tips of deep
+grope trees, whose boundary words the letter budget already bounds.
 """
 
 from __future__ import annotations
@@ -34,21 +40,30 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NotInKernelError, UnknownGeneratorError
+from .errors import BudgetExceeded, NotInKernelError, UnknownGeneratorError
 from .ring import Ring, RingElement, basis_rank, format_ring_element, scan
 from .words import IDENTITY, Word, _check_length, commutator
 
 __all__ = [
     "magnus", "magnus_coefficient", "normal_form", "words_equal", "MilnorElement",
     "r_map", "r_inverse", "conjugation_action", "lcs_degree", "basis_rank",
-    "default_alphabet",
+    "default_alphabet", "MAX_GENERATORS",
 ]
+
+MAX_GENERATORS = 4096  # the alphabet budget
 
 
 def default_alphabet(s: int, prefix: str = "m") -> tuple[str, ...]:
     if s < 0:
         raise ValueError("generator count must be >= 0")
     return tuple("%s%d" % (prefix, i + 1) for i in range(s))
+
+
+def _check_alphabet_size(s):
+    """Refuse an alphabet of s generators if s is over the alphabet budget."""
+    if s > MAX_GENERATORS:
+        raise BudgetExceeded("alphabet larger than the generator limit of %d "
+                             "generators" % MAX_GENERATORS)
 
 
 def _positions(word: Word, alphabet) -> list:

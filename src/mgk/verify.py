@@ -158,14 +158,13 @@ def _boundary_has_degree(tree, k):
 
 
 def _duals_hold(closed, genus1):
-    k = gropes.grope_class(closed.body)
-    for tip in gropes.leaf_paths(closed.body):
+    # tip_duals' walk and dual_tree's path walk derive each dual apart
+    k = closed.body.tree_class
+    for tip, _, text in gropes.tip_duals(closed):
         dual = gropes.dual_tree(closed, tip)
-        dc = gropes.dual_class(closed, tip)
-        if dc < k or dc != gropes.grope_class(dual.body):
-            return False
-        if genus1 and not gropes.is_isomorphic(
-                dual, gropes.rerooted(closed, tip)):
+        if (gropes.tree_text(dual.body) != text or dual.body.tree_class < k
+                or genus1 and not gropes.is_isomorphic(
+                    dual, gropes.rerooted(closed, tip))):
             return False
     return True
 

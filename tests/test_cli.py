@@ -8,6 +8,7 @@ import pytest
 
 import mgk.cli
 import mgk.gropes
+import mgk.links
 import mgk.milnor
 import mgk.words
 from mgk import verify
@@ -70,7 +71,7 @@ def test_grope_duals_builds_each_dual_once(capsys, monkeypatch):
                        "--tip", "0L/0R")
     assert code == 0 and out.endswith("3 >= 2 ok    ({({* *}) *})\n")
     assert built == [((0, 0), (0, 1))]
-    assert walked == [((0, 0), (0, 1))] * 2  # its dual tree, then its class
+    assert walked == [((0, 0), (0, 1))]  # its class is its dual tree's
 
 
 def test_grope_duals_one_tip_is_its_row_of_every_tip(capsys):
@@ -677,6 +678,39 @@ def test_inferred_alphabets_read_long_generator_indices(capsys, monkeypatch,
     code, out, err = run(capsys, "milnor", action, *words)
     assert (code, out, err) == (2, "", "error: %s\n" % message)
     assert "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["milnor", "expand", "m1", "--gens", "4097"],
+    ["milnor", "nf", "m1", "--gens", "1000000000"],
+    ["milnor", "expand", "m4097"],
+    ["milnor", "equal", "m1", "[m2,m%d]" % (10 ** 18)],
+    ["link", "trivial", "unlink(4097)"],
+    ["link", "show", "unlink(%s)" % ("9" * 5000)],
+], ids=["gens", "gens-billion", "inferred", "inferred-in-second-word",
+        "unlink", "unlink-5000-digits"])
+def test_an_alphabet_over_the_budget_is_one_error_line(capsys, monkeypatch,
+                                                       argv):
+    # a lost refusal would build the names first; the test stops that
+    def small_alphabet(s, prefix="m"):
+        assert s <= mgk.milnor.MAX_GENERATORS, "an alphabet of %d generators" % s
+        return default_alphabet(s, prefix)
+    monkeypatch.setattr(mgk.milnor, "default_alphabet", small_alphabet)
+    monkeypatch.setattr(mgk.links, "default_alphabet", small_alphabet)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: alphabet larger than the "
+                                "generator limit of 4096 generators\n")
+
+
+def test_an_alphabet_at_the_budget_answers(capsys, monkeypatch):
+    assert run(capsys, "milnor", "expand", "m4096")[:2] == (0, "1 + y4096\n")
+    assert run(capsys, "milnor", "expand", "m1", "--gens", "4096")[:2] == (
+        0, "1 + y1\n")
+    # the catalog's unlink shares the budget; a small one keeps this quick
+    monkeypatch.setattr(mgk.milnor, "MAX_GENERATORS", 8)
+    assert run(capsys, "link", "trivial", "unlink(8)")[:2] == (0, "true\n")
+    assert run(capsys, "link", "trivial", "unlink(9)") == (
+        2, "", "error: alphabet larger than the generator limit of 8 generators\n")
 
 
 def test_compose_over_the_letter_budget_is_one_error_line(capsys, tmp_path):

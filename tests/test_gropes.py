@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 
@@ -353,28 +354,54 @@ def test_bad_tip_paths():
         dual_tree(closed, ())
 
 
+def lowered_class(real):
+    """dual_tree whose duals keep their texts and have their classes one
+    less; the chain's top Surface is built afresh on each call, so no
+    other tree sees the change."""
+    def dual_tree(closed, tip):
+        dual = real(closed, tip)
+        dual.body.tree_class -= 1
+        return dual
+    return dual_tree
+
+
+def traversed_children(real):
+    """_tip_walk handing each tip the traversed children, not the partners."""
+    def walk(tree):
+        for steps, step_texts, _ in real(tree):
+            node, children = tree, []
+            for i, side in steps:
+                node = node.pairs[i][side]
+                children.append(node)
+            yield steps, step_texts, children
+    return walk
+
+
 @pytest.mark.parametrize("name, broken", [
-    # one less than the dual tree's class
-    ("dual_class", lambda real: lambda closed, tip: real(closed, tip) - 1),
+    ("dual_tree", lowered_class),
     # one leaf more than the re-rooted tree, so never isomorphic to the dual
     ("rerooted", lambda real: lambda closed, tip: ClosedGropeTree(
         GropeTree(((real(closed, tip).body, LEAF),)))),
-], ids=["dual-class", "rerooted"])
-def test_grope_duality_check_can_fail(monkeypatch, name, broken):
+    # dual_tree and rerooted read _path_partners, tip_duals reads _tip_walk,
+    # and the case compares the two walks' duals
+    ("_path_partners", lambda real: lambda closed, tip: real(closed, tip)[::-1]),
+    ("_tip_walk", traversed_children),
+], ids=["dual-class", "rerooted", "partners-tip-to-root", "traversed-children"])
+def test_grope_duality_check_can_fail(capsys, monkeypatch, name, broken):
     import mgk.gropes
-    from mgk import verify
+    from mgk.cli import main
 
-    def duality_case():
-        report = verify.run_all(verify.RunConfig(seed=1, trials=20))
-        (case,) = [c for c in report["cases"] if c["input"].startswith("duals:")]
-        return case
+    def failed_cases():
+        code = main(["verify", "all", "--json", "--seed", "1"])
+        report = json.loads(capsys.readouterr().out)
+        return code, [c for c in report["cases"] if c["status"] == "fail"]
 
-    assert duality_case()["status"] == "pass"
+    assert failed_cases() == (0, [])
     monkeypatch.setattr(mgk.gropes, name, broken(getattr(mgk.gropes, name)))
-    case = duality_case()
-    assert case["status"] == "fail" and case["actual"]["failures"] > 0
+    code, failed = failed_cases()
+    assert code == 1 and [c["input"][:6] for c in failed] == ["duals:"]
     # the witness is a failing sample: (closed tree, genus-1 flag)
-    tree, genus1 = case["actual"]["witness"].split(", ")
+    tree, genus1 = failed[0]["actual"]["witness"].split(", ")
     assert parse_closed_tree(tree) and genus1 in ("True", "False")
     if name == "rerooted":
         assert genus1 == "True"  # only genus-1 samples are re-rooted
