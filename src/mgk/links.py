@@ -7,7 +7,7 @@ over the other components' meridians.  Invariants are computed verbatim
 from the words; geometric realizability and the indeterminacy of the
 invariants for general links are out of scope.  Deleting a component sets
 its meridian to 1 by erasing its letters from the remaining longitudes.
-Triviality tests read each longitude's kernel coordinate by one scan.
+Triviality tests index the meridians once, then scan each longitude once.
 
 A solid-torus pattern is a link model plus a wedge word, the word of the
 solid torus' meridian circle, and a core symbol ("lambda" in the catalog)
@@ -24,9 +24,9 @@ import re
 import sys
 from dataclasses import dataclass
 
-from .errors import LinkFormatError, NotInKernelError
-from .milnor import (_check_alphabet_size, default_alphabet, magnus_coefficient,
-                     r_inverse)
+from .errors import LinkFormatError, UnknownGeneratorError
+from .milnor import _check_alphabet_size, default_alphabet, magnus_coefficient
+from .ring import scan
 from .words import Word, bounded_int
 
 __all__ = [
@@ -149,20 +149,24 @@ def delete_component(link: LinkModel, which) -> LinkModel:
 
 
 def _coordinates(link: LinkModel):
-    """Each longitude's kernel coordinate over the other meridians (None
-    outside the kernel of deleting the last of them), lazily."""
+    """Each longitude's kernel coordinate over the other meridians, a term
+    dict or None outside the kernel of deleting the last; one scan each."""
+    index = {g: i for i, g in enumerate(link.meridians)}
     for k, word in enumerate(link.longitudes):
-        try:
-            yield r_inverse(word, link.meridians[:k] + link.meridians[k + 1:])
-        except NotInKernelError:
-            yield None
+        try:  # past k, positions move down one: the last is the kernel letter
+            letters = [(index[g] - (index[g] > k), e) for g, e in word.letters]
+        except KeyError as exc:  # only a pattern's core symbol is no meridian
+            raise UnknownGeneratorError("generator %r is not in the alphabet %r" % (
+                exc.args[0], link.meridians[:k] + link.meridians[k + 1:])) from None
+        running, rho = scan(letters, link.n - 2)
+        yield rho if running == {0: 1} else None
 
 
 def is_homotopically_trivial(link: LinkModel) -> bool:
     """True iff every longitude is in the kernel with coordinate 0, i.e. is
     1 in the Milnor group of the other meridians.  Sublinks then are trivial
     too: deleting m_k fixes 1.  Knots are always trivial."""
-    return link.n == 1 or all(rho == 0 for rho in _coordinates(link))
+    return link.n == 1 or all(rho == {} for rho in _coordinates(link))
 
 
 def is_almost_trivial(link: LinkModel) -> bool:
@@ -172,8 +176,8 @@ def is_almost_trivial(link: LinkModel) -> bool:
     is M(w) on monomials ending in the last one).  Always True for n = 2."""
     if link.n < 2:
         raise LinkFormatError("almost-triviality needs at least 2 components")
-    return all(rho is not None
-               and all(rho.ring.degree(m) == link.n - 2 for m in rho.terms)
+    full = (1 << link.n - 2) - 1  # degree n - 2 on n - 2 variables: a full mask
+    return all(rho is not None and all(m & full == full for m in rho)
                for rho in _coordinates(link))
 
 
@@ -262,6 +266,10 @@ def link_from_dict(data: dict):
     raw = data["longitudes"]
     if not isinstance(raw, dict):
         raise LinkFormatError("link JSON 'longitudes' must map components to words")
+    stray = sorted(set(raw).difference(components), key=str)
+    if stray:
+        raise LinkFormatError("link JSON 'longitudes' names no component: %s"
+                              % ", ".join(map(repr, stray)))
     meridians = _names(data, "meridians") if "meridians" in data else \
         default_alphabet(len(components), "z" if "wedge" in data else "m")
     try:

@@ -206,7 +206,8 @@ def reference_r_inverse(word, alphabet):
 
 # -- link invariants by sublink recursion and full expansion --------------------
 # The library reads triviality from one kernel scan per component and mu-bar
-# by a chain scan; these recurse over sublinks and expand in the ring.
+# by a chain scan; these call `r_inverse` per component, or recurse over
+# sublinks and expand in the ring.
 
 
 def reference_mu_bar(link, indices):
@@ -220,6 +221,17 @@ def reference_mu_bar(link, indices):
     others = tuple(m for k, m in enumerate(link.meridians) if k != j)
     expansion = magnus(link.longitudes[j], others)
     return expansion.coefficient(tuple(link.meridians[i] for i in idx[:-1]))
+
+
+def coordinates_oracle(link):
+    """Each longitude's kernel coordinate through the public API: one
+    `r_inverse` call per component over a fresh alphabet of the other
+    meridians, yielding the coordinate's terms, or None outside the kernel."""
+    for k, word in enumerate(link.longitudes):
+        try:
+            yield r_inverse(word, link.meridians[:k] + link.meridians[k + 1:]).terms
+        except NotInKernelError:
+            yield None
 
 
 def reference_is_homotopically_trivial(link):

@@ -6,15 +6,16 @@ import random
 import pytest
 
 from mgk.composition import compose
-from mgk.errors import LinkFormatError
-from mgk.links import (LinkModel, SolidTorusLink, catalog, catalog_names,
-                       delete_component, is_almost_trivial,
+from mgk.errors import LinkFormatError, UnknownGeneratorError
+from mgk.links import (LinkModel, SolidTorusLink, _coordinates, catalog,
+                       catalog_names, delete_component, is_almost_trivial,
                        is_homotopically_trivial, link_from_dict, link_to_dict,
                        load_link, mu_bar, save_link)
+from mgk.ring import Ring
 from mgk.words import IDENTITY, Word
 
-from helpers import (conjugated_relator, iterated_bing_specs,
-                     reference_is_almost_trivial,
+from helpers import (conjugated_relator, coordinates_oracle,
+                     iterated_bing_specs, reference_is_almost_trivial,
                      reference_is_homotopically_trivial, reference_mu_bar,
                      reference_solid_torus_check)
 
@@ -225,14 +226,16 @@ def test_invariants_agree_with_sublink_recursion_oracles():
 
 def test_invariants_expand_each_longitude_at_most_once(monkeypatch):
     # one kernel scan per longitude read, stopping at the first failure;
-    # no full expansion and no normal-form tower
+    # no full expansion, no normal-form tower and no ring per component
+    import mgk.links
     import mgk.milnor
     calls = []
-    for name in ("scan", "magnus", "normal_form"):
-        def counting(*args, _real=getattr(mgk.milnor, name), _name=name):
+    for module, name in ((mgk.links, "scan"), (mgk.milnor, "scan"),
+                         (mgk.milnor, "magnus"), (mgk.milnor, "normal_form")):
+        def counting(*args, _real=getattr(module, name), _name=name):
             calls.append(_name)
             return _real(*args)
-        monkeypatch.setattr(mgk.milnor, name, counting)
+        monkeypatch.setattr(module, name, counting)
     assert is_homotopically_trivial(catalog("unlink(8)"))
     assert calls == ["scan"] * 8
     mers = tuple("m%d" % (i + 1) for i in range(5))
@@ -250,6 +253,55 @@ def test_invariants_expand_each_longitude_at_most_once(monkeypatch):
     assert calls == []
     mgk.milnor.r_inverse(Word.parse("m2 [m1,m3] m2'"), ("m1", "m2", "m3"))
     assert calls == ["scan"]  # r_inverse itself: one scan, no tower
+    rings = []
+    real_init = Ring.__init__
+
+    def counting_init(self, variables):
+        rings.append(len(variables))
+        real_init(self, variables)
+
+    monkeypatch.setattr(Ring, "__init__", counting_init)
+    big = catalog("unlink(64)")
+    assert is_homotopically_trivial(big) and is_almost_trivial(big)
+    assert rings == []
+
+
+def oracle_answers(n, coords):
+    """Both triviality answers of an n-component link from its coordinates
+    by the per-component `r_inverse` oracle, degrees read by `Ring.degree`."""
+    degree = Ring(tuple("x%d" % i for i in range(n - 2))).degree
+    return (n == 1 or all(rho == {} for rho in coords),
+            all(rho is not None and all(degree(m) == n - 2 for m in rho)
+                for rho in coords))
+
+
+def test_coordinates_agree_with_the_per_component_r_inverse_oracle():
+    rng = random.Random(20261019)
+    links = [random_link(rng, rng.randint(2, 9)) for _ in range(1000)]
+    links += [compose(spec) for spec in iterated_bing_specs(5)]
+    fixtures = os.path.join(os.path.dirname(__file__), "fixtures", "links")
+    links += [load_link(os.path.join(fixtures, name))
+              for name in sorted(os.listdir(fixtures))]
+    seen = {"outside": 0, "zero": 0, "nonzero": 0}
+    answers = set()
+    for link in links:
+        coords = list(coordinates_oracle(link))
+        assert list(_coordinates(link)) == coords, link
+        answer = (is_homotopically_trivial(link), is_almost_trivial(link))
+        assert answer == oracle_answers(link.n, coords), link
+        answers.add(answer)
+        for rho in coords:
+            seen["outside" if rho is None else "nonzero" if rho else "zero"] += 1
+    assert min(seen.values()) > 100, seen
+    assert answers == {(True, True), (False, True), (False, False)}
+
+
+def test_triviality_tests_on_a_pattern_name_its_core_symbol():
+    pattern = catalog("bing_double")
+    for test in (is_homotopically_trivial, is_almost_trivial):
+        with pytest.raises(UnknownGeneratorError, match="'lambda'"):
+            test(pattern)
+    assert mu_bar(pattern, (1, 2)) == mu_bar(pattern, (2, 1)) == 0
 
 
 def test_triviality_tests_agree_with_oracles_on_bing_doubles_and_large_links():
@@ -469,6 +521,10 @@ def test_json_errors():
         link_from_dict({"components": ["a"]})
     with pytest.raises(LinkFormatError):
         link_from_dict({"components": ["a"], "longitudes": {}})
+    # a longitude key that names no component is refused, not dropped
+    with pytest.raises(LinkFormatError, match="no component: 'c', 'l2'$"):
+        link_from_dict({"components": ["a"],
+                        "longitudes": {"a": "1", "l2": "m1", "c": "1"}})
 
 
 BAD_LINK_JSON = [
@@ -487,6 +543,7 @@ BAD_LINK_JSON = [
     {"components": ["a", "b"], "meridians": [],
      "longitudes": {"a": "m2", "b": "1"}},
     {"components": ["a"], "longitudes": {"a": "1"}, "core_symbol": "t"},
+    {"components": ["a"], "longitudes": {"a": "1", "b": "m1"}},
 ]
 
 
