@@ -253,11 +253,24 @@ def scan(letters, n: int):
     the generator after the ring's variables: a letter (g, e) with g < n
     multiplies running by 1 + e*y_g, and a letter at n adds e*running to
     rho; with no letter at n, running is the Magnus expansion.
+    Adjacent letters of one position first fold into one letter with the
+    summed exponent, on a stack, so cancellations nest and zero sums drop.
+    That is exact: (1 + a*y_g)(1 + b*y_g) = 1 + (a+b)*y_g as y_g*y_g = 0,
+    and two adjacent kernel letters add a*running, then b*running, to rho
+    with running unchanged in between.
     Only keys without g gain a term and the new keys all contain g, so a
     snapshot of the keys lacking g reads each coefficient before it moves."""
+    folded = []
+    for let in letters:
+        if folded and folded[-1][0] == let[0]:
+            g, e = folded.pop()
+            if e + let[1]:
+                folded.append((g, e + let[1]))
+        else:
+            folded.append(let)
     w, full = n.bit_length(), (1 << n) - 1
     running, rho = {0: 1}, {}
-    for g, e in letters:
+    for g, e in folded:
         if g == n:
             add_scaled(rho, running, e)
             continue

@@ -24,7 +24,9 @@ import re
 from .errors import BudgetExceeded, WordSyntaxError
 
 NAME = re.compile(r"[A-Za-z][A-Za-z0-9]*")  # a generator name
-_TOKEN = re.compile(r"%s|\d+|[\[\](),'^-]" % NAME.pattern)
+# a name takes the primes written right after it, so m3' is one token and
+# one letter; a detached prime (m3 ') is a token of its own
+_TOKEN = re.compile(r"%s'*|\d+|[\[\](),'^-]" % NAME.pattern)
 MAX_LETTERS = 2 ** 22  # the letter budget
 
 
@@ -170,7 +172,11 @@ def _parse(text):
         i += 1
         if tok[0].isalpha():
             last = len(letters)
-            letters.append((tok, 1))
+            if tok[-1] != "'":
+                letters.append((tok, 1))
+            else:  # each prime inverts
+                name = tok.rstrip("'")
+                letters.append((name, (-1) ** (len(tok) - len(name))))
         elif tok == "'" and last is not None:
             letters[last:] = _inverse(letters[last:])
         elif tok == "^" and last is not None:

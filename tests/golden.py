@@ -52,6 +52,13 @@ WORDS = [
     ("[m2,m3]", ["--json"]),
 ]
 
+# primes attached to a name and detached from it, primes on powers and
+# brackets, and malformed texts whose error lines name a position
+WORDS += [(word, []) for word in (
+    "m1'''", "m1 '", "m2^3'", "[m1,m2]'", "m1'^-2", "(m1 m2')^2",
+    "m3'' m1'^3 m2 ''", "[m1',m2'']'^-2 m3'", "m1 m2 m2' m1' m1^3 [m2,m3]^-2",
+    "m1'^", "m1'2", "m2' )", "m1''@", "(m1' '", "[m1'',m2']^-")]
+
 
 def _boundary_words(n):
     """Two short words on n generators that use m1 and the top one mn: the

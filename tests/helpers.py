@@ -7,9 +7,10 @@ variable names, kernel coordinates and the essentiality certificate are
 read from whole normal-form towers, Milnor-equal words are produced by
 explicit relator insertion, boundary words by a recursive commutator walk,
 random grope trees are built whole for every candidate,
-re-rooting works on a plain adjacency list, the word parser checks its
-token index at every read, and the solid-torus pattern checks are written
-out apart from the link checks.
+re-rooting works on a plain adjacency list, the word parser is checked
+against the parser it replaced, which reads every prime as a token of its
+own, and a recursive one that checks its token index at every read, and
+the solid-torus pattern checks are written out apart from the link checks.
 """
 
 import re
@@ -23,7 +24,8 @@ from mgk.links import (SolidTorusLink, catalog, delete_component,
                        is_almost_trivial)
 from mgk.milnor import MilnorElement, magnus, normal_form, r_inverse
 from mgk.ring import Ring, variable_display
-from mgk.words import IDENTITY, Word, commutator
+from mgk.words import (IDENTITY, MAX_LETTERS, Word, _check_length, bounded_int,
+                       commutator)
 
 # -- free associative ring, projected to squarefree monomials at the end ------
 
@@ -234,25 +236,41 @@ def coordinates_oracle(link):
             yield None
 
 
+def _sublink_triviality(link):
+    """A test of whether deleting a set of components leaves a trivial link:
+    every longitude expands to 1 and, recursively, every proper sublink is
+    trivial.  Deleting the same components in any order gives the same
+    sublink, so each set is checked once."""
+    memo = {}
+
+    def is_trivial(deleted):
+        if deleted not in memo:
+            sub = link
+            for i in sorted(deleted, reverse=True):  # later indices first
+                sub = delete_component(sub, i + 1)
+            memo[deleted] = sub.n == 1 or (
+                all(magnus(word, tuple(m for i, m in enumerate(sub.meridians)
+                                       if i != k)) == 1
+                    for k, word in enumerate(sub.longitudes))
+                and all(is_trivial(deleted | {i})
+                        for i in range(link.n) if i not in deleted))
+        return memo[deleted]
+
+    return is_trivial
+
+
 def reference_is_homotopically_trivial(link):
     """Every longitude expands to 1 and, recursively, every proper sublink
     is trivial."""
-    if link.n == 1:
-        return True
-    for k in range(link.n):
-        others = tuple(m for i, m in enumerate(link.meridians) if i != k)
-        if magnus(link.longitudes[k], others) != 1:
-            return False
-    return all(reference_is_homotopically_trivial(delete_component(link, k + 1))
-               for k in range(link.n))
+    return _sublink_triviality(link)(frozenset())
 
 
 def reference_is_almost_trivial(link):
     """Every sublink with one component removed is trivial (n >= 2)."""
     if link.n < 2:
         raise LinkFormatError("almost-triviality needs at least 2 components")
-    return all(reference_is_homotopically_trivial(delete_component(link, k + 1))
-               for k in range(link.n))
+    is_trivial = _sublink_triviality(link)
+    return all(is_trivial(frozenset({k})) for k in range(link.n))
 
 
 # -- the essentiality certificate through normal-form towers --------------------
@@ -579,14 +597,111 @@ def random_words(rng, alphabet, count, max_len=12):
             for _ in range(count)]
 
 
+# -- the word parser, one token per prime ------------------------------------------
+# The library's one-pass parser before a name token took the primes written
+# right after it: every prime is a token of its own and inverts the last
+# factor through a slice.  Same grammar, error messages and positions.
+
+_FLAT_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9]*|\d+|[\[\](),'^-]")
+
+
+def _flat_inverse(letters):
+    return [(g, -e) for g, e in reversed(letters)]
+
+
+def _flat_closer(frame):
+    """The token that must end the word open in frame."""
+    bracket, _, comma = frame
+    return ")" if bracket == "(" else "," if comma is None else "]"
+
+
+def reference_parse(text):
+    """The letters of text: one pass over its tokens, keeping the letters of
+    every open word in one list and each open bracket on an explicit stack."""
+    tokens = _FLAT_TOKEN.findall(text)
+    if "".join(tokens) != "".join(text.split()):  # a character no token takes
+        _flat_raise_bad_character(text)
+    letters = []
+    frames = []  # open brackets: [bracket, start, start of v or None]
+    last = None  # start of the innermost open word's last factor, if any
+    i, end = 0, len(tokens)
+    while i < end:
+        tok = tokens[i]
+        i += 1
+        if tok[0].isalpha():
+            last = len(letters)
+            letters.append((tok, 1))
+        elif tok == "'" and last is not None:
+            letters[last:] = _flat_inverse(letters[last:])
+        elif tok == "^" and last is not None:
+            factor = letters[last:]
+            if i < end and tokens[i] == "-":
+                i += 1
+                factor = _flat_inverse(factor)
+            if i == end or not tokens[i].isdigit():
+                _flat_raise_syntax("expected an integer after ^", text, i)
+            # every count over the letter budget reads as MAX_LETTERS + 1
+            count = bounded_int(tokens[i], MAX_LETTERS + 1)
+            i += 1
+            if count and factor:
+                _check_length(len(letters) + (count - 1) * len(factor))
+                letters[last:] = factor * count
+            else:
+                del letters[last:]
+        elif tok == "(" or tok == "[":
+            frames.append([tok, len(letters), None])
+            last = None
+        elif tok == "1":
+            last = len(letters)
+        elif tok in (")", ",", "]") and frames:
+            frame = frames[-1]
+            if tok != _flat_closer(frame):
+                _flat_raise_syntax("expected %r" % _flat_closer(frame), text, i - 1)
+            _, start, comma = frame
+            if tok == ",":
+                frame[2] = len(letters)
+                last = None
+                continue
+            if tok == "]":  # [u,v] = u v u' v'
+                _check_length(2 * len(letters) - start)
+                u, v = letters[start:comma], letters[comma:]
+                letters += _flat_inverse(u)
+                letters += _flat_inverse(v)
+            frames.pop()
+            last = start
+        else:
+            _flat_raise_syntax("unexpected %r" % tok, text, i - 1)
+    if frames:
+        _flat_raise_syntax("expected %r" % _flat_closer(frames[-1]), text, end)
+    _check_length(len(letters))
+    return tuple(letters)
+
+
+def _flat_raise_bad_character(text):
+    """Name the first non-space character that starts no token."""
+    pos = 0
+    for m in _FLAT_TOKEN.finditer(text + "1"):  # the extra token ends the last gap
+        gap = text[pos:m.start()].lstrip()
+        if gap:
+            bad = m.start() - len(gap)
+            raise WordSyntaxError("unexpected character %r" % text[bad], bad)
+        pos = m.end()
+
+
+def _flat_raise_syntax(message, text, i):
+    """Raise at the i-th token of text, or at its end if there are only i."""
+    starts = [m.start() for m in _FLAT_TOKEN.finditer(text)]
+    raise WordSyntaxError(message, starts[i] if i < len(starts) else len(text))
+
+
 # -- the word parser with bounds checks -------------------------------------------
-# The library ends its token list with an end-of-input token; this one
-# checks the index against the list's length at every read.
+# A recursive descent parser that checks its token index against the
+# list's length at every read.
 
 _REFERENCE_TOKEN = re.compile(r"\s*([A-Za-z][A-Za-z0-9]*|\d+|[\[\](),'^-])")
 
 
-def reference_parse(text):
+def recursive_reference_parse(text):
     return _ReferenceWordParser(text).parse()
 
 

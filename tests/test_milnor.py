@@ -275,6 +275,52 @@ def test_r_inverse_agrees_with_the_tower_oracle():
         assert got == _r_inverse_outcome(reference_r_inverse, word, ())
 
 
+def _folding_word(rng, alphabet, depth=2):
+    """Runs of one generator, the kernel letter (the last one) among them,
+    nested cancellations u w w' u' and conjugates u w u': the letters the
+    kernel scan folds before it reads them."""
+    word = Word()
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            g = alphabet[-1] if rng.random() < 0.5 else rng.choice(alphabet)
+            word *= Word.gen(g) ** rng.choice((-3, -2, -1, 1, 2, 3))
+        elif depth:
+            u, = random_words(rng, alphabet, 1, max_len=3)
+            inner = _folding_word(rng, alphabet, depth - 1)
+            word *= u * inner * ~inner * ~u if kind == 1 else u * inner * ~u
+    return word
+
+
+def test_scans_fold_runs_and_nested_cancellations():
+    # a fold to exponent 0 uncovers the letter before it, which may fold
+    # in turn; every scan must still match the unfolded ring products and
+    # leave no zero coefficient
+    rng = random.Random(24)
+    answers = refusals = 0
+    for s in range(1, 9):
+        alphabet = default_alphabet(s)
+        cases = [_folding_word(rng, alphabet) for _ in range(40)]
+        cases += [Word.parse("m%d m%d'^2 m%d^3" % (s, s, s)),
+                  Word.parse("m1 m%d m%d' m1'" % (s, s))]
+        if s >= 3:
+            cases.append(Word.parse("m1 m2 m2' m1' m1^3 [m2,m3]^-2"))
+        for word in cases:
+            expansion = magnus(word, alphabet).terms
+            assert expansion == reference_magnus(word, alphabet).terms, word
+            assert_normal_forms_agree(word, alphabet)
+            got = _r_inverse_outcome(r_inverse, word, alphabet)
+            assert got == _r_inverse_outcome(reference_r_inverse, word, alphabet)
+            forms = [c.terms for c in normal_form(word, alphabet).components]
+            if got[0] == Ring(alphabet[:-1]):
+                answers += 1
+                forms.append(got[1])
+            refusals += got[0] is NotInKernelError
+            for terms in [expansion] + forms:
+                assert 0 not in terms.values(), word
+    assert answers >= 100 and refusals >= 100
+
+
 def test_single_generator_alphabet_kernel():
     elem = r_inverse(Word.parse("m1^5"), ("m1",))
     assert elem.coefficient(()) == 5 and elem.ring.variables == ()

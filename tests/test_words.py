@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +12,7 @@ import mgk.words
 from mgk.errors import BudgetExceeded, WordSyntaxError
 from mgk.words import IDENTITY, MAX_LETTERS, Word, commutator
 
-from helpers import reference_parse
+from helpers import recursive_reference_parse, reference_parse
 
 NAMES = ("m1", "m2", "m3", "z1", "lambda")
 
@@ -89,9 +90,41 @@ def test_parser_agrees_with_the_bounds_checked_reference():
             # a space ends a digit run, so no power has a huge exponent
             text += piece + (" " if piece[-1:].isdigit() else rng.choice(("", " ")))
         got = _parse_outcome(Word.parse, text)
-        assert got == _parse_outcome(reference_parse, text), text
+        assert got == _parse_outcome(recursive_reference_parse, text), text
         outcomes[got[0]] += 1
     assert outcomes["word"] > 2000 and outcomes["error"] > 10000
+
+
+# names with primes attached (no space after) or detached, powers, digits,
+# brackets, commas, whitespace and one character no token takes
+_PRIME_PIECES = ("m1", "m2", "z", "lambda", "m1'", "m2''", "z'''", "'", "''",
+                 "^", "^-", "^2", "^-3", "0", "1", "2", "(", ")", "[", "]",
+                 ",", " ", "\t", "@")
+
+
+def _letters_outcome(parse, text):
+    """parse(text) gives letters: ("word", letters), or the error raised."""
+    try:
+        return "word", parse(text)
+    except (WordSyntaxError, BudgetExceeded) as exc:
+        return "error", type(exc), str(exc), getattr(exc, "position", None)
+
+
+def test_parser_agrees_with_the_one_token_per_prime_reference():
+    # the old parser read every prime as a token of its own; a name's
+    # attached primes are now part of its token, and nothing else moves:
+    # the same letters, or the same error type, message and position
+    rng = random.Random(20261019)
+    outcomes = {"word": 0, "error": 0}
+    attached = 0
+    for _ in range(100000):
+        text = "".join(rng.choice(_PRIME_PIECES) + rng.choice(("", "", " "))
+                       for _ in range(rng.randint(0, 8)))
+        got = _letters_outcome(lambda t: Word.parse(t).letters, text)
+        assert got == _letters_outcome(reference_parse, text), text
+        outcomes[got[0]] += 1
+        attached += bool(re.search(r"[A-Za-z][A-Za-z0-9]*'", text))
+    assert min(outcomes.values()) > 15000 and attached > 30000
 
 
 def _nested_text(rng, depth):
@@ -126,7 +159,8 @@ def test_parser_agrees_with_the_reference_on_deeply_nested_words():
     for _ in range(3000):
         text, n = _nested_text(rng, rng.randint(0, 40))
         letters = Word.parse(text).letters
-        assert len(letters) == n and letters == reference_parse(text).letters, text
+        assert len(letters) == n, text
+        assert letters == recursive_reference_parse(text).letters, text
         depths.append(text.count("(") + text.count("["))
     assert max(depths) >= 40
 
