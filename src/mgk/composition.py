@@ -4,8 +4,8 @@ essentiality certificate.
 Composing a pattern Q into a link replaces the target component: every
 occurrence of the target's meridian in the remaining longitudes becomes
 the wedge word, and every core-symbol letter in Q's longitudes becomes
-the target's own longitude.  The embedding is 0-framed, so no correction
-letters are inserted.
+the target's own longitude, which never holds the target's meridian.  The
+embedding is 0-framed, so no correction letters are inserted.
 
 Algebraically, with the first ambient component deleted throughout and
 the first pattern component's meridian distinguished, substituting the
@@ -18,11 +18,13 @@ c = a*b exact.
 
 The certificate reads a, b and c as three top mu-bar coefficients: a
 kernel coordinate of the tower is the projection of the Magnus expansion
-(see `mgk.milnor`), so each is one chain scan.  No kernel refusal is left
-to make: once the ambient link and the pattern with its wedge are almost
-trivial, deleting the distinguished meridian trivializes the first
-ambient longitude, the wedge word and hence the composed longitude in
-the Milnor group, because the Magnus expansion is injective on it.
+(see `mgk.milnor`), so each is one chain scan.  It composes no link: the
+one composed word c needs is the first ambient longitude with the target
+meridian replaced by the wedge word.  No kernel refusal is left to make:
+once the ambient link and the pattern with its wedge are almost trivial,
+deleting the distinguished meridian trivializes the first ambient
+longitude, the wedge word and hence the composed longitude in the Milnor
+group, because the Magnus expansion is injective on it.
 """
 
 from __future__ import annotations
@@ -81,8 +83,7 @@ def compose(spec: CompositionSpec) -> LinkModel:
     with the core symbol replaced by the target's longitude."""
     lhat, q = spec.lhat, spec.q
     t = spec.target_index
-    mer_t = lhat.meridians[t]
-    around = lhat.longitudes[t].substitute(mer_t, q.wedge)
+    mer_t, around = lhat.meridians[t], lhat.longitudes[t]
     keep = [i for i in range(lhat.n) if i != t]
     components = tuple(lhat.components[i] for i in keep) + q.components
     meridians = tuple(lhat.meridians[i] for i in keep) + q.meridians
@@ -122,9 +123,8 @@ def verify_sigma(spec: CompositionSpec, trials=100, seed=0) -> dict:
     r^{-1}(lc(r(rho))) must equal rho * r^{-1}(wedge) for every generator
     monomial and for random ring elements rho.  Returns a report dict.
     """
-    lhat, q = spec.lhat, spec.q
+    q = spec.q
     ys, bar_alphabet, zs_rest, big_alphabet = _sigma_alphabets(spec)
-    mer_t = lhat.meridians[spec.target_index]
     y_ring = Ring(ys)
     big_ring = Ring(ys + zs_rest)
     wedge_elem = wedge_ring_element(q).embed(big_ring)
@@ -136,7 +136,7 @@ def verify_sigma(spec: CompositionSpec, trials=100, seed=0) -> dict:
     cases = []
     failures = 0
     for i, rho in enumerate(samples):
-        lifted = r_map(rho, bar_alphabet).substitute(mer_t, q.wedge)
+        lifted = r_map(rho, bar_alphabet).substitute(bar_alphabet[-1], q.wedge)
         got = r_inverse(lifted, big_alphabet)
         want = rho.embed(big_ring) * wedge_elem
         ok = got == want
@@ -174,8 +174,8 @@ def essentiality_certificate(spec: CompositionSpec) -> Certificate:
     a: coefficient of ys*y_t in the Magnus expansion of the first ambient
        component's longitude (y_t the target's meridian);
     b: coefficient of zs_rest*z_1 in that of the wedge word;
-    c: coefficient of ys*zs_rest*z_1 in that of the composed link's first
-       longitude.
+    c: coefficient of ys*zs_rest*z_1 in that of the composed first
+       longitude, the first ambient longitude with y_t replaced by the wedge.
     The contract c = a*b holds exactly; both almost-triviality
     preconditions are checked and failure refuses the certificate.
     """
@@ -193,7 +193,7 @@ def essentiality_certificate(spec: CompositionSpec) -> Certificate:
             "certificate refused: the pattern with its wedge is not almost "
             "homotopically trivial")
     _, bar_alphabet, zs_rest, big_alphabet = _sigma_alphabets(spec)
-    composed = compose(spec).longitude(lhat.components[0])
+    composed = lhat.longitudes[0].substitute(bar_alphabet[-1], q.wedge)
     return Certificate(a=magnus_coefficient(lhat.longitudes[0], bar_alphabet),
                        b=magnus_coefficient(q.wedge, zs_rest + q.meridians[:1]),
                        c=magnus_coefficient(composed, big_alphabet))

@@ -6,7 +6,8 @@ afterwards, ring arithmetic and formatting keep monomials keyed by
 variable names, kernel coordinates and the essentiality certificate are
 read from whole normal-form towers, Milnor-equal words are produced by
 explicit relator insertion, boundary words by a recursive commutator walk,
-random grope trees are built whole for every candidate,
+random grope trees are built whole for every candidate, the link of a
+genus-1 grope tree is composed from Bing doubles one Surface at a time,
 re-rooting works on a plain adjacency list, the word parser is checked
 against the parser it replaced, which reads every prime as a token of its
 own, and a recursive one that checks its token index at every read, and
@@ -357,6 +358,28 @@ def iterated_bing_specs(depth):
         spec = CompositionSpec(link, renamed_bing_double(level))
         yield spec
         link = compose(spec)
+
+
+def grope_tree_link(tree: GropeTree):
+    """The link of a genus-1 grope tree and its tip meridians in
+    depth-first tip order.  Component l2 of hopf stands for the tree; for
+    each Surface, in depth-first order, a renamed Bing double is composed
+    into the component standing for it, and the pattern's two components
+    stand for the pair's members.  Only `compose` builds the link."""
+    link, tips, level = catalog("hopf"), [], 0
+    stack = [(tree, "l2")]
+    while stack:
+        node, name = stack.pop()
+        if node.is_leaf:
+            tips.append(link.meridians[link.index_of(name)])
+            continue
+        (left, right), = node.pairs  # genus 1
+        level += 1
+        pattern = renamed_bing_double(level)
+        link = compose(CompositionSpec(link, pattern,
+                                       target=link.index_of(name) + 1))
+        stack += [(right, pattern.components[1]), (left, pattern.components[0])]
+    return link, tuple(tips)
 
 
 # -- Milnor-equal rewritings ---------------------------------------------------

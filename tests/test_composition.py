@@ -6,14 +6,16 @@ from mgk.composition import (Certificate, CompositionSpec, compose,
                              essentiality_certificate, verify_sigma,
                              wedge_ring_element)
 from mgk.errors import BudgetExceeded, CompositionError, NotInKernelError
-from mgk.links import (LinkModel, SolidTorusLink, catalog,
+from mgk.gropes import LEAF, GropeTree, boundary_word, grope_class
+from mgk.links import (LinkModel, SolidTorusLink, catalog, is_almost_trivial,
                        is_homotopically_trivial, mu_bar)
-from mgk.milnor import r_inverse, r_map
+from mgk.milnor import lcs_degree, r_inverse, r_map
 from mgk.ring import Ring
-from mgk.sampling import random_ring_element
+from mgk.sampling import random_grope_tree, random_ring_element
 from mgk.words import Word
 
-from helpers import iterated_bing_specs, reference_essentiality_certificate
+from helpers import (grope_tree_link, iterated_bing_specs,
+                     reference_essentiality_certificate)
 from test_links import random_link
 
 
@@ -275,7 +277,8 @@ def test_certificate_builds_no_tower(monkeypatch):
     import mgk.milnor
     calls = []
     for module, name in ((mgk.milnor, "normal_form"), (mgk.milnor, "r_inverse"),
-                         (mgk.composition, "r_inverse")):
+                         (mgk.composition, "r_inverse"),
+                         (mgk.composition, "compose")):
         def counting(*args, _real=getattr(module, name), _name=name):
             calls.append(_name)
             return _real(*args)
@@ -288,6 +291,23 @@ def test_certificate_builds_no_tower(monkeypatch):
     assert calls == []
     mgk.composition.wedge_ring_element(catalog("bing_double"))
     assert calls == ["r_inverse"]  # the counters do count; no tower is built
+
+
+def test_certificate_reads_only_the_composed_first_longitude():
+    # the composed second longitude, [m3,m1]^1000 with each m3 a
+    # 2400-letter wedge word, is over the letter budget; the first is not
+    borromean = catalog("borromean")
+    lhat = LinkModel(borromean.components, borromean.meridians,
+                     (borromean.longitudes[0], Word.parse("[m3,m1]^1000"),
+                      borromean.longitudes[2]))
+    _, q = over_budget_composition()
+    spec = CompositionSpec(lhat, q)
+    with pytest.raises(BudgetExceeded, match="letter limit of 4194304 letters"):
+        compose(spec)
+    assert essentiality_certificate(spec) == (1, -600, -600)
+    # the over-budget longitude is the first one: still refused
+    with pytest.raises(BudgetExceeded, match="letter limit of 4194304 letters"):
+        essentiality_certificate(CompositionSpec(*over_budget_composition()))
 
 
 def test_remark_configuration():
@@ -308,3 +328,31 @@ def test_composed_normal_forms_agree_with_kernel_product():
     a_elem = r_inverse(lhat.longitudes[0], ("m2", "m3"))
     big_ring = Ring(("m2", "z2"))
     assert lhs == a_elem.embed(big_ring) * wedge_ring_element(q).embed(big_ring)
+
+
+# -- links from grope trees ---------------------------------------------------------
+
+def balanced_tree(depth):
+    tree = LEAF
+    for _ in range(depth):
+        tree = GropeTree(((tree, tree),))
+    return tree
+
+
+def test_grope_tree_links_bound_their_boundary_words():
+    # the root longitude of the link that `compose` builds from a genus-1
+    # tree is the tree's boundary word in the tip meridians, of lower
+    # central series degree the tree's class, and the link is almost trivial
+    rng = random.Random(7)
+    trees = [random_grope_tree(rng, rng.randint(2, 8), max_genus=1)
+             for _ in range(200)]
+    trees += [balanced_tree(2), balanced_tree(3)]
+    for tree in trees:
+        link, tips = grope_tree_link(tree)
+        assert link.n == tree.leaf_count + 1
+        assert set(tips) == set(link.meridians[1:])
+        root = link.longitudes[0]
+        assert root == boundary_word(tree, tips), tree
+        assert lcs_degree(root, link.meridians[1:]) == grope_class(tree), tree
+        assert is_almost_trivial(link), tree
+    assert {tree.leaf_count for tree in trees} == set(range(2, 9))
