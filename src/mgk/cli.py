@@ -312,7 +312,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return 2
-    except (MgkError, ValueError, OSError) as exc:
+    except (MgkError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except (RecursionError, MemoryError, OverflowError) as exc:

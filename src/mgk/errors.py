@@ -1,8 +1,8 @@
 """Exception types shared across the package."""
 
 
-class MgkError(Exception):
-    """Base class for all package errors."""
+class MgkError(ValueError):
+    """Base class of every refusal; a ValueError, as each refuses a value."""
 
 
 class ParseError(MgkError):

@@ -51,7 +51,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
 
-from .errors import TreeSyntaxError
+from .errors import MgkError, TreeSyntaxError
 from .words import NAME, Word, bounded_int
 
 __all__ = [
@@ -119,7 +119,7 @@ class ClosedGropeTree:
 
     def __post_init__(self):
         if self.body.is_leaf:
-            raise ValueError("a closed grope tree needs a Surface body")
+            raise TreeSyntaxError("a closed grope tree needs a Surface body")
 
     def __str__(self):
         return tree_text(self.body)
@@ -181,10 +181,7 @@ def _syntax_error(message, text, k):
 
 
 def parse_closed_tree(text: str) -> ClosedGropeTree:
-    tree = parse_tree(text)
-    if tree.is_leaf:
-        raise TreeSyntaxError("a closed grope tree needs a Surface body")
-    return ClosedGropeTree(tree)
+    return ClosedGropeTree(parse_tree(text))
 
 
 def _render(tree: GropeTree, leaves, marks) -> str:
@@ -289,7 +286,7 @@ def parse_tip_path(text: str):
             raise TreeSyntaxError("bad tip step %r; want e.g. 0L/1R" % part)
         index = bounded_int(m.group(1), sys.maxsize)
         if index == sys.maxsize:  # no tree has that many pairs
-            raise ValueError("tip path %s leaves the tree" % text)
+            raise MgkError("tip path %s leaves the tree" % text)
         steps.append((index, LEFT if m.group(2) == "L" else RIGHT))
     return tuple(steps)
 
@@ -299,12 +296,12 @@ def parse_tip_path(text: str):
 def _assign_names(tree: GropeTree, names):
     names = tuple(names)
     if len(names) != tree.leaf_count:
-        raise ValueError("need %d tip names, got %d" % (tree.leaf_count, len(names)))
+        raise MgkError("need %d tip names, got %d" % (tree.leaf_count, len(names)))
     if len(set(names)) != len(names):
-        raise ValueError("tip names must be distinct")
+        raise MgkError("tip names must be distinct")
     for name in names:
         if not (isinstance(name, str) and NAME.fullmatch(name)):
-            raise ValueError("tip name %r is not a generator name" % (name,))
+            raise MgkError("tip name %r is not a generator name" % (name,))
     return names
 
 
@@ -329,11 +326,11 @@ def _path_partners(closed: ClosedGropeTree, tip):
     for i, side in tip:
         pairs = node.pairs
         if not 0 <= i < len(pairs) or side not in (0, 1):  # (LEFT, RIGHT)
-            raise ValueError("tip path %s leaves the tree" % format_tip_path(tip))
+            raise MgkError("tip path %s leaves the tree" % format_tip_path(tip))
         partners.append(pairs[i][1 - side])
         node = pairs[i][side]
     if node.pairs:
-        raise ValueError("tip path %s does not reach a Leaf" % format_tip_path(tip))
+        raise MgkError("tip path %s does not reach a Leaf" % format_tip_path(tip))
     return partners
 
 
@@ -411,7 +408,7 @@ def rerooted(closed: ClosedGropeTree, tip) -> ClosedGropeTree:
     # class <= leaf count, with equality exactly when every Surface has genus
     # 1: the class takes a minimum over pairs, and a second pair adds leaves
     if closed.body.tree_class != closed.body.leaf_count:
-        raise ValueError("re-rooting needs an all-genus-1 tree")
+        raise MgkError("re-rooting needs an all-genus-1 tree")
     chain = LEAF
     for partner in partners:
         chain = GropeTree(((partner, chain),))

@@ -287,7 +287,11 @@ def link_from_dict(data: dict):
 
 def load_link(path: str):
     with open(path) as fh:
-        return link_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # malformed JSON or undecodable bytes
+            raise LinkFormatError(str(exc)) from None
+    return link_from_dict(data)
 
 
 def save_link(link, path: str) -> None:

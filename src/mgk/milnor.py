@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, NotInKernelError, UnknownGeneratorError
+from .errors import BudgetExceeded, MgkError, NotInKernelError, UnknownGeneratorError
 from .ring import Ring, RingElement, basis_rank, format_ring_element, scan
 from .words import IDENTITY, Word, _check_length, commutator
 
@@ -55,7 +55,7 @@ MAX_GENERATORS = 4096  # the alphabet budget
 
 def default_alphabet(s: int, prefix: str = "m") -> tuple[str, ...]:
     if s < 0:
-        raise ValueError("generator count must be >= 0")
+        raise MgkError("generator count must be >= 0")
     return tuple("%s%d" % (prefix, i + 1) for i in range(s))
 
 
@@ -68,11 +68,11 @@ def _check_alphabet_size(s):
 
 def _positions(word: Word, alphabet) -> list:
     """The word's letters as (variable position, exponent) pairs; an
-    alphabet that repeats a generator raises ValueError, and the first
+    alphabet that repeats a generator raises MgkError, and the first
     generator, in word order, that is not in the alphabet raises."""
     pos = {g: i for i, g in enumerate(alphabet)}
     if len(pos) != len(alphabet):
-        raise ValueError("the alphabet %r repeats a generator" % (tuple(alphabet),))
+        raise MgkError("the alphabet %r repeats a generator" % (tuple(alphabet),))
     try:
         return [(pos[g], e) for g, e in word.letters]
     except KeyError as exc:
@@ -102,7 +102,7 @@ def magnus_coefficient(word: Word, seq) -> int:
     """
     position = {g: p for p, g in enumerate(seq, 1)}
     if len(position) != len(seq):
-        raise ValueError("the generators %r are not pairwise distinct" % (seq,))
+        raise MgkError("the generators %r are not pairwise distinct" % (seq,))
     v = [1] + [0] * len(position)
     for g, e in word.letters:
         if g in position:
@@ -189,7 +189,7 @@ def r_map(rho: RingElement, alphabet) -> Word:
     """
     alphabet = tuple(alphabet)
     if not alphabet:
-        raise ValueError("alphabet must contain the distinguished generator")
+        raise MgkError("alphabet must contain the distinguished generator")
     _positions(IDENTITY, alphabet)  # refuses a repeated generator
     last = alphabet[-1]
     extra = sorted(set(rho.ring.variables) - set(alphabet[:-1]))
@@ -215,7 +215,7 @@ def r_inverse(word: Word, alphabet) -> RingElement:
     alphabet = tuple(alphabet)
     letters = _positions(word, alphabet)
     if not alphabet:
-        raise ValueError("empty alphabet has no kernel component")
+        raise MgkError("empty alphabet has no kernel component")
     running, rho = scan(letters, len(alphabet) - 1)
     if running != {0: 1}:
         raise NotInKernelError(

@@ -29,13 +29,13 @@ from __future__ import annotations
 import math
 import re
 
-from .errors import UniverseMismatchError
+from .errors import MgkError, UniverseMismatchError
 
 
 def basis_rank(s: int) -> int:
     """Number of basis monomials of R on s variables: sum of s!/(s-k)!."""
     if s < 0:
-        raise ValueError("variable count must be >= 0")
+        raise MgkError("variable count must be >= 0")
     return sum(math.perm(s, k) for k in range(s + 1))
 
 
@@ -56,7 +56,7 @@ class Ring:
     def __init__(self, variables):
         self.variables = tuple(variables)
         if len(set(self.variables)) != len(self.variables):
-            raise ValueError("duplicate ring variables: %r" % (self.variables,))
+            raise MgkError("duplicate ring variables: %r" % (self.variables,))
         self.width = len(self.variables).bit_length()
         self._mask = (1 << len(self.variables)) - 1
 
@@ -102,7 +102,7 @@ class Ring:
         """The monomial of a sequence of variable names."""
         names = tuple(names)
         if len(set(names)) != len(names):
-            raise ValueError("monomial repeats a variable: %r" % (names,))
+            raise MgkError("monomial repeats a variable: %r" % (names,))
         for v in names:
             if v not in self.variables:
                 raise UniverseMismatchError("%r is not a variable of %r" % (v, self))
@@ -143,7 +143,7 @@ class RingElement:
         is repeated or is not a variable of the ring)."""
         try:
             return self.terms.get(self.ring.monomial(names), 0)
-        except (ValueError, UniverseMismatchError):
+        except MgkError:
             return 0
 
     @property

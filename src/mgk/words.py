@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import BudgetExceeded, WordSyntaxError
+from .errors import BudgetExceeded, MgkError, WordSyntaxError
 
 NAME = re.compile(r"[A-Za-z][A-Za-z0-9]*")  # a generator name
 # a name takes the primes written right after it, so m3' is one token and
@@ -33,7 +33,7 @@ MAX_LETTERS = 2 ** 22  # the letter budget
 def _check_names(names):
     for g in names:
         if not (isinstance(g, str) and NAME.fullmatch(g)):
-            raise ValueError("%r is not a generator name" % (g,))
+            raise MgkError("%r is not a generator name" % (g,))
 
 
 def bounded_int(digits: str, cap: int) -> int:
@@ -59,11 +59,11 @@ class Word:
 
     def __init__(self, letters=()):
         """letters: pairs (name, e), each name matching NAME and each e the
-        int 1 or -1; anything else raises ValueError."""
+        int 1 or -1; anything else raises MgkError."""
         self.letters = tuple((g, e) for g, e in letters)
         for g, e in self.letters:
             if type(e) is not int or e not in (1, -1):
-                raise ValueError("letter exponents must be the int 1 or -1")
+                raise MgkError("letter exponents must be the int 1 or -1")
         _check_names(dict.fromkeys(g for g, _ in self.letters))  # in word order
 
     @classmethod

@@ -18,8 +18,8 @@ import re
 
 from mgk.composition import (Certificate, CompositionSpec, _sigma_alphabets,
                              compose, wedge_ring_element)
-from mgk.errors import (CompositionError, LinkFormatError, NotInKernelError,
-                        WordSyntaxError)
+from mgk.errors import (CompositionError, LinkFormatError, MgkError,
+                        NotInKernelError, WordSyntaxError)
 from mgk.gropes import LEAF, ClosedGropeTree, GropeTree
 from mgk.links import (SolidTorusLink, catalog, delete_component,
                        is_almost_trivial)
@@ -198,7 +198,7 @@ def reference_r_inverse(word, alphabet):
     alphabet = tuple(alphabet)
     nf = normal_form(word, alphabet)
     if not alphabet:
-        raise ValueError("empty alphabet has no kernel component")
+        raise MgkError("empty alphabet has no kernel component")
     if len(alphabet) == 1:  # the kernel is Z, spanned by the generator
         return Ring(()).element({(): nf.exponent})
     if not MilnorElement(alphabet[:-1], nf.components[1:], nf.exponent).is_identity:

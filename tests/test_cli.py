@@ -514,6 +514,26 @@ def test_verify_certificate_reports_a_wrong_certificate(capsys, monkeypatch):
         % case["input"])
 
 
+@pytest.mark.parametrize("layer, fault, label", [
+    ("is_almost_trivial", lambda real: lambda link: True,
+     "borromean almost trivial"),
+    ("is_homotopically_trivial",
+     lambda real: lambda link: link.n != 2 or real(link), "hopf essential"),
+])
+def test_verify_all_catches_a_triviality_test_that_answers_true(
+        capsys, monkeypatch, layer, fault, label):
+    # each triviality test must also answer False on a catalog link that is
+    # not trivial, so the catalog case fails under the planted fault
+    monkeypatch.setattr(mgk.links, layer, fault(getattr(mgk.links, layer)))
+    code, out, _ = run(capsys, "verify", "all", "--json", "--seed", "1",
+                       "--trials", "40")
+    assert code == 1
+    (case,) = [c for c in json.loads(out)["cases"]
+               if c["input"].startswith("catalog invariants")]
+    assert case["status"] == "fail"
+    assert (case["actual"]["failures"], case["actual"]["witness"]) == (1, label)
+
+
 def test_verify_all_deterministic_json(capsys):
     args = ("verify", "all", "--trials", "15", "--seed", "7", "--json")
     code1, out1, _ = run(capsys, *args)

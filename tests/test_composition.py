@@ -342,7 +342,8 @@ def balanced_tree(depth):
 def test_grope_tree_links_bound_their_boundary_words():
     # the root longitude of the link that `compose` builds from a genus-1
     # tree is the tree's boundary word in the tip meridians, of lower
-    # central series degree the tree's class, and the link is almost trivial
+    # central series degree the tree's class, and the link is almost
+    # trivial, with top mu-bar +1 along the tips in depth-first order
     rng = random.Random(7)
     trees = [random_grope_tree(rng, rng.randint(2, 8), max_genus=1)
              for _ in range(200)]
@@ -355,4 +356,6 @@ def test_grope_tree_links_bound_their_boundary_words():
         assert root == boundary_word(tree, tips), tree
         assert lcs_degree(root, link.meridians[1:]) == grope_class(tree), tree
         assert is_almost_trivial(link), tree
+        order = tuple(link.components[link.meridians.index(t)] for t in tips)
+        assert mu_bar(link, order + ("l1",)) == 1, tree
     assert {tree.leaf_count for tree in trees} == set(range(2, 9))

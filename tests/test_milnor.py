@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mgk.words
-from mgk.errors import BudgetExceeded, NotInKernelError, UnknownGeneratorError
+from mgk.errors import (BudgetExceeded, MgkError, NotInKernelError,
+                        UnknownGeneratorError)
 from mgk.milnor import (basis_rank, conjugation_action, default_alphabet,
                         lcs_degree, magnus, magnus_coefficient, normal_form,
                         r_inverse, r_map, words_equal)
@@ -244,7 +245,7 @@ def test_r_inverse_not_in_kernel():
 def _r_inverse_outcome(function, word, alphabet):
     try:
         elem = function(word, alphabet)
-    except (NotInKernelError, UnknownGeneratorError, ValueError) as exc:
+    except MgkError as exc:
         return type(exc), str(exc)
     return elem.ring, elem.terms
 
@@ -269,7 +270,7 @@ def test_r_inverse_agrees_with_the_tower_oracle():
             answers += got[0] == ring
             refusals += got[0] is NotInKernelError
     assert answers >= 300 and refusals >= 150
-    for word, error in ((Word(), ValueError), (Word.gen("m1"), UnknownGeneratorError)):
+    for word, error in ((Word(), MgkError), (Word.gen("m1"), UnknownGeneratorError)):
         got = _r_inverse_outcome(r_inverse, word, ())
         assert got[0] is error
         assert got == _r_inverse_outcome(reference_r_inverse, word, ())
