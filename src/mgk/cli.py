@@ -28,7 +28,11 @@ def _write(args, payload, text=None):
         text = json.dumps(payload, indent=2, sort_keys=True)
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w") as fh:
+        try:
+            fh = open(out, "w")
+        except ValueError as exc:  # a NUL byte in the path
+            raise MgkError(str(exc)) from None
+        with fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         print(text, flush=True)  # a closed pipe raises here, not at exit

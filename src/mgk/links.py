@@ -291,6 +291,9 @@ def load_link(path: str):
             data = json.load(fh)
         except ValueError as exc:  # malformed JSON or undecodable bytes
             raise LinkFormatError(str(exc)) from None
+        except RecursionError as exc:  # the CLI's resource-error text
+            raise LinkFormatError(
+                "input too large or too deeply nested (%s)" % exc) from None
     return link_from_dict(data)
 
 

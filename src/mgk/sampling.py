@@ -7,14 +7,11 @@ from __future__ import annotations
 
 import random
 
-from .gropes import LEAF, ClosedGropeTree, GropeTree
+from .gropes import LEAF, GropeTree
 from .ring import Ring, RingElement
 from .words import Word
 
-__all__ = [
-    "random_word", "random_ring_element", "random_grope_tree",
-    "random_closed_tree",
-]
+__all__ = ["random_word", "random_ring_element", "random_grope_tree"]
 
 
 def random_word(rng: random.Random, alphabet, max_len=12) -> Word:
@@ -37,40 +34,30 @@ def random_grope_tree(rng: random.Random, k: int, max_genus=2,
                       max_tips=8) -> GropeTree:
     """A tree of class exactly k with at most max_tips leaves.
 
-    Candidates grow as nested pair tuples with their leaf counts; only the
-    accepted one becomes a `GropeTree`."""
+    A candidate is dropped at its first leaf past max_tips."""
     for attempt in range(64):
-        genus_cap = max_genus if attempt < 32 else 1
-        shape, leaves = _grow(rng, k, genus_cap)
-        if leaves <= max_tips:
-            return _build(shape)
-    return _build(_grow(rng, k, 1)[0])  # genus-1 tower: exactly k tips
+        tree = _grow(rng, k, max_genus if attempt < 32 else 1, max_tips)
+        if tree is not None:
+            return tree
+    return _grow(rng, k, 1, max(k, 1))  # genus-1 tower: max(k, 1) tips
 
 
-def _grow(rng: random.Random, k: int, max_genus: int):
-    """(shape, leaf count) of a random tree of class k: a shape is the
-    tuple of its pairs of shapes, () for a leaf."""
+def _grow(rng: random.Random, k: int, max_genus: int, max_tips: int):
+    """A random tree of class k, or None at its first leaf past max_tips."""
     if k <= 1:
-        return (), 1
-    pairs, leaves = [], 0
+        return LEAF if max_tips > 0 else None
+    pairs = []
     genus = rng.randint(1, max_genus)
     exact_at = rng.randrange(genus)
     for i in range(genus):
         total = k if i == exact_at else k + rng.randint(0, 1)
         p = rng.randint(1, total - 1)
-        left, right = _grow(rng, p, max_genus), _grow(rng, total - p, max_genus)
-        pairs.append((left[0], right[0]))
-        leaves += left[1] + right[1]
-    return tuple(pairs), leaves
-
-
-def _build(shape) -> GropeTree:
-    if not shape:
-        return LEAF
-    return GropeTree(tuple((_build(left), _build(right)) for left, right in shape))
-
-
-def random_closed_tree(rng: random.Random, k: int, max_genus=2,
-                       max_tips=8) -> ClosedGropeTree:
-    k = max(k, 2)  # a closed grope has a bottom surface
-    return ClosedGropeTree(random_grope_tree(rng, k, max_genus, max_tips))
+        left = _grow(rng, p, max_genus, max_tips)
+        if left is None:
+            return None
+        right = _grow(rng, total - p, max_genus, max_tips - left.leaf_count)
+        if right is None:
+            return None
+        max_tips -= left.leaf_count + right.leaf_count
+        pairs.append((left, right))
+    return GropeTree(tuple(pairs))

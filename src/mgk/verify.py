@@ -15,8 +15,7 @@ from functools import partial
 from . import composition, gropes, links, milnor
 from .errors import MgkError
 from .ring import Ring
-from .sampling import (random_closed_tree, random_grope_tree,
-                       random_ring_element, random_word)
+from .sampling import random_grope_tree, random_ring_element, random_word
 from .words import Word, commutator
 
 __all__ = ["RunConfig", "run_all", "report"]
@@ -38,13 +37,14 @@ class RunConfig:
         return random.Random("%d/%s" % (self.seed, section))
 
 
-def _case(name, trials, failures, witness=None):
+def _case(name, trials, failed):
+    """A report case; `failed` lists the failing trials' witnesses."""
     return {
         "input": name,
         "expected": {"failures": 0},
-        "actual": {"trials": trials, "failures": failures,
-                   "witness": witness},
-        "status": "pass" if failures == 0 else "fail",
+        "actual": {"trials": trials, "failures": len(failed),
+                   "witness": failed[0] if failed else None},
+        "status": "fail" if failed else "pass",
     }
 
 
@@ -105,8 +105,8 @@ def _draw_class_tree(rng, config):
 def _draw_closed_tree(rng, config):
     k = rng.randint(2, 8)
     genus1 = rng.random() < 0.5
-    return (random_closed_tree(rng, k, max_genus=1 if genus1 else 2,
-                               max_tips=10), genus1)
+    return (gropes.ClosedGropeTree(random_grope_tree(
+        rng, k, max_genus=1 if genus1 else 2, max_tips=10)), genus1)
 
 
 def _draw_tree_and_word(rng, config):
@@ -209,15 +209,9 @@ def _sweep(section, label, draw, check, divisor, config: RunConfig):
     the witness."""
     rng = config.rng(section)
     trials = max(1, config.trials // divisor)
-    failures = 0
-    witness = None
-    for _ in range(trials):
-        sample = draw(rng, config)
-        if not check(*sample):
-            failures += 1
-            if witness is None:
-                witness = ", ".join(str(x) for x in sample)
-    return _case(label, trials, failures, witness)
+    samples = (draw(rng, config) for _ in range(trials))
+    return _case(label, trials, [", ".join(map(str, sample))
+                                 for sample in samples if not check(*sample)])
 
 
 def check_sigma(config: RunConfig, pattern_name: str):
@@ -226,10 +220,9 @@ def check_sigma(config: RunConfig, pattern_name: str):
     sigma = composition.verify_sigma(
         composition.CompositionSpec(lhat, q),
         trials=config.trials, seed=config.seed)
-    bad = [c["input"] for c in sigma["cases"] if c["status"] == "fail"]
     return _case("sigma is right multiplication by the wedge element "
-                 "(pattern: %s)" % pattern_name,
-                 sigma["summary"]["total"], len(bad), bad[0] if bad else None)
+                 "(pattern: %s)" % pattern_name, sigma["summary"]["total"],
+                 [c["input"] for c in sigma["cases"] if c["status"] == "fail"])
 
 
 # (ambient, pattern, target, what the certificate must satisfy)
@@ -243,16 +236,14 @@ _CERTIFICATES = (
 
 
 def check_certificate(config: RunConfig):
-    failures = 0
-    witness = None
+    failed = []
     for lhat, q, target, holds in _CERTIFICATES:
         cert = composition.essentiality_certificate(composition.CompositionSpec(
             links.catalog(lhat), links.catalog(q), target=target))
         if not holds(*cert):
-            failures += 1
-            witness = witness or repr(cert)
+            failed.append(repr(cert))
     return _case("essentiality certificate: c = a*b, unit coefficients on "
-                 "the catalog pair", len(_CERTIFICATES), failures, witness)
+                 "the catalog pair", len(_CERTIFICATES), failed)
 
 
 def check_links(config: RunConfig):
@@ -273,9 +264,8 @@ def check_links(config: RunConfig):
     for _ in range(min(config.trials, 50)):
         idx = rng.sample(range(1, 5), rng.randint(2, 4))
         checks.append((links.mu_bar(unlink, idx) == 0, "unlink mu%r" % (idx,)))
-    failed = [label for ok, label in checks if not ok]
     return _case("catalog invariants: mu-bar fixtures, triviality calls",
-                 len(checks), len(failed), failed[0] if failed else None)
+                 len(checks), [label for ok, label in checks if not ok])
 
 
 _SECTIONS = tuple(partial(_sweep, *row) for row in _SWEEPS) + (

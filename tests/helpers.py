@@ -573,19 +573,43 @@ def reroot_oracle(closed: ClosedGropeTree, tip):
     return ClosedGropeTree(grow(first, start))
 
 
-# -- the grope tree sampler that builds every candidate -------------------------
-# The library grows candidates as nested tuples and builds a GropeTree only
-# for the accepted one; this builds each candidate's trees as it grows,
-# with the same draws in the same order.
+# -- the grope tree sampler ------------------------------------------------------
+# The library passes each subtree the leaves it may still add and returns
+# None at the first leaf past the budget.  `_reference_grow` grows a whole
+# candidate; `reference_random_grope_tree` counts a candidate's leaves in
+# one shared counter and drops it by raising at the first leaf past the
+# budget, with the same draws in the same order.
+
+
+class _OverBudget(Exception):
+    pass
 
 
 def reference_random_grope_tree(rng, k, max_genus=2, max_tips=8):
     for attempt in range(64):
         genus_cap = max_genus if attempt < 32 else 1
-        tree = _reference_grow(rng, k, genus_cap)
-        if tree.leaf_count <= max_tips:
-            return tree
+        try:
+            return _counted_grow(rng, k, genus_cap, [max_tips])
+        except _OverBudget:
+            pass
     return _reference_grow(rng, k, 1)
+
+
+def _counted_grow(rng, k, max_genus, tips_left):
+    if k <= 1:
+        tips_left[0] -= 1
+        if tips_left[0] < 0:
+            raise _OverBudget
+        return LEAF
+    pairs = []
+    genus = rng.randint(1, max_genus)
+    exact_at = rng.randrange(genus)
+    for i in range(genus):
+        total = k if i == exact_at else k + rng.randint(0, 1)
+        p = rng.randint(1, total - 1)
+        pairs.append((_counted_grow(rng, p, max_genus, tips_left),
+                      _counted_grow(rng, total - p, max_genus, tips_left)))
+    return GropeTree(tuple(pairs))
 
 
 def _reference_grow(rng, k, max_genus):

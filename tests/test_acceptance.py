@@ -12,16 +12,15 @@ import sys
 
 from mgk.composition import CompositionSpec, compose, essentiality_certificate
 from mgk.errors import CompositionError
-from mgk.gropes import (dual_class, dual_tree, grope_class, is_isomorphic,
-                        leaf_paths)
+from mgk.gropes import (ClosedGropeTree, dual_class, dual_tree, grope_class,
+                        is_isomorphic, leaf_paths)
 from mgk.gropes import boundary_word
 from mgk.links import (SolidTorusLink, catalog, is_homotopically_trivial,
                        mu_bar)
 from mgk.milnor import (conjugation_action, default_alphabet, lcs_degree,
                         magnus, normal_form, r_inverse, r_map)
 from mgk.ring import Ring
-from mgk.sampling import (random_closed_tree, random_grope_tree,
-                          random_ring_element, random_word)
+from mgk.sampling import random_grope_tree, random_ring_element, random_word
 from mgk.words import Word, commutator
 
 from helpers import reroot_oracle
@@ -126,8 +125,8 @@ def test_criterion_06_grope_duality():
     for _ in range(300):
         k = rng.randint(2, 8)
         genus1 = rng.random() < 0.5
-        closed = random_closed_tree(rng, k, max_genus=1 if genus1 else 2,
-                                    max_tips=10)
+        closed = ClosedGropeTree(random_grope_tree(
+            rng, k, max_genus=1 if genus1 else 2, max_tips=10))
         k_actual = grope_class(closed.body)
         tips = leaf_paths(closed.body)
         duals = [dual_tree(closed, tip) for tip in tips]

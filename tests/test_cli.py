@@ -14,7 +14,8 @@ import mgk.words
 from mgk import verify
 from mgk.cli import main
 from mgk.gropes import tree_text
-from mgk.links import catalog, save_link
+from mgk.errors import LinkFormatError
+from mgk.links import catalog, load_link, save_link
 from mgk.milnor import default_alphabet
 from mgk.words import Word
 
@@ -233,6 +234,23 @@ def test_link_bad_json_exit_2(tmp_path, data):
                            str(path)], capture_output=True, text=True)
     assert proc.returncode == 2 and proc.stdout == ""
     assert "error" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_too_deep_link_file_is_a_link_format_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 10**5 + "]" * 10**5)
+    with pytest.raises(LinkFormatError, match="^input too large or too deeply"):
+        load_link(str(path))
+    proc = subprocess.run([sys.executable, "-m", "mgk.cli", "link", "show",
+                           str(path)], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: input too large or too deeply nested (maximum recursion "
+        "depth exceeded while decoding a JSON array from a unicode string)\n")
+
+
+def test_out_path_with_a_nul_byte_is_an_error(capsys):
+    code, out, err = run(capsys, "grope", "class", "*", "--out", "a\x00b")
+    assert (code, out, err) == (2, "", "error: embedded null byte\n")
 
 
 
@@ -532,6 +550,27 @@ def test_verify_all_catches_a_triviality_test_that_answers_true(
                if c["input"].startswith("catalog invariants")]
     assert case["status"] == "fail"
     assert (case["actual"]["failures"], case["actual"]["witness"]) == (1, label)
+
+
+def test_verify_all_tallies_a_failing_sigma_law(capsys, monkeypatch):
+    import mgk.composition
+    real = mgk.composition.wedge_ring_element
+    monkeypatch.setattr(mgk.composition, "wedge_ring_element",
+                        lambda q: real(q) * 2)
+    code, out, _ = run(capsys, "verify", "all", "--json", "--seed", "1",
+                       "--trials", "40")
+    assert code == 1
+    cases = {c["input"]: c for c in json.loads(out)["cases"]}
+    for pattern in ("core", "bing_double"):
+        sigma = mgk.composition.verify_sigma(mgk.composition.CompositionSpec(
+            catalog("borromean"), catalog(pattern)), trials=40, seed=1)
+        bad = [c["input"] for c in sigma["cases"] if c["status"] == "fail"]
+        case = cases["sigma is right multiplication by the wedge element "
+                     "(pattern: %s)" % pattern]
+        assert case["status"] == "fail"
+        assert case["actual"] == {"trials": sigma["summary"]["total"],
+                                  "failures": sigma["summary"]["failed"],
+                                  "witness": bad[0]}
 
 
 def test_verify_all_deterministic_json(capsys):

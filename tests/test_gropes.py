@@ -13,14 +13,14 @@ from mgk.gropes import (LEAF, ClosedGropeTree, GropeTree, boundary_expression,
                         parse_tip_path, parse_tree, rerooted, tip_duals,
                         tree_text)
 from mgk.milnor import lcs_degree
-from mgk.sampling import random_closed_tree, random_grope_tree
+from mgk.sampling import _grow, random_grope_tree
 from mgk.words import Word
 
-from helpers import (reference_all_genus_one, reference_boundary_word,
-                     reference_canonical, reference_dual_class,
-                     reference_grope_class, reference_leaf_paths,
-                     reference_random_grope_tree, reference_tree_text,
-                     reroot_oracle, shuffled_chain)
+from helpers import (_reference_grow, reference_all_genus_one,
+                     reference_boundary_word, reference_canonical,
+                     reference_dual_class, reference_grope_class,
+                     reference_leaf_paths, reference_random_grope_tree,
+                     reference_tree_text, reroot_oracle, shuffled_chain)
 
 TORUS = "({* *})"
 TOWER2 = "({({* *}) *})"
@@ -77,9 +77,31 @@ def test_round_trip_random(seed):
     assert parse_tree(tree_text(tree)) == tree
 
 
+def test_grow_keeps_exactly_the_reference_candidates_within_the_budget():
+    # a candidate stops at its first leaf past the budget; one within it
+    # is the tree the whole reference candidate is, with the same draws
+    margins = set()  # reference leaves minus the budget
+    for seed in range(4):
+        for k in range(1, 9):
+            for max_genus in (1, 2, 3):
+                for max_tips in range(1, 13):
+                    rng = random.Random("%d/%d/%d/%d" % (seed, k, max_genus, max_tips))
+                    ref = random.Random()
+                    ref.setstate(rng.getstate())
+                    tree = _grow(rng, k, max_genus, max_tips)
+                    want = _reference_grow(ref, k, max_genus)
+                    margins.add(want.leaf_count - max_tips)
+                    if want.leaf_count > max_tips:
+                        assert tree is None
+                        continue
+                    assert tree == want and tree_text(tree) == tree_text(want)
+                    assert rng.getstate() == ref.getstate()
+    assert {-1, 0, 1} <= margins  # candidates at and next to the budget
+
+
 def test_sampler_draws_the_reference_trees():
-    # the sampler grows candidates as tuples and builds only the accepted
-    # one; it must draw as the reference does, so every verify report stays
+    # the reference drops a candidate by raising at its first leaf past
+    # the budget; the sampler must draw as it does, tree for tree
     seen = set()
     for seed in range(4):
         for k in range(1, 7):
@@ -248,7 +270,7 @@ def test_class5_tree_dual_bound():
 def test_dual_count_is_rank():
     rng = random.Random(5)
     for _ in range(25):
-        closed = random_closed_tree(rng, rng.randint(2, 7))
+        closed = ClosedGropeTree(random_grope_tree(rng, rng.randint(2, 7)))
         tips = leaf_paths(closed.body)
         duals = [dual_tree(closed, tip) for tip in tips]
         assert len(duals) == len(tips)
@@ -259,7 +281,8 @@ def test_dual_count_is_rank():
 def test_genus1_dual_is_rerooting():
     rng = random.Random(11)
     for _ in range(30):
-        closed = random_closed_tree(rng, rng.randint(2, 7), max_genus=1)
+        closed = ClosedGropeTree(
+            random_grope_tree(rng, rng.randint(2, 7), max_genus=1))
         for tip in leaf_paths(closed.body):
             dual = dual_tree(closed, tip)
             assert is_isomorphic(dual, rerooted(closed, tip))
