@@ -134,13 +134,11 @@ def verify_sigma(spec: CompositionSpec, trials=100, seed=0) -> dict:
     samples += [random_ring_element(rng, y_ring) for _ in range(trials)]
 
     cases = []
-    failures = 0
     for i, rho in enumerate(samples):
         lifted = r_map(rho, bar_alphabet).substitute(bar_alphabet[-1], q.wedge)
         got = r_inverse(lifted, big_alphabet)
         want = rho.embed(big_ring) * wedge_elem
         ok = got == want
-        failures += not ok
         if not ok or i < len(ys):
             cases.append({
                 "input": format_ring_element(rho),
@@ -148,6 +146,7 @@ def verify_sigma(spec: CompositionSpec, trials=100, seed=0) -> dict:
                 "actual": format_ring_element(got),
                 "status": "pass" if ok else "fail",
             })
+    failures = sum(c["status"] == "fail" for c in cases)  # all are listed
     return {
         "command": "verify sigma",
         "config": {"seed": seed, "trials": trials,

@@ -291,35 +291,46 @@ def scan(letters, n: int):
 def format_ring_element(elem: RingElement) -> str:
     """Serialize as a signed monomial sum, e.g. ``1 + y2*y3 - y3*y2``.
 
-    Keys sort in print order.  A monomial's text is its prefix's (one digit
-    fewer) plus a name; texts of the previous degree are kept, shared with
-    the output parts."""
+    Keys sort in print order, so a term shares its prefix (one digit
+    fewer) with the term before it.  A stack keeps, by degree, the prefix
+    used last and its text; it starts at 0, the empty prefix, which no
+    longer prefix equals.  A new prefix rebuilds the levels above the
+    longest kept one.  A degree's parts become one chunk at its end."""
     if not elem.terms:
         return "0"
     ring, terms = elem.ring, elem.terms
     n, w = len(ring.variables), ring.width
     name = [""] + [variable_display(v) for v in ring.variables]  # by digit
-    star, low = ["*" + v for v in name], (1 << w) - 1
-    parts, prev, cur, limit = [], {}, {}, 1  # texts of last and this degree
+    named, low = [v + "*" for v in name], (1 << w) - 1
+    keys, texts = [0] * (n + 1), [""] * (n + 1)  # the stack
+    chunks, parts, sign, limit, d = [], [], ("", "-"), 1, 0
+    append = parts.append
     for mono in sorted(terms):
         coeff, digits = terms[mono], mono >> n
-        parts.append(" + " if coeff > 0 else " - ")
+        if digits >= limit:  # a new degree: the last one's parts, joined
+            chunks.append("".join(parts))
+            parts.clear()
+            while digits >= limit:
+                limit, d = limit << w, d + 1
+        append(sign[coeff < 0])
+        sign = (" + ", " - ")  # after the leading term
         if not digits:
-            parts.append(str(abs(coeff)))
+            append(str(abs(coeff)))
             continue
-        while digits >= limit:  # a new degree
-            prev, cur, limit = cur, {}, limit << w
         prefix = digits >> w
-        if not prefix:
-            body = cur[digits] = name[digits]
-        else:
-            head = prev.get(prefix)
-            if head is None:  # the prefix is not a term
-                head = prev[prefix] = "*".join(
-                    [name[i + 1] for i in ring.positions(mono)[:-1]])
-            body = cur[digits] = head + star[digits & low]
+        if keys[d] != prefix:
+            head = prefix >> w
+            if keys[d - 1] != head:
+                j = d - 2
+                while keys[j] != head >> w * (d - 1 - j):
+                    j -= 1
+                for i in range(j + 1, d):
+                    keys[i] = key = head >> w * (d - 1 - i)
+                    texts[i] = texts[i - 1] + named[key & low]
+            keys[d] = prefix
+            texts[d] = texts[d - 1] + named[prefix & low]
         if coeff not in (1, -1):
-            parts.append("%d*" % abs(coeff))
-        parts.append(body)
-    parts[0] = "" if parts[0] == " + " else "-"  # the leading sign
-    return "".join(parts)
+            append("%d*" % abs(coeff))
+        append(texts[d] + name[digits & low])
+    chunks.append("".join(parts))
+    return "".join(chunks)

@@ -8,7 +8,8 @@ read from whole normal-form towers, Milnor-equal words are produced by
 explicit relator insertion, boundary words by a recursive commutator walk,
 random grope trees are built whole for every candidate, the link of a
 genus-1 grope tree is composed from Bing doubles one Surface at a time,
-re-rooting works on a plain adjacency list, the word parser is checked
+re-rooting works on a plain adjacency list, the formatter is checked
+against the two-dict formatter it replaced, the word parser is checked
 against the parser it replaced, which reads every prime as a token of its
 own, and a recursive one that checks its token index at every read, and
 the solid-torus pattern checks are written out apart from the link checks.
@@ -104,7 +105,7 @@ def reference_monomial_key(variables, mono):
     return (len(mono), tuple(map(pos.__getitem__, mono)))
 
 
-def reference_format_ring_element(variables, terms):
+def format_named_terms(variables, terms):
     """Signed monomial sum of a name-keyed {monomial: coeff} dict."""
     if not terms:
         return "0"
@@ -120,6 +121,49 @@ def reference_format_ring_element(variables, terms):
             parts.append(body if coeff > 0 else "-" + body)
         else:
             parts.append((" + " if coeff > 0 else " - ") + body)
+    return "".join(parts)
+
+
+# -- the formatter with two per-degree text dicts -----------------------------------
+# The library keeps one prefix text per degree on a stack and joins each
+# degree's parts as it ends; this keeps the texts of the last two degrees in
+# dicts keyed by digits, and one parts list for the whole output.
+
+
+def reference_format_ring_element(elem) -> str:
+    """Serialize as a signed monomial sum, e.g. ``1 + y2*y3 - y3*y2``.
+
+    Keys sort in print order.  A monomial's text is its prefix's (one digit
+    fewer) plus a name; texts of the previous degree are kept, shared with
+    the output parts."""
+    if not elem.terms:
+        return "0"
+    ring, terms = elem.ring, elem.terms
+    n, w = len(ring.variables), ring.width
+    name = [""] + [variable_display(v) for v in ring.variables]  # by digit
+    star, low = ["*" + v for v in name], (1 << w) - 1
+    parts, prev, cur, limit = [], {}, {}, 1  # texts of last and this degree
+    for mono in sorted(terms):
+        coeff, digits = terms[mono], mono >> n
+        parts.append(" + " if coeff > 0 else " - ")
+        if not digits:
+            parts.append(str(abs(coeff)))
+            continue
+        while digits >= limit:  # a new degree
+            prev, cur, limit = cur, {}, limit << w
+        prefix = digits >> w
+        if not prefix:
+            body = cur[digits] = name[digits]
+        else:
+            head = prev.get(prefix)
+            if head is None:  # the prefix is not a term
+                head = prev[prefix] = "*".join(
+                    [name[i + 1] for i in ring.positions(mono)[:-1]])
+            body = cur[digits] = head + star[digits & low]
+        if coeff not in (1, -1):
+            parts.append("%d*" % abs(coeff))
+        parts.append(body)
+    parts[0] = "" if parts[0] == " + " else "-"  # the leading sign
     return "".join(parts)
 
 

@@ -571,6 +571,8 @@ def test_verify_all_tallies_a_failing_sigma_law(capsys, monkeypatch):
         assert case["actual"] == {"trials": sigma["summary"]["total"],
                                   "failures": sigma["summary"]["failed"],
                                   "witness": bad[0]}
+        assert sigma["summary"]["failed"] == len(bad)  # every failure listed
+    assert (sigma["summary"]["total"], len(bad)) == (41, 32)  # bing_double
 
 
 def test_verify_all_deterministic_json(capsys):

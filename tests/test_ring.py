@@ -1,15 +1,18 @@
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
 from mgk.errors import UniverseMismatchError
-from mgk.milnor import default_alphabet, magnus
+from mgk.milnor import default_alphabet, magnus, normal_form
 from mgk.ring import (Ring, RingElement, basis_rank, format_ring_element,
                       variable_display)
 from mgk.words import Word
 
-from helpers import (decode_monomial, free_mul, named_terms,
-                     reference_format_ring_element, reference_monomial_key,
-                     reference_mul, squarefree)
+from helpers import (decode_monomial, format_named_terms, free_mul,
+                     named_terms, reference_format_ring_element,
+                     reference_monomial_key, reference_mul, squarefree)
 
 VARS = ("m1", "m2", "m3", "m4")
 R = Ring(VARS)
@@ -137,7 +140,7 @@ def test_position_keyed_ring_matches_name_keyed_reference(pair):
         total[mono] = total.get(mono, 0) + c
     assert named_terms(u + v) == {m: c for m, c in total.items() if c}
     for elem in (u, v, u * v, u - v):
-        assert format_ring_element(elem) == reference_format_ring_element(
+        assert format_ring_element(elem) == format_named_terms(
             variables, named_terms(elem))
     names = [decode_monomial(variables, m) for m in u.support()]
     assert names == sorted(nu, key=lambda m: reference_monomial_key(variables, m))
@@ -154,7 +157,7 @@ def test_embed_into_reordered_ring_keeps_names(pair):
     eu, ev = u.embed(big), v.embed(big)
     assert named_terms(eu) == named_terms(u)
     assert named_terms(eu * ev) == named_terms(u * v)
-    assert format_ring_element(eu) == reference_format_ring_element(
+    assert format_ring_element(eu) == format_named_terms(
         big.variables, named_terms(u))
     assert eu.coefficient(("x",)) == 0 and eu.coefficient(("a", "b")) == \
         u.coefficient(("a", "b"))
@@ -302,3 +305,76 @@ def test_formatting_other_variable_names():
     assert format_ring_element((1 + z) * (1 - w) * (1 + 2 * y)) == (
         "1 + z1 - w + 2*y2 - z1*w + 2*z1*y2 - 2*w*y2 - 2*z1*w*y2")
     assert format_ring_element(w * z - 3 * y * w) == "w*z1 - 3*y2*w"
+
+
+def block_word(rng, s, r):
+    """r blocks, each all s generators in a shuffled order with random
+    signs: the shapes of the benchmark's expand workload."""
+    letters = []
+    for _ in range(r):
+        gens = ["m%d" % (g + 1) for g in range(s)]
+        rng.shuffle(gens)
+        letters += [(g, rng.choice((1, -1))) for g in gens]
+    return Word(tuple(letters))
+
+
+def seeded_elements(ring, rng):
+    """The edge cases of the formatter, then random sparse elements."""
+    n, pack = len(ring.variables), ring.pack
+    cases = [ring.zero, ring.one, 3 * ring.one, -2 * ring.one,
+             RingElement(ring, {pack((n - 1,)): -1, pack((0,)): 5})]
+    if n >= 3:  # degree 2 skipped, and a prefix (2, 1) that is no term
+        cases.append(RingElement(ring, {0: -1, pack((1,)): 1,
+                                        pack((2, 1, 0)): -7}))
+    for _ in range(30):
+        terms = {}
+        for _ in range(rng.randint(1, 40)):
+            mono = pack(rng.sample(range(n), rng.randint(0, min(n, 6))))
+            terms[mono] = rng.choice((-3, -2, -1, 1, 1, 1, 2, 5))
+        cases.append(RingElement(ring, terms))
+    return cases
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9, 15, 16, 33, 100])
+def test_formatter_matches_the_two_dict_formatter(n):
+    rng = random.Random("format/%d" % n)
+    others = ("z2", "lambda") + tuple("m%d" % (i + 5) for i in range(n))
+    for names in (default_alphabet(n), others[:n]):
+        ring = Ring(names)
+        assert ring.width == n.bit_length()
+        for elem in seeded_elements(ring, rng):
+            assert format_ring_element(elem) == \
+                reference_format_ring_element(elem)
+
+
+@pytest.mark.parametrize("s", [6, 7, 8])
+def test_formatter_matches_the_two_dict_formatter_on_block_words(s):
+    rng = random.Random("format/blocks/%d" % s)
+    for r in (2, 3, 4):
+        word = block_word(rng, s, r)
+        alphabet = default_alphabet(s)
+        elems = [magnus(word, alphabet)]
+        elems += normal_form(word, alphabet).components
+        for elem in elems:
+            assert format_ring_element(elem) == \
+                reference_format_ring_element(elem)
+
+
+@pytest.mark.parametrize("s", [7, 8])
+def test_formatter_peak_memory_is_a_small_multiple_of_its_text(s):
+    # the expand workload's first 4-block shape for s; the two-dict
+    # formatter peaked at 9.4 and 8.0 times its text here
+    word = block_word(random.Random("expand/%d/%d/4" % ((38, 49)[s - 7], s)),
+                      s, 4)
+    elem = magnus(word, default_alphabet(s))
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        text = format_ring_element(elem)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 4 * len(text), (peak, len(text))
