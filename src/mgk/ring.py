@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 
 from .errors import MgkError, UniverseMismatchError
 
@@ -288,6 +289,17 @@ def scan(letters, n: int):
     return running, rho
 
 
+class _Signs(dict):
+    """One call's sign-and-coefficient texts, " + 3*" for 3; keeps 256."""
+
+    def __missing__(self, coeff):
+        text = (" - " if coeff < 0 else " + ") + (
+            "" if coeff in (1, -1) else "%d*" % abs(coeff))
+        if len(self) < 256:
+            self[coeff] = text
+        return text
+
+
 def format_ring_element(elem: RingElement) -> str:
     """Serialize as a signed monomial sum, e.g. ``1 + y2*y3 - y3*y2``.
 
@@ -295,7 +307,9 @@ def format_ring_element(elem: RingElement) -> str:
     fewer) with the term before it.  A stack keeps, by degree, the prefix
     used last and its text; it starts at 0, the empty prefix, which no
     longer prefix equals.  A new prefix rebuilds the levels above the
-    longest kept one.  A degree's parts become one chunk at its end."""
+    longest kept one.  Bisection cuts the keys into one slice (one chunk)
+    per degree; a term is one f-string of its sign-and-coefficient text,
+    which `map` looks up in a `_Signs` table, prefix text and last name."""
     if not elem.terms:
         return "0"
     ring, terms = elem.ring, elem.terms
@@ -303,34 +317,32 @@ def format_ring_element(elem: RingElement) -> str:
     name = [""] + [variable_display(v) for v in ring.variables]  # by digit
     named, low = [v + "*" for v in name], (1 << w) - 1
     keys, texts = [0] * (n + 1), [""] * (n + 1)  # the stack
-    chunks, parts, sign, limit, d = [], [], ("", "-"), 1, 0
-    append = parts.append
-    for mono in sorted(terms):
-        coeff, digits = terms[mono], mono >> n
-        if digits >= limit:  # a new degree: the last one's parts, joined
-            chunks.append("".join(parts))
-            parts.clear()
-            while digits >= limit:
-                limit, d = limit << w, d + 1
-        append(sign[coeff < 0])
-        sign = (" + ", " - ")  # after the leading term
-        if not digits:
-            append(str(abs(coeff)))
+    mons, signs = sorted(terms), _Signs()
+    chunks, lo = ([str(terms[0])], 1) if not mons[0] else ([], 0)
+    for d in range(1, n + 1):
+        hi = bisect_left(mons, 1 << w * d + n, lo)
+        if hi == lo:  # no term of degree d
             continue
-        prefix = digits >> w
-        if keys[d] != prefix:
-            head = prefix >> w
-            if keys[d - 1] != head:
-                j = d - 2
-                while keys[j] != head >> w * (d - 1 - j):
-                    j -= 1
-                for i in range(j + 1, d):
-                    keys[i] = key = head >> w * (d - 1 - i)
-                    texts[i] = texts[i - 1] + named[key & low]
-            keys[d] = prefix
-            texts[d] = texts[d - 1] + named[prefix & low]
-        if coeff not in (1, -1):
-            append("%d*" % abs(coeff))
-        append(texts[d] + name[digits & low])
-    chunks.append("".join(parts))
+        span, parts = mons[lo:hi], []
+        append = parts.append
+        for mono, sign in zip(span, map(signs.__getitem__,
+                                        map(terms.__getitem__, span))):
+            digits = mono >> n
+            prefix = digits >> w
+            if keys[d] != prefix:
+                head = prefix >> w
+                if keys[d - 1] != head:
+                    j = d - 2
+                    while keys[j] != head >> w * (d - 1 - j):
+                        j -= 1
+                    for i in range(j + 1, d):
+                        keys[i] = key = head >> w * (d - 1 - i)
+                        texts[i] = texts[i - 1] + named[key & low]
+                keys[d] = prefix
+                texts[d] = texts[d - 1] + named[prefix & low]
+            append(f"{sign}{texts[d]}{name[digits & low]}")
+        if not chunks:  # the leading sign
+            parts[0] = ("" if parts[0][1] == "+" else "-") + parts[0][3:]
+        chunks.append("".join(parts))
+        lo = hi
     return "".join(chunks)

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from itertools import chain, islice, permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -322,10 +323,24 @@ def seeded_elements(ring, rng):
     """The edge cases of the formatter, then random sparse elements."""
     n, pack = len(ring.variables), ring.pack
     cases = [ring.zero, ring.one, 3 * ring.one, -2 * ring.one,
-             RingElement(ring, {pack((n - 1,)): -1, pack((0,)): 5})]
+             -5 * ring.one, RingElement(ring, {0: -10 ** 31})]
+    if n >= 1:  # negative leading terms of degree 1; 30+ digit coefficients
+        cases += [RingElement(ring, {pack((n - 1,)): -1, pack((0,)): 5}),
+                  RingElement(ring, {pack((0,)): -1}),
+                  RingElement(ring, {pack((0,)): -4, pack((n - 1,)): 1}),
+                  RingElement(ring, {0: 10 ** 30 + 7, pack((0,)): -3 ** 70,
+                                     pack((n - 1,)): 2 ** 111})]
+    if n >= 2:  # no term of degree 0 or 1, a negative leading term
+        cases.append(RingElement(ring, {pack((1, 0)): -4, pack((0, 1)): 7,
+                                        pack((n - 1, 0)): -1}))
     if n >= 3:  # degree 2 skipped, and a prefix (2, 1) that is no term
         cases.append(RingElement(ring, {0: -1, pack((1,)): 1,
                                         pack((2, 1, 0)): -7}))
+    if n >= 5:  # 300 distinct coefficients, then repeats, past the 256 kept
+        monos = islice(chain.from_iterable(
+            permutations(range(n), k) for k in range(n + 1)), 400)
+        cases.append(RingElement(ring, {
+            pack(p): (i % 300 + 2) * (-1) ** i for i, p in enumerate(monos)}))
     for _ in range(30):
         terms = {}
         for _ in range(rng.randint(1, 40)):
@@ -335,7 +350,7 @@ def seeded_elements(ring, rng):
     return cases
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9, 15, 16, 33, 100])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 33, 100])
 def test_formatter_matches_the_two_dict_formatter(n):
     rng = random.Random("format/%d" % n)
     others = ("z2", "lambda") + tuple("m%d" % (i + 5) for i in range(n))
@@ -360,13 +375,19 @@ def test_formatter_matches_the_two_dict_formatter_on_block_words(s):
                 reference_format_ring_element(elem)
 
 
-@pytest.mark.parametrize("s", [7, 8])
-def test_formatter_peak_memory_is_a_small_multiple_of_its_text(s):
+@pytest.mark.parametrize("s, distinct", [(7, False), (8, False), (8, True)],
+                         ids=["7", "8", "8-distinct"])
+def test_formatter_peak_memory_is_a_small_multiple_of_its_text(s, distinct):
     # the expand workload's first 4-block shape for s; the two-dict
-    # formatter peaked at 9.4 and 8.0 times its text here
+    # formatter peaked at 9.4 and 8.0 times its text here.  With every
+    # coefficient distinct, a coefficient-text table without its cap
+    # peaked at 6.3 times
     word = block_word(random.Random("expand/%d/%d/4" % ((38, 49)[s - 7], s)),
                       s, 4)
     elem = magnus(word, default_alphabet(s))
+    if distinct:
+        elem = RingElement(elem.ring, {
+            mono: (i + 2) * (-1) ** i for i, mono in enumerate(elem.terms)})
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
