@@ -81,14 +81,6 @@ class GropeTree:
             leaf_count += left.leaf_count + right.leaf_count
         self.tree_class, self.leaf_count = min(classes, default=1), leaf_count or 1
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.pairs
-
-    @property
-    def genus(self) -> int:
-        return len(self.pairs)
-
     def __eq__(self, other):
         if not isinstance(other, GropeTree):
             return NotImplemented
@@ -118,7 +110,7 @@ class ClosedGropeTree:
     body: GropeTree
 
     def __post_init__(self):
-        if self.body.is_leaf:
+        if not self.body.pairs:
             raise TreeSyntaxError("a closed grope tree needs a Surface body")
 
     def __str__(self):

@@ -125,7 +125,7 @@ class MilnorElement:
 
     @property
     def is_identity(self) -> bool:
-        return self.exponent == 0 and all(c.is_zero for c in self.components)
+        return self.exponent == 0 and not any(c.terms for c in self.components)
 
     def describe(self) -> list[str]:
         lines = []

@@ -151,10 +151,6 @@ class RingElement:
     def constant_term(self) -> int:
         return self.terms.get(0, 0)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def support(self):
         """Monomials with nonzero coefficient, in degree-then-position
         order, which is numeric order."""

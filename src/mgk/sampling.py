@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import random
 
+from .errors import MgkError
 from .gropes import LEAF, GropeTree
 from .ring import Ring, RingElement
 from .words import Word
@@ -34,12 +35,16 @@ def random_grope_tree(rng: random.Random, k: int, max_genus=2,
                       max_tips=8) -> GropeTree:
     """A tree of class exactly k with at most max_tips leaves.
 
-    A candidate is dropped at its first leaf past max_tips."""
-    for attempt in range(64):
-        tree = _grow(rng, k, max_genus if attempt < 32 else 1, max_tips)
+    A class-k tree has at least k leaves, exactly k if every Surface has
+    genus 1: k outside 1..max_tips is refused, and after 32 candidates,
+    each dropped at its first leaf past max_tips, the genus-1 one fits."""
+    if not 1 <= k <= max_tips:
+        raise MgkError("no tree of class %d has at most %d tips" % (k, max_tips))
+    for _ in range(32):
+        tree = _grow(rng, k, max_genus, max_tips)
         if tree is not None:
             return tree
-    return _grow(rng, k, 1, max(k, 1))  # genus-1 tower: max(k, 1) tips
+    return _grow(rng, k, 1, max_tips)
 
 
 def _grow(rng: random.Random, k: int, max_genus: int, max_tips: int):

@@ -85,7 +85,7 @@ def _draw_long_commutator(rng, config):
 def _draw_kernel_pair(rng, config):
     alphabet = _alphabet(rng, config, 4, extra=1)
     ring = Ring(alphabet[:-1])
-    return (alphabet, ring, random_ring_element(rng, ring),
+    return (alphabet, random_ring_element(rng, ring),
             random_ring_element(rng, ring))
 
 
@@ -97,8 +97,8 @@ def _draw_conjugate(rng, config):
 
 
 def _draw_class_tree(rng, config):
-    k = rng.randint(1, 6)
     tips_cap = min(8, config.max_generators + 2)
+    k = rng.randint(1, min(6, tips_cap))
     return (random_grope_tree(rng, k, max_tips=tips_cap), k)
 
 
@@ -137,7 +137,7 @@ def _is_identity(alphabet, word):
     return milnor.normal_form(word, alphabet).is_identity
 
 
-def _split_exact_holds(alphabet, ring, rho1, rho2):
+def _split_exact_holds(alphabet, rho1, rho2):
     w1, w2 = milnor.r_map(rho1, alphabet), milnor.r_map(rho2, alphabet)
     return (milnor.r_inverse(w1, alphabet) == rho1
             and milnor.normal_form(

@@ -414,7 +414,7 @@ def grope_tree_link(tree: GropeTree):
     stack = [(tree, "l2")]
     while stack:
         node, name = stack.pop()
-        if node.is_leaf:
+        if not node.pairs:
             tips.append(link.meridians[link.index_of(name)])
             continue
         (left, right), = node.pairs  # genus 1
@@ -495,7 +495,7 @@ def shuffled_chain(rng, depth, partner=None, bottom=None):
 
 
 def reference_tree_text(tree: GropeTree) -> str:
-    if tree.is_leaf:
+    if not tree.pairs:
         return "*"
     return "(%s)" % " ".join(
         "{%s %s}" % (reference_tree_text(l), reference_tree_text(r))
@@ -503,14 +503,14 @@ def reference_tree_text(tree: GropeTree) -> str:
 
 
 def reference_grope_class(tree: GropeTree) -> int:
-    if tree.is_leaf:
+    if not tree.pairs:
         return 1
     return min(reference_grope_class(l) + reference_grope_class(r)
                for l, r in tree.pairs)
 
 
 def reference_leaf_paths(tree: GropeTree):
-    if tree.is_leaf:
+    if not tree.pairs:
         return ((),)
     out = []
     for i, (left, right) in enumerate(tree.pairs):
@@ -524,7 +524,7 @@ def _reference_sort_key(tree: GropeTree):
 
 
 def reference_canonical(tree: GropeTree) -> GropeTree:
-    if tree.is_leaf:
+    if not tree.pairs:
         return tree
     pairs = []
     for left, right in tree.pairs:
@@ -542,7 +542,7 @@ def reference_all_genus_one(tree: GropeTree) -> bool:
     stack = [tree]
     while stack:
         node = stack.pop()
-        if node.genus > 1:
+        if len(node.pairs) > 1:
             return False
         stack += node.pairs[0] if node.pairs else ()
     return True
@@ -563,7 +563,7 @@ def reference_boundary_word(tree: GropeTree, names) -> Word:
     it = iter(names)
 
     def walk(node):
-        if node.is_leaf:
+        if not node.pairs:
             return Word.gen(next(it))
         out = Word()
         for left, right in node.pairs:
@@ -590,7 +590,7 @@ def reroot_oracle(closed: ClosedGropeTree, tip):
 
     def build(node, path):
         v = fresh()
-        if node.is_leaf:
+        if not node.pairs:
             tips[path] = v
         for i, (left, right) in enumerate(node.pairs):
             for side, child in enumerate((left, right)):
@@ -622,7 +622,8 @@ def reroot_oracle(closed: ClosedGropeTree, tip):
 # None at the first leaf past the budget.  `_reference_grow` grows a whole
 # candidate; `reference_random_grope_tree` counts a candidate's leaves in
 # one shared counter and drops it by raising at the first leaf past the
-# budget, with the same draws in the same order.
+# budget, with the same draws in the same order.  After 32 dropped
+# candidates it grows a genus-1 one, whose k leaves fit the budget.
 
 
 class _OverBudget(Exception):
@@ -630,10 +631,11 @@ class _OverBudget(Exception):
 
 
 def reference_random_grope_tree(rng, k, max_genus=2, max_tips=8):
-    for attempt in range(64):
-        genus_cap = max_genus if attempt < 32 else 1
+    if not 1 <= k <= max_tips:
+        raise MgkError("no tree of class %d has at most %d tips" % (k, max_tips))
+    for _ in range(32):
         try:
-            return _counted_grow(rng, k, genus_cap, [max_tips])
+            return _counted_grow(rng, k, max_genus, [max_tips])
         except _OverBudget:
             pass
     return _reference_grow(rng, k, 1)

@@ -6,10 +6,11 @@ from mgk.composition import (Certificate, CompositionSpec, compose,
                              essentiality_certificate, verify_sigma,
                              wedge_ring_element)
 from mgk.errors import BudgetExceeded, CompositionError, NotInKernelError
-from mgk.gropes import LEAF, GropeTree, boundary_word, grope_class
+from mgk.gropes import (LEAF, LEFT, ClosedGropeTree, GropeTree, boundary_word,
+                        dual_tree, grope_class, leaf_paths)
 from mgk.links import (LinkModel, SolidTorusLink, catalog, is_almost_trivial,
                        is_homotopically_trivial, mu_bar)
-from mgk.milnor import lcs_degree, r_inverse, r_map
+from mgk.milnor import lcs_degree, magnus, r_inverse, r_map
 from mgk.ring import Ring
 from mgk.sampling import random_grope_tree, random_ring_element
 from mgk.words import Word
@@ -340,14 +341,40 @@ def balanced_tree(depth):
 
 
 def test_grope_tree_links_bound_their_boundary_words():
-    # the root longitude of the link that `compose` builds from a genus-1
-    # tree is the tree's boundary word in the tip meridians, of lower
-    # central series degree the tree's class, and the link is almost
-    # trivial, with top mu-bar +1 along the tips in depth-first order
+    """The link that `compose` builds from a genus-1 tree realizes the
+    tree and its Alexander duals.
+
+    The root longitude is the tree's boundary word in the tip meridians,
+    of lower central series degree the tree's class; the link is almost
+    trivial, with top mu-bar +1 along the tips in depth-first order.  Each
+    tip t's longitude has the Magnus expansion of the boundary word of
+    `dual_tree(closed, t)`, over m1 and then each partner's tip meridians
+    in depth-first order, root side first, or of that word's inverse when
+    t's path has an odd number of L steps.
+
+    The sign rule, from the catalog's `bing_double`: composed into the
+    component standing for a Surface with longitude lam, it gives the left
+    member the longitude [z2, lam] and the right member [lam, z1], z1 and
+    z2 the members' meridians, which later compositions replace by their
+    boundary words.  So t's longitude is L_k along its path, from
+    L_0 = m1 (hopf's l2) by L_j = [L_(j-1), B_j] at an R step and
+    [B_j, L_(j-1)] = [L_(j-1), B_j]^-1 at an L step, B_j the boundary
+    word of the j-th partner; the dual's boundary word is D_k, from
+    D_0 = m1 by D_j = [D_(j-1), B_j].  The two sides of each commutator
+    use disjoint generators, so each word expands as 1 + x, x homogeneous
+    of degree the number of its generators (a longer term repeats a
+    variable and is 0 in R); then X^-1 expands as 1 - x, [X, B] as 1 + xb - bx, and
+    [X^-1, B] as [X, B]^-1.  By induction L_k expands as D_k or D_k^-1,
+    by the parity of the L steps.  Over all of `names` no conjugation
+    changes 1 + x, so basepoints do not matter.
+    """
     rng = random.Random(7)
     trees = [random_grope_tree(rng, rng.randint(2, 8), max_genus=1)
              for _ in range(200)]
     trees += [balanced_tree(2), balanced_tree(3)]
+    rng = random.Random(11)
+    trees += [random_grope_tree(rng, k, max_genus=1, max_tips=10)
+              for k in (9, 10) for _ in range(5)]
     for tree in trees:
         link, tips = grope_tree_link(tree)
         assert link.n == tree.leaf_count + 1
@@ -358,4 +385,17 @@ def test_grope_tree_links_bound_their_boundary_words():
         assert is_almost_trivial(link), tree
         order = tuple(link.components[link.meridians.index(t)] for t in tips)
         assert mu_bar(link, order + ("l1",)) == 1, tree
-    assert {tree.leaf_count for tree in trees} == set(range(2, 9))
+        closed = ClosedGropeTree(tree)
+        meridian = dict(zip(leaf_paths(tree), tips))  # depth-first order
+        for path, t in meridian.items():
+            names = (link.meridians[0],)
+            for j, (i, side) in enumerate(path):
+                partner = path[:j] + ((i, 1 - side),)
+                names += tuple(m for p, m in meridian.items()
+                               if p[:j + 1] == partner)
+            dual = boundary_word(dual_tree(closed, path).body, names)
+            if sum(side == LEFT for _, side in path) % 2:
+                dual = ~dual
+            longitude = link.longitudes[link.meridians.index(t)]
+            assert magnus(longitude, names) == magnus(dual, names), (tree, path)
+    assert {tree.leaf_count for tree in trees} == set(range(2, 11))

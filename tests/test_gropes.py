@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mgk.words
-from mgk.errors import BudgetExceeded, TreeSyntaxError
+from mgk.errors import BudgetExceeded, MgkError, TreeSyntaxError
 from mgk.gropes import (LEAF, ClosedGropeTree, GropeTree, boundary_expression,
                         boundary_word, canonical, dual_class, dual_tree, export_dot, format_tip_path, grope_class,
                         is_isomorphic, leaf_paths, parse_closed_tree,
@@ -38,9 +38,9 @@ def genus1_tower(depth):
 def test_parse_examples():
     assert parse_tree("*") is LEAF
     t = parse_tree(TORUS)
-    assert t.genus == 1 and t.pairs[0] == (LEAF, LEAF)
+    assert len(t.pairs) == 1 and t.pairs[0] == (LEAF, LEAF)
     t2 = parse_tree(TOWER2)
-    assert t2.pairs[0][0].genus == 1 and t2.pairs[0][1] is LEAF
+    assert len(t2.pairs[0][0].pairs) == 1 and t2.pairs[0][1] is LEAF
 
 
 def test_parse_whitespace_insensitive():
@@ -100,22 +100,31 @@ def test_grow_keeps_exactly_the_reference_candidates_within_the_budget():
 
 
 def test_sampler_draws_the_reference_trees():
-    # the reference drops a candidate by raising at its first leaf past
-    # the budget; the sampler must draw as it does, tree for tree
-    seen = set()
+    # a class-k tree has at least k leaves, and exactly k when every Surface
+    # has genus 1: the sampler refuses k outside 1..max_tips, drawing
+    # nothing, and otherwise draws as the reference does, tree for tree
+    refused = set()
     for seed in range(4):
-        for k in range(1, 7):
+        for k in range(-1, 10):
             for max_genus in (1, 2):
-                for max_tips in range(2, 13):
+                for max_tips in range(0, 13):
                     rng = random.Random("%d/%d/%d/%d" % (seed, k, max_genus, max_tips))
                     ref = random.Random()
                     ref.setstate(rng.getstate())
-                    tree = random_grope_tree(rng, k, max_genus, max_tips)
-                    want = reference_random_grope_tree(ref, k, max_genus, max_tips)
-                    assert tree == want and tree_text(tree) == tree_text(want)
+                    refuse = not 1 <= k <= max_tips
+                    refused.add(refuse)
+                    if refuse:
+                        with pytest.raises(MgkError, match="no tree of class"):
+                            random_grope_tree(rng, k, max_genus, max_tips)
+                        with pytest.raises(MgkError):
+                            reference_random_grope_tree(ref, k, max_genus, max_tips)
+                    else:
+                        tree = random_grope_tree(rng, k, max_genus, max_tips)
+                        want = reference_random_grope_tree(ref, k, max_genus, max_tips)
+                        assert tree == want and tree_text(tree) == tree_text(want)
+                        assert tree.tree_class == k and tree.leaf_count <= max_tips
                     assert rng.getstate() == ref.getstate()
-                    seen.add(tree.leaf_count <= max_tips)
-    assert seen == {True, False}  # some draws fell back to the genus-1 tower
+    assert refused == {True, False}
 
 
 # -- class ----------------------------------------------------------------------
@@ -262,8 +271,8 @@ def test_class5_tree_dual_bound():
         assert grope_class(dual.body) == dual_class(closed, tip)
         # every path vertex of the dual is genus 1 with the path first
         node = dual.body
-        while not node.is_leaf:
-            assert node.genus == 1
+        while node.pairs:
+            assert len(node.pairs) == 1
             node = node.pairs[0][0]
 
 
@@ -492,7 +501,7 @@ def test_walks_agree_with_recursive_references(kind, seed):
     assert tree.leaf_count == len(paths)
     assert tree_text(canonical(tree)) == reference_tree_text(
         reference_canonical(tree))
-    if not tree.is_leaf:
+    if tree.pairs:
         closed = ClosedGropeTree(tree)
         for tip in paths:
             assert dual_class(closed, tip) == reference_dual_class(closed, tip)
@@ -504,7 +513,7 @@ def test_walks_agree_with_recursive_references(kind, seed):
 @given(st.sampled_from(sorted(TREE_KINDS)), st.integers(0, 2 ** 30))
 def test_rerooted_accepts_exactly_the_all_genus_1_trees(kind, seed):
     tree = TREE_KINDS[kind](random.Random(seed))
-    if tree.is_leaf:
+    if not tree.pairs:
         return
     closed = ClosedGropeTree(tree)
     tip = leaf_paths(tree)[-1]
@@ -562,7 +571,7 @@ def test_depth_5000_chain(default_recursion_limit):
 
     closed = ClosedGropeTree(chain)
     deepest, node = [], chain
-    while not node.is_leaf:
+    while node.pairs:
         side = 0 if node.pairs[0][0].pairs else 1
         deepest.append((0, side))
         node = node.pairs[0][side]

@@ -140,7 +140,7 @@ def test_default_alphabet_refuses_a_negative_count():
 def test_identity_normal_form():
     nf = normal_form(Word(), A3)
     assert nf.is_identity
-    assert all(c.is_zero for c in nf.components) and nf.exponent == 0
+    assert not any(c.terms for c in nf.components) and nf.exponent == 0
 
 
 def test_two_conjugates_of_same_meridian_commute():
