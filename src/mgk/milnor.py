@@ -229,8 +229,8 @@ def conjugation_action(g: Word, rho: RingElement, alphabet) -> RingElement:
     Satisfies r_inverse(g * r_map(rho) * g') == conjugation_action(g, rho)
     over the alphabet extended by the distinguished generator.
     """
-    ring = Ring(alphabet)
-    return magnus(g, alphabet) * rho.embed(ring)
+    expansion = magnus(g, alphabet)
+    return expansion * rho.embed(expansion.ring)
 
 
 def lcs_degree(word: Word, alphabet):

@@ -12,9 +12,10 @@ highest, above an n-bit mask of the variables used.  Digits are >= 1 and
 fix the mask, so numeric order is degree-then-position order, "contains
 y_g" is one `&` and `Ring.degree` is the mask's popcount.  `Ring.pack` and
 `Ring.positions` encode and decode; names appear only in `Ring.gen`,
-`Ring.monomial`, `Ring.element`, `RingElement.coefficient` and
-`format_ring_element`.  Words enter the ring through one in-place kernel
-on bare term dicts, `scan`.
+`Ring.monomial`, `Ring.element`, `RingElement.coefficient`,
+`RingElement.embed`, which maps positions through `ring.variables.index`,
+and `format_ring_element`.  Words enter the ring through one in-place
+kernel on bare term dicts, `scan`.
 
 >>> R = Ring(("m1", "m2"))
 >>> y1, y2 = R.gen("m1"), R.gen("m2")

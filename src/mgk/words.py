@@ -1,7 +1,6 @@
 """Formal words in named generators and their inverses.
 
-Words are stored as flat, unreduced sequences of signed letters; free
-reduction is available but never forced.  The text grammar:
+Words are flat, unreduced sequences of signed letters.  The text grammar:
 
     word    :=  factor*                   (empty input is the identity, "1")
     factor  :=  atom postfix*
@@ -98,15 +97,6 @@ class Word:
         _check_length(abs(n) * len(self.letters))
         base = self if n >= 0 else ~self
         return Word._trusted(base.letters * abs(n))
-
-    def free_reduce(self) -> "Word":
-        out = []
-        for let in self.letters:
-            if out and out[-1][0] == let[0] and out[-1][1] == -let[1]:
-                out.pop()
-            else:
-                out.append(let)
-        return Word._trusted(tuple(out))
 
     def substitute(self, name: str, replacement: "Word") -> "Word":
         """Replace every occurrence of name^(+-1) by replacement^(+-1)."""

@@ -12,7 +12,8 @@ re-rooting works on a plain adjacency list, the formatter is checked
 against the two-dict formatter it replaced, the word parser is checked
 against the parser it replaced, which reads every prime as a token of its
 own, and a recursive one that checks its token index at every read, and
-the solid-torus pattern checks are written out apart from the link checks.
+the solid-torus pattern checks are written out apart from the link checks,
+and free reduction, which the library does not use, is kept here.
 """
 
 import re
@@ -688,6 +689,22 @@ def random_words(rng, alphabet, count, max_len=12):
     return [Word(tuple((rng.choice(alphabet), rng.choice((1, -1)))
                        for _ in range(rng.randint(0, max_len))))
             for _ in range(count)]
+
+
+# -- free reduction ------------------------------------------------------------------
+# The free group's word problem, which the library never needs: it decides
+# words in the free Milnor group.  Kept for the tests that ask whether a
+# word is freely trivial.
+
+def free_reduce(word: Word) -> Word:
+    """The word with every adjacent pair g g' or g' g cancelled."""
+    out = []
+    for let in word.letters:
+        if out and out[-1][0] == let[0] and out[-1][1] == -let[1]:
+            out.pop()
+        else:
+            out.append(let)
+    return Word(out)
 
 
 # -- the word parser, one token per prime ------------------------------------------

@@ -214,7 +214,9 @@ def test_a_repeated_generator_is_refused():
     for call in (lambda: magnus(word, aba), lambda: normal_form(word, aba),
                  lambda: words_equal(word, word, aba),
                  lambda: r_inverse(word, aba), lambda: lcs_degree(word, aba),
-                 lambda: r_map(Ring(("a", "b")).gen("b"), aba)):
+                 lambda: r_map(Ring(("a", "b")).gen("b"), aba),
+                 lambda: conjugation_action(Word.parse("a"), Ring(("a",)).gen("a"),
+                                            aba)):
         with pytest.raises(ValueError, match=message):
             call()
     # repeats that only the kernel generator sees
