@@ -27,6 +27,10 @@ and `r_inverse` is the top level's scan alone: the word is in the kernel iff
 the scan's expansion without the last generator is 1, and rho is the answer.
 `normal_form` is that scan too: rho is the top component, and the
 expansion without the last generator projects to every lower one.
+`lcs_degree` with a cap k scans in R/(degree > k): the monomials of
+degree above k span a two-sided ideal, so that quotient is a ring map,
+and its image of M(w) is exactly M(w)'s terms of degree <= k, read
+without forming a term of higher degree.
 
 The tower holds s prefix rings, about s^2/2 names in all, so the command
 line and the catalog refuse an alphabet of more than `MAX_GENERATORS`
@@ -233,14 +237,18 @@ def conjugation_action(g: Word, rho: RingElement, alphabet) -> RingElement:
     return expansion * rho.embed(expansion.ring)
 
 
-def lcs_degree(word: Word, alphabet):
+def lcs_degree(word: Word, alphabet, cap=None):
     """Minimal degree of a nonconstant term of the Magnus expansion.
 
     Returns math.inf when the expansion is 1.  A product of weight-k
     iterated commutators always has degree >= k, so this bounds the
-    lower-central-series filtration from below.
+    lower-central-series filtration from below.  A cap >= 1 scans in
+    R/(degree > cap), a ring map as the higher degrees span an ideal: a
+    degree up to the cap is exact, and one above it reads math.inf.
     """
-    expansion = magnus(word, alphabet)
+    if cap is not None and cap < 1:
+        raise MgkError("degree cap must be >= 1")
+    letters, n = _positions(word, alphabet), len(alphabet)
     # keys sort by degree first; the key 0 is the constant term's
-    least = min(filter(None, expansion.terms), default=0)
-    return expansion.ring.degree(least) if least else math.inf
+    least = min(filter(None, scan(letters, n, cap)[0]), default=0)
+    return (least & (1 << n) - 1).bit_count() if least else math.inf

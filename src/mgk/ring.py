@@ -244,13 +244,19 @@ def add_scaled(terms: dict, other: dict, e: int) -> None:
             terms.pop(mono, None)
 
 
-def scan(letters, n: int):
+def scan(letters, n: int, cap=None):
     """Read (position, exponent) letters into R on n variables.
 
     Returns term dicts (running, rho).  The kernel letter is position n,
     the generator after the ring's variables: a letter (g, e) with g < n
     multiplies running by 1 + e*y_g, and a letter at n adds e*running to
     rho; with no letter at n, running is the Magnus expansion.
+    With a cap >= 1, both are read in R/(degree > cap): the monomials of
+    degree above the cap span a two-sided ideal, so dropping them is a
+    ring map, and a term of degree <= cap comes only from terms of lower
+    degree.  So every coefficient of degree <= cap is exact, and no
+    higher one is formed: numeric order is degree order, so a key below
+    `1 << w*(cap-1) + n` is extended and a key at the cap is kept as is.
     Adjacent letters of one position first fold into one letter with the
     summed exponent, on a stack, so cancellations nest and zero sums drop.
     That is exact: (1 + a*y_g)(1 + b*y_g) = 1 + (a+b)*y_g as y_g*y_g = 0,
@@ -267,6 +273,8 @@ def scan(letters, n: int):
         else:
             folded.append(let)
     w, full = n.bit_length(), (1 << n) - 1
+    if cap is not None:  # past n, a cap caps nothing and must build no huge int
+        bound = 1 << w * (min(cap, n) - 1) + n
     running, rho = {0: 1}, {}
     for g, e in folded:
         if g == n:
@@ -275,7 +283,9 @@ def scan(letters, n: int):
         bit = 1 << g
         new = (g + 1) << n | bit  # y_g's digit above the mask, and its bit
         get = running.get
-        for mono in [m for m in running if not m & bit]:
+        # unnamed, so no snapshot outlives its loop into the next letter's
+        for mono in ([m for m in running if not m & bit] if cap is None
+                     else [m for m in running if not m & bit and m < bound]):
             used = mono & full
             key = (mono ^ used) << w | used | new
             c = get(key, 0) + e * running[mono]

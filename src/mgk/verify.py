@@ -154,8 +154,8 @@ def _conjugation_acts(alphabet, g, rho):
 
 
 def _boundary_has_degree(tree, k):
-    names = milnor.default_alphabet(tree.leaf_count)
-    return milnor.lcs_degree(gropes.boundary_word(tree, names), names) == k
+    names = milnor.default_alphabet(tree.leaf_count)  # no degree above k decides
+    return milnor.lcs_degree(gropes.boundary_word(tree, names), names, cap=k) == k
 
 
 def _duals_hold(closed, genus1):

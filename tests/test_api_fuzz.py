@@ -226,7 +226,7 @@ CALLS = {
     "magnus": call(magnus, WORDS, ALPHABETS),
     "normal_form": call(normal_form, WORDS, ALPHABETS),
     "words_equal": call(words_equal, WORDS, WORDS, ALPHABETS),
-    "lcs_degree": call(lcs_degree, WORDS, ALPHABETS),
+    "lcs_degree": call(lcs_degree, WORDS, ALPHABETS, st.none() | INTS),  # the cap
     "r_map": call(r_map, ELEMENTS, ALPHABETS),
     "r_inverse": call(r_inverse, WORDS, ALPHABETS),
     "conjugation_action": call(conjugation_action, WORDS, ELEMENTS, ALPHABETS),

@@ -12,7 +12,7 @@ from mgk.gropes import (LEAF, ClosedGropeTree, GropeTree, boundary_expression,
                         is_isomorphic, leaf_paths, parse_closed_tree,
                         parse_tip_path, parse_tree, rerooted, tip_duals,
                         tree_text)
-from mgk.milnor import lcs_degree
+from mgk.milnor import default_alphabet, lcs_degree
 from mgk.sampling import _grow, random_grope_tree
 from mgk.words import Word
 
@@ -233,6 +233,44 @@ def test_boundary_degree_equals_class():
         names = ["g%d" % i for i in range(len(leaf_paths(tree)))]
         assert lcs_degree(boundary_word(tree, names), tuple(names)) \
             == grope_class(tree)
+
+
+# -- the paper's two lemmas past 8 tips ----------------------------------------------
+# The boundary of a class-k grope lies in the k-th term of the lower central
+# series, and the dual at a tip has class dual_class >= k (Krushkal-Teichner).
+# verify's grope_degree sweep draws k <= 6 and at most 8 tips; these trees
+# have 9 to 16, and lcs_degree(..., cap=d) == d says "degree exactly d".
+
+def trees_past_8_tips(k, max_tips, count):
+    """count seeded trees of class k and genus <= 2 with 9..max_tips tips."""
+    rng = random.Random("gropes/past-8-tips/%d/%d" % (k, max_tips))
+    trees = []
+    while len(trees) < count:
+        tree = random_grope_tree(rng, k, max_genus=2, max_tips=max_tips)
+        if tree.leaf_count >= 9:
+            trees.append(tree)
+    return trees
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_boundary_degree_is_the_class_past_8_tips(k):
+    for tree in trees_past_8_tips(k, 16, 4):
+        names = default_alphabet(tree.leaf_count)
+        assert grope_class(tree) == k
+        assert lcs_degree(boundary_word(tree, names), names, cap=k) == k, \
+            tree_text(tree)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_dual_boundary_degree_is_the_dual_class_past_8_tips(k):
+    for tree in trees_past_8_tips(k, 12, 3):
+        closed = ClosedGropeTree(tree)
+        for tip in leaf_paths(tree):
+            body = dual_tree(closed, tip).body
+            names = default_alphabet(body.leaf_count)
+            d = dual_class(closed, tip)
+            assert lcs_degree(boundary_word(body, names), names, cap=d) == d, \
+                (tree_text(tree), format_tip_path(tip))
 
 
 # -- duality -----------------------------------------------------------------------

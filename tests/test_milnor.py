@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -405,6 +406,19 @@ def test_lcs_degree():
     assert lcs_degree(Word.parse("[m2,m3]"), A3) == 2
     assert lcs_degree(Word.parse("m1 m1'"), A3) == math.inf
     assert lcs_degree(Word.parse("[m1,[m2,m3]]"), A3) == 3
+
+
+def test_a_capped_lcs_degree_is_the_degree_up_to_the_cap():
+    rng = random.Random("lcs/cap")
+    alphabet = default_alphabet(5)
+    for word in random_words(rng, alphabet, 60, max_len=14):
+        degree = lcs_degree(word, alphabet)
+        for cap in (1, 2, 3, 4, 5, 6, sys.maxsize + 1, 10 ** 30):
+            assert lcs_degree(word, alphabet, cap) == (
+                degree if degree <= cap else math.inf)
+    for cap in (0, -1, -sys.maxsize - 2):
+        with pytest.raises(MgkError, match="^degree cap must be >= 1$"):
+            lcs_degree(Word.gen("m1"), alphabet, cap)
 
 
 def test_lcs_degree_commutator_lower_bound():

@@ -1,4 +1,6 @@
+import math
 import random
+import sys
 import tracemalloc
 from itertools import chain, islice, permutations
 
@@ -8,7 +10,7 @@ from hypothesis import given, strategies as st
 from mgk.errors import UniverseMismatchError
 from mgk.milnor import default_alphabet, magnus, normal_form
 from mgk.ring import (Ring, RingElement, basis_rank, format_ring_element,
-                      variable_display)
+                      scan, variable_display)
 from mgk.words import Word
 
 from helpers import (decode_monomial, format_named_terms, free_mul,
@@ -306,6 +308,28 @@ def test_formatting_other_variable_names():
     assert format_ring_element((1 + z) * (1 - w) * (1 + 2 * y)) == (
         "1 + z1 - w + 2*y2 - z1*w + 2*z1*y2 - 2*w*y2 - 2*z1*w*y2")
     assert format_ring_element(w * z - 3 * y * w) == "w*z1 - 3*y2*w"
+
+
+@pytest.mark.parametrize("s", range(1, 10))
+def test_a_capped_scan_is_the_full_scan_up_to_the_cap(s):
+    # R -> R/(degree > cap) is a ring map, so the capped (running, rho) is
+    # the full scan's terms of degree <= cap, with kernel letters (at
+    # position s) or without, and no monomial of higher degree is formed
+    rng = random.Random("scan/cap/%d" % s)
+    degree = Ring(default_alphabet(s)).degree
+    for kernel in (0, 1):
+        for _ in range(3):
+            letters = [(rng.randrange(s + kernel), rng.choice((-2, -1, 1, 1, 2)))
+                       for _ in range(rng.randint(s, 3 * s))]
+            full = scan(letters, s)
+            for cap in range(1, s + 1):
+                running, rho = scan(letters, s, cap)
+                assert (running, rho) == tuple(
+                    {m: c for m, c in terms.items() if degree(m) <= cap}
+                    for terms in full), (letters, cap)
+                assert len(running) <= sum(math.perm(s, j) for j in range(cap + 1))
+            for cap in (s + 1, sys.maxsize + 1):  # past s, a cap caps nothing
+                assert scan(letters, s, cap) == full
 
 
 def block_word(rng, s, r):

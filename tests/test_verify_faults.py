@@ -79,10 +79,14 @@ ROWS = [
                       "rho.embed(expansion.ring) * expansion"),
                  id="conjugation_action multiplies on the right"),
     pytest.param("boundary word", milnor, "lcs_degree",
-                 lambda lcs: lambda word, alphabet: min(lcs(word, alphabet), 6),
+                 lambda lcs: lambda word, alphabet, cap=None: min(
+                     lcs(word, alphabet, cap), 6),
                  id="lcs_degree capped at 6", marks=gap(
-                     "grope_degree draws class k <= 6 (ROADMAP item 2); caught by "
-                     "test_composition.py::test_grope_tree_links_bound_their_boundary_words")),
+                     "grope_degree draws class k <= 6; caught by the classes 7 and 8 "
+                     "of test_gropes.py::test_boundary_degree_is_the_class_past_8_tips, "
+                     "by test_dual_boundary_degree_is_the_dual_class_past_8_tips "
+                     "and by test_composition.py::"
+                     "test_grope_tree_links_bound_their_boundary_words")),
     # grope_class reads tree_class, which GropeTree computes
     pytest.param("duals", GropeTree, "__init__",
                  swap("min(classes, default=1)", "max(classes, default=1)"),
