@@ -27,10 +27,10 @@ and `r_inverse` is the top level's scan alone: the word is in the kernel iff
 the scan's expansion without the last generator is 1, and rho is the answer.
 `normal_form` is that scan too: rho is the top component, and the
 expansion without the last generator projects to every lower one.
-`lcs_degree` with a cap k scans in R/(degree > k): the monomials of
-degree above k span a two-sided ideal, so that quotient is a ring map,
-and its image of M(w) is exactly M(w)'s terms of degree <= k, read
-without forming a term of higher degree.
+`magnus` and `lcs_degree` with a cap k scan in R/(degree > k): the
+monomials of degree above k span a two-sided ideal, so that quotient is
+a ring map, and its image of M(w) is exactly M(w)'s terms of degree
+<= k, read without forming a term of higher degree.
 
 The tower holds s prefix rings, about s^2/2 names in all, so the command
 line and the catalog refuse an alphabet of more than `MAX_GENERATORS`
@@ -84,15 +84,18 @@ def _positions(word: Word, alphabet) -> list:
                                     % (exc.args[0], tuple(alphabet))) from None
 
 
-def magnus(word: Word, alphabet) -> RingElement:
+def magnus(word: Word, alphabet, cap=None) -> RingElement:
     """Magnus expansion: mi -> 1 + yi, mi' -> 1 - yi, multiplicatively.
 
     Returns a unit of R on the alphabet's variables with constant term 1.
     Factors through M(F), so Milnor-equal words expand identically.
+    A cap >= 1 keeps exactly the terms of degree <= cap (see `scan`).
     """
+    if cap is not None and cap < 1:
+        raise MgkError("degree cap must be >= 1")
     letters = _positions(word, alphabet)
     ring = Ring(alphabet)
-    return RingElement(ring, scan(letters, len(ring.variables))[0])
+    return RingElement(ring, scan(letters, len(ring.variables), cap)[0])
 
 
 def magnus_coefficient(word: Word, seq) -> int:
@@ -246,9 +249,7 @@ def lcs_degree(word: Word, alphabet, cap=None):
     R/(degree > cap), a ring map as the higher degrees span an ideal: a
     degree up to the cap is exact, and one above it reads math.inf.
     """
-    if cap is not None and cap < 1:
-        raise MgkError("degree cap must be >= 1")
-    letters, n = _positions(word, alphabet), len(alphabet)
+    expansion = magnus(word, alphabet, cap)
     # keys sort by degree first; the key 0 is the constant term's
-    least = min(filter(None, scan(letters, n, cap)[0]), default=0)
-    return (least & (1 << n) - 1).bit_count() if least else math.inf
+    least = min(filter(None, expansion.terms), default=0)
+    return expansion.ring.degree(least) if least else math.inf

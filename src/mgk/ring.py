@@ -273,8 +273,9 @@ def scan(letters, n: int, cap=None):
         else:
             folded.append(let)
     w, full = n.bit_length(), (1 << n) - 1
-    if cap is not None:  # past n, a cap caps nothing and must build no huge int
-        bound = 1 << w * (min(cap, n) - 1) + n
+    # a key below bound has degree < cap (< n with no cap, as every key
+    # lacking a bit has); clamped to n, a huge cap builds no huge int
+    bound = 1 << w * (min(n if cap is None else cap, n) - 1) + n
     running, rho = {0: 1}, {}
     for g, e in folded:
         if g == n:
@@ -283,9 +284,7 @@ def scan(letters, n: int, cap=None):
         bit = 1 << g
         new = (g + 1) << n | bit  # y_g's digit above the mask, and its bit
         get = running.get
-        # unnamed, so no snapshot outlives its loop into the next letter's
-        for mono in ([m for m in running if not m & bit] if cap is None
-                     else [m for m in running if not m & bit and m < bound]):
+        for mono in [m for m in running if not m & bit and m < bound]:
             used = mono & full
             key = (mono ^ used) << w | used | new
             c = get(key, 0) + e * running[mono]

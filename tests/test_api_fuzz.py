@@ -223,7 +223,7 @@ CALLS = {
     "basis_rank": call(basis_rank, COUNTS),
     # Milnor groups
     "default_alphabet": call(default_alphabet, COUNTS, NAMES),
-    "magnus": call(magnus, WORDS, ALPHABETS),
+    "magnus": call(magnus, WORDS, ALPHABETS, st.none() | INTS),  # the cap
     "normal_form": call(normal_form, WORDS, ALPHABETS),
     "words_equal": call(words_equal, WORDS, WORDS, ALPHABETS),
     "lcs_degree": call(lcs_degree, WORDS, ALPHABETS, st.none() | INTS),  # the cap

@@ -421,6 +421,20 @@ def test_a_capped_lcs_degree_is_the_degree_up_to_the_cap():
             lcs_degree(Word.gen("m1"), alphabet, cap)
 
 
+def test_a_capped_magnus_expansion_is_its_terms_up_to_the_cap():
+    rng = random.Random("magnus/cap")
+    alphabet = default_alphabet(5)
+    for word in random_words(rng, alphabet, 40, max_len=14):
+        full = magnus(word, alphabet)
+        for cap in (1, 2, 3, 4, 5, sys.maxsize + 1):
+            assert magnus(word, alphabet, cap).terms == {
+                m: c for m, c in full.terms.items()
+                if full.ring.degree(m) <= cap}
+    for cap in (0, -1):
+        with pytest.raises(MgkError, match="^degree cap must be >= 1$"):
+            magnus(Word.gen("m1"), alphabet, cap)
+
+
 def test_lcs_degree_commutator_lower_bound():
     rng = random.Random(99)
     alphabet = default_alphabet(5)
