@@ -112,7 +112,7 @@ def cmd_grope(args):
         k = gropes.grope_class(closed.body)
         if args.tip is None:
             # the benchmark tracer times the duals layer only through dual_tree
-            # and dual_class, so the class keeps its own path walk (ROADMAP item 3)
+            # and dual_class, so the class keeps its own path walk (ROADMAP item 16)
             duals = [(path, text, gropes.dual_class(closed, tip))
                      for tip, path, text in gropes.tip_duals(closed)]
         else:  # '' parses to the root, which dual_tree refuses as no tip

@@ -7,14 +7,15 @@ the wedge word, and every core-symbol letter in Q's longitudes becomes
 the target's own longitude, which never holds the target's meridian.  The
 embedding is 0-framed, so no correction letters are inserted.
 
-Algebraically, with the first ambient component deleted throughout and
-the first pattern component's meridian distinguished, substituting the
-target meridian by the wedge word multiplies kernel coordinates on the
-right by the wedge element r^{-1}(wedge).  When the wedge word is in the
-kernel this holds exactly at the group level (the kernel is abelian and
-normal, so the substitution descends to Milnor groups), which is what
-`verify_sigma` sweeps and what makes the certificate's product formula
-c = a*b exact.
+Lemma: composition is a ring map on Magnus expansions.  If every two
+nonconstant terms of M(wedge) share a variable, the sigma of R that sends
+the target's y_t to M(wedge) - 1 and fixes every other variable is a ring
+map, and M(composed longitude) = sigma(M(ambient longitude)) off the
+target.  Proof: M turns the substitution into y_t -> M(wedge) - 1 on power
+series; a monomial repeating a variable goes to terms that repeat it or
+hold two terms of M(wedge) - 1, so all die in R.  On kernel coordinates
+sigma multiplies by r^{-1}(wedge) on the right, exactly in the Milnor
+group for a kernel wedge: what `verify_sigma` sweeps and c = a*b rests on.
 
 The certificate reads a, b and c as three top mu-bar coefficients: a
 kernel coordinate of the tower is the projection of the Magnus expansion

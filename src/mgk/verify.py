@@ -130,7 +130,8 @@ def _magnus_is_homomorphism(alphabet, w1, w2):
     e1, e2 = milnor.magnus(w1, alphabet), milnor.magnus(w2, alphabet)
     return (milnor.magnus(w1 * w2, alphabet) == e1 * e2
             and e1 * milnor.magnus(~w1, alphabet) == 1
-            and e1.constant_term == 1)
+            and e1.constant_term == 1
+            and milnor.words_equal(w1, w2, alphabet) == (e1 == e2))  # M is injective
 
 
 def _is_identity(alphabet, word):

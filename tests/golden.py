@@ -12,6 +12,14 @@ is meant to change) with
 Help texts and usage errors are argparse's wording, which differs between
 Python versions, so the fixture keeps the version it was recorded on and
 the test compares those cases only under the same version.
+
+The fixture's "wide" cases (WIDE below) are 220 commands at sizes Tier-1
+does not reach: verify reports for seeds 1..99, expansions printing up to
+4.3 MB and grope duals printing up to 7.6 MB.  Tier-1 checks only that
+their argv are WIDE and runs none of them; their digests are checked by
+re-recording the whole fixture and diffing it, which takes about 40 s:
+
+    PYTHONPATH=src python tests/golden.py | diff - tests/fixtures/golden_outputs.json
 """
 
 import contextlib
@@ -146,10 +154,9 @@ TREES = ["*", "({* *})", "({({* *}) *})", "({* *} {* *})",
 
 
 
-def _shuffled_chain(depth, seed):
+def _shuffled_chain(depth, rng):
     """A genus-1 chain of the given depth whose continuing member sits on a
-    seeded side at each stage, e.g. ({* ({({* *}) *})})."""
-    rng = random.Random(seed)
+    side that rng picks at each stage, e.g. ({* ({({* *}) *})})."""
     text = "*"
     for _ in range(depth):
         text = "({%s *})" % text if rng.random() < 0.5 else "({* %s})" % text
@@ -159,7 +166,7 @@ def _shuffled_chain(depth, seed):
 # a genus-2 tree whose members repeat one subtree, and a depth-40 chain
 DUAL_TREES = TREES[1:] + [
     "({({* *} {* *}) ({* *} {* *})} {({* *} {* *}) *})",
-    _shuffled_chain(40, 40)]
+    _shuffled_chain(40, random.Random(40))]
 
 GROPE = ([["grope", action, tree] for tree in TREES
           for action in ("class", "boundary")]
@@ -179,6 +186,50 @@ GROPE += [["grope", "duals", tree, "--tip", tip] + opts
 # the `sweep` benchmark workload's commands
 SWEEP = [["verify", "all", "--json", "--max-generators", "8", "--trials", "2",
           "--seed", str(s)] for s in range(1, 100)]
+
+
+def _primed(rng, gens):
+    """m<g> for each g in gens, each primed or not as rng picks."""
+    return " ".join("m%d%s" % (g, rng.choice(("", "'"))) for g in gens)
+
+
+def _block_words(seed):
+    """(s, word) pairs: r blocks, each m1..ms shuffled with random primes."""
+    rng = random.Random(seed)
+    for s, r in ((6, 4), (7, 4), (8, 3), (8, 4), (9, 3), (9, 4)):
+        yield s, _primed(rng, [g for _ in range(r)
+                               for g in rng.sample(range(1, s + 1), s)])
+
+
+def _kernel_words(seed):
+    """(s, word) pairs in the kernel of deleting ms: four commutators
+    [u, ms] or [u, ms'], each u a shuffle of m1..m(s-1) with random primes."""
+    rng = random.Random(seed)
+    for s in range(6, 10):
+        yield s, " ".join("[%s, m%d%s]" % (
+            _primed(rng, rng.sample(range(1, s), s - 1)), s,
+            rng.choice(("", "'"))) for _ in range(4))
+
+
+def _chains(seed):
+    rng = random.Random(seed)
+    return [_shuffled_chain(depth, rng) for depth in (200, 600, 1000)]
+
+
+# sizes Tier-1 does not reach: verify reports at the default config and at
+# --max-generators 4 (the smallest that draws trees of every class 1..6),
+# expansions and normal forms of block words up to s = 9 (s = 9 with four
+# blocks prints 4.3 MB), R-inverses of kernel words, s = 6..9, and the
+# duals of genus-1 chains of depth 200, 600 and 1000 (7.6 MB of JSON)
+WIDE = ([["verify", "all", "--json", "--seed", str(s)] + opts
+         for s in range(1, 100)
+         for opts in ([], ["--max-generators", "4", "--trials", "40"])]
+        + [["milnor", action, word, "--gens", str(s)]
+           for s, word in _block_words(23) for action in ("expand", "nf")]
+        + [["milnor", "rinv", word, "--gens", str(s)]
+           for s, word in _kernel_words(29)]
+        + [["grope", "duals", tree] + opts
+           for tree in _chains(31) for opts in ([], ["--json"])])
 
 VERIFY_PARTS = [["verify", "certificate", "--json"]] + [
     ["verify", "sigma", "--json", "--trials", "20", "--q", q]
@@ -240,13 +291,14 @@ def record():
                                  + LINK_FILES + GROPE + VERIFY_PARTS + SWEEP)],
         "argparse": [{"argv": argv, "sha256": digest(argv)}
                      for argv in ARGPARSE],
+        "wide": [{"argv": argv, "sha256": digest(argv)} for argv in WIDE],
     }
 
 
 def dump(rec, fh):
     """Write a record with one case per line."""
     fh.write('{"python": %s' % json.dumps(rec["python"]))
-    for key in ("outputs", "argparse"):
+    for key in ("outputs", "argparse", "wide"):
         fh.write(',\n "%s": [\n  ' % key)
         fh.write(",\n  ".join(json.dumps(case) for case in rec[key]))
         fh.write("\n ]")

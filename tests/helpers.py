@@ -8,6 +8,8 @@ read from whole normal-form towers, Milnor-equal words are produced by
 explicit relator insertion, boundary words by a recursive commutator walk,
 random grope trees are built whole for every candidate, the link of a
 genus-1 grope tree is composed from Bing doubles one Surface at a time,
+a composed longitude's expansion is the ambient one's with the wedge's
+expansion substituted, multiplied out on name-keyed terms,
 re-rooting works on a plain adjacency list, the formatter is checked
 against the two-dict formatter it replaced, the word parser is checked
 against the parser it replaced, which reads every prime as a token of its
@@ -405,26 +407,64 @@ def iterated_bing_specs(depth):
         link = compose(spec)
 
 
-def grope_tree_link(tree: GropeTree):
-    """The link of a genus-1 grope tree and its tip meridians in
-    depth-first tip order.  Component l2 of hopf stands for the tree; for
-    each Surface, in depth-first order, a renamed Bing double is composed
-    into the component standing for it, and the pattern's two components
-    stand for the pair's members.  Only `compose` builds the link."""
-    link, tips, level = catalog("hopf"), [], 0
+def grope_tree_specs(tree: GropeTree):
+    """The compositions that build the link of a genus-1 grope tree, in
+    order, each into the link the one before built, and the components
+    standing for the tips in depth-first tip order.  Component l2 of hopf
+    stands for the tree; for each Surface, in depth-first order, a renamed
+    Bing double is composed into the component standing for it, and the
+    pattern's two components stand for the pair's members."""
+    link, specs, tips, level = catalog("hopf"), [], [], 0
     stack = [(tree, "l2")]
     while stack:
         node, name = stack.pop()
         if not node.pairs:
-            tips.append(link.meridians[link.index_of(name)])
+            tips.append(name)
             continue
         (left, right), = node.pairs  # genus 1
         level += 1
         pattern = renamed_bing_double(level)
-        link = compose(CompositionSpec(link, pattern,
-                                       target=link.index_of(name) + 1))
+        specs.append(CompositionSpec(link, pattern,
+                                     target=link.index_of(name) + 1))
+        link = compose(specs[-1])
         stack += [(right, pattern.components[1]), (left, pattern.components[0])]
-    return link, tuple(tips)
+    return specs, tips
+
+
+def grope_tree_link(tree: GropeTree):
+    """The link of a genus-1 grope tree and its tip meridians in
+    depth-first tip order.  Only `compose` builds the link."""
+    specs, tips = grope_tree_specs(tree)
+    link = compose(specs[-1]) if specs else catalog("hopf")
+    return link, tuple(link.meridians[link.index_of(name)] for name in tips)
+
+
+def substituted_expansions(spec):
+    """sigma(M(ambient longitude j)) for each ambient component j but the
+    target, in the composed link's order, on name-keyed terms multiplied
+    out by `reference_mul`: sigma fixes every variable but the target's
+    meridian and sends that one to M(wedge) - 1.  Each expansion is over
+    its link's other meridians; the lemma in `mgk.composition` says these
+    are the composed longitudes' expansions when every two nonconstant
+    terms of M(wedge) share a variable."""
+    lhat, t = spec.lhat, spec.target_index
+    image = named_terms(magnus(spec.q.wedge, spec.q.meridians))
+    del image[()]
+    images = []
+    for j in range(lhat.n):
+        if j == t:
+            continue
+        total = {}
+        others = lhat.meridians[:j] + lhat.meridians[j + 1:]
+        for mono, c in named_terms(magnus(lhat.longitudes[j], others)).items():
+            term = {(): c}
+            for v in mono:
+                term = reference_mul(term, image if v == lhat.meridians[t]
+                                     else {(v,): 1})
+            for m, d in term.items():
+                total[m] = total.get(m, 0) + d
+        images.append({m: c for m, c in total.items() if c})
+    return images
 
 
 # -- Milnor-equal rewritings ---------------------------------------------------

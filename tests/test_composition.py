@@ -15,8 +15,9 @@ from mgk.ring import Ring
 from mgk.sampling import random_grope_tree, random_ring_element
 from mgk.words import Word
 
-from helpers import (grope_tree_link, iterated_bing_specs,
-                     reference_essentiality_certificate)
+from helpers import (grope_tree_link, grope_tree_specs, iterated_bing_specs,
+                     named_terms, reference_essentiality_certificate,
+                     substituted_expansions)
 from test_links import random_link
 
 
@@ -329,6 +330,46 @@ def test_composed_normal_forms_agree_with_kernel_product():
     a_elem = r_inverse(lhat.longitudes[0], ("m2", "m3"))
     big_ring = Ring(("m2", "z2"))
     assert lhs == a_elem.embed(big_ring) * wedge_ring_element(q).embed(big_ring)
+
+
+def composed_expansions(spec):
+    """The name-keyed Magnus expansions of the composed link's ambient
+    longitudes, each over its link's other meridians."""
+    link = compose(spec)
+    return [named_terms(magnus(w, link.meridians[:i] + link.meridians[i + 1:]))
+            for i, w in enumerate(link.longitudes[:spec.lhat.n - 1])]
+
+
+def test_composition_is_a_ring_map_on_magnus_expansions():
+    # the lemma of mgk.composition: every wedge here has nonconstant terms
+    # that pairwise share a variable (bing_double's, core's and the empty one)
+    specs = list(iterated_bing_specs(6))
+    rng = random.Random(12)
+    for _ in range(70):
+        specs += grope_tree_specs(
+            random_grope_tree(rng, rng.randint(2, 6), max_genus=1))[0]
+    specs += [CompositionSpec(catalog(lhat), q, target=target)
+              for lhat, q, target in (
+                  ("borromean", catalog("bing_double"), None),
+                  ("borromean", catalog("bing_double"), 2),
+                  ("hopf", catalog("bing_double"), None),
+                  ("whitehead_pattern", catalog("bing_double"), None),
+                  ("borromean", catalog("core"), None),
+                  ("hopf", catalog("core"), None),
+                  ("borromean", hopf_in_a_ball(), None))]
+    assert len(specs) >= 200
+    for spec in specs:
+        assert substituted_expansions(spec) == composed_expansions(spec), spec
+
+
+def test_composition_is_no_ring_map_when_wedge_terms_share_no_variable():
+    # M(z1 z2) - 1 = z1 + z2 + z1*z2, whose square keeps z1*z2 + z2*z1 in R
+    # while y_t*y_t is 0 there: the substitution does not descend to R
+    q = catalog("bing_double")
+    q = SolidTorusLink(q.components, q.meridians, q.longitudes,
+                       wedge=Word.parse("z1 z2"))
+    spec = CompositionSpec(catalog("borromean"), q)
+    assert substituted_expansions(spec) != composed_expansions(spec)
 
 
 # -- links from grope trees ---------------------------------------------------------

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from golden import digest
+from golden import WIDE, digest
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
                        "golden_outputs.json")
@@ -29,3 +29,8 @@ def test_help_and_usage_errors_match_recorded_digests():
         pytest.skip("argparse wording is recorded for Python %s"
                     % RECORD["python"])
     assert mismatches(RECORD["argparse"]) == []
+
+
+def test_wide_cases_are_recorded_for_the_current_list():
+    # runs no command: the wide digests are checked by re-recording
+    assert [case["argv"] for case in RECORD["wide"]] == WIDE

@@ -63,6 +63,10 @@ ROWS = [
     pytest.param("Magnus expansion", milnor, "scan",
                  swap("folded.append((g, e + let[1]))", "folded.append((g, e))"),
                  id="scan fold drops the second letter"),
+    # the mutant of a property's getter, decorator included, is a property
+    pytest.param("Magnus expansion", milnor.MilnorElement, "is_identity",
+                 lambda prop: mutant(prop.fget, "== 0 and not", "== 0 or not"),
+                 id="is_identity asks the exponent or the components"),
     pytest.param("Milnor relations", milnor, "normal_form",
                  swap("levels[0].get(0, 0)", "running.get(0, 0)"),
                  id="normal_form exponent read from the expansion"),
