@@ -15,7 +15,8 @@ the units of the squarefree ring.
 Iterating the splitting expresses every group element uniquely as a tower
 of ring components plus one integer exponent, which makes the word problem
 for M(F) exact.  `magnus` and `normal_form` read the word through the one
-ring kernel, `ring.scan`, on packed-integer monomials, once each.
+ring kernel, `ring.scan`, on packed-integer monomials; `normal_form` scans
+once per tower level, each in that level's own ring.
 
 The tower is a projection of the Magnus expansion: the component for m_j
 is the part of M(w) on monomials mono*y_j with mono over y_1..y_{j-1},
@@ -25,8 +26,6 @@ M(F) (Milnor, *Link groups*, Ann. of Math. 59, 1954; Habegger-Lin, JAMS 3,
 1990).  So one kernel coefficient is one chain scan, `magnus_coefficient`,
 and `r_inverse` is the top level's scan alone: the word is in the kernel iff
 the scan's expansion without the last generator is 1, and rho is the answer.
-`normal_form` is that scan too: rho is the top component, and the
-expansion without the last generator projects to every lower one.
 `magnus` and `lcs_degree` with a cap k scan in R/(degree > k): the
 monomials of degree above k span a two-sided ideal, so that quotient is
 a ring map, and its image of M(w) is exactly M(w)'s terms of degree
@@ -45,8 +44,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, MgkError, NotInKernelError, UnknownGeneratorError
-from .ring import Ring, RingElement, basis_rank, format_ring_element, scan
-from .words import IDENTITY, Word, _check_length, commutator
+from .ring import Ring, RingElement, _fold, basis_rank, format_ring_element, scan
+from .words import IDENTITY, Word, _check_length, _inverse
 
 __all__ = [
     "magnus", "magnus_coefficient", "normal_form", "words_equal", "MilnorElement",
@@ -147,36 +146,20 @@ class MilnorElement:
 def normal_form(word: Word, alphabet) -> MilnorElement:
     """Normal form in M(F) on the alphabet, via the split-extension tower.
 
-    One scan of the whole word: the top generator's letters add
-    +-(expansion of the preceding prefix) to the top coordinate, and the
-    other letters build the expansion without the top generator, which
-    holds every lower level (see the module docstring): the m_j component
-    is its terms whose last variable y_j is their largest, y_j stripped,
-    and the exponent is the coefficient of y_1.  Each level evaluates a
-    homomorphism, so words equal in M(F) get identical forms; the
-    splitting makes the form unique.
+    Level t = s-1 .. 1 is the word's kernel coordinate in M(F on m1..m(t+1))
+    -> M(F on m1..mt): a scan, kernel letter t, of the folded letters at
+    positions <= t up to the last one at t (later letters leave it alone).
+    The exponent is m1's exponent sum.  Each level is a homomorphism, so
+    Milnor-equal words get identical forms; the splitting makes it unique.
     """
     full = tuple(alphabet)
-    letters = _positions(word, full)
-    n = max(len(full) - 1, 0)  # the top position; no alphabet, no letters
-    running, rho = scan(letters, n)
-    rings = [Ring(full[:t]) for t in range(n + 1)]  # level t: R on full[:t]
-    levels = [{} for _ in range(n)] + [rho]
-    big = rings[n]
-    width, low, full_mask = big.width, (1 << big.width) - 1, (1 << n) - 1
-    for mono, c in running.items():
-        used = mono & full_mask
-        t = used.bit_length() - 1  # the largest variable
-        digits = mono >> n
-        if t < 0 or digits & low != t + 1:  # the constant, or y_t not last
-            continue
-        if rings[t].width == width:  # strip y_t: drop its digit and its bit
-            key = digits >> width << t | used ^ 1 << t
-        else:  # and repack the digits to the level's narrower width
-            key = rings[t].pack(big.positions(mono)[:-1])
-        levels[t][key] = c
-    components = tuple(RingElement(rings[t], levels[t]) for t in range(n, 0, -1))
-    return MilnorElement(full, components, levels[0].get(0, 0))
+    letters = _fold(_positions(word, full))
+    last = {g: i for i, (g, _) in enumerate(letters)}  # each position's last letter
+    components = []
+    for t in range(len(full) - 1, 0, -1):  # level t: R on full[:t], kernel letter t
+        kept = [let for let in letters[:last.get(t, -1) + 1] if let[0] <= t]
+        components.append(RingElement(Ring(full[:t]), scan(kept, t)[1]))
+    return MilnorElement(full, tuple(components), sum(e for g, e in letters if g == 0))
 
 
 def words_equal(u: Word, v: Word, alphabet) -> bool:
@@ -206,12 +189,14 @@ def r_map(rho: RingElement, alphabet) -> Word:
     ring = rho.ring
     letters = []
     for mono in rho.support():
-        w = Word.gen(last)
-        for v in reversed(ring.positions(mono)):
-            w = commutator(Word.gen(ring.variables[v]), w)
-        c = rho.terms[mono]
-        _check_length(len(letters) + abs(c) * len(w.letters))  # the sum's budget
-        letters += (w ** c).letters
+        positions, c = ring.positions(mono), rho.terms[mono]
+        # the sum's budget, before building: a weight-k term has 3*2^k - 2 letters
+        _check_length(len(letters) + abs(c) * (3 * 2 ** len(positions) - 2))
+        w = [(last, 1)]
+        for v in reversed(positions):  # w -> [m_v, w] = m_v w m_v' w'
+            g = ring.variables[v]
+            w = [(g, 1), *w, (g, -1), *_inverse(w)]
+        letters += w * c if c > 0 else _inverse(w) * -c
     return Word._trusted(tuple(letters))
 
 

@@ -160,8 +160,12 @@ def _boundary_has_degree(tree, k):
 
 
 def _duals_hold(closed, genus1):
-    # tip_duals' walk and dual_tree's path walk derive each dual apart
+    # tip_duals' walk and dual_tree's path walk derive each dual apart; a
+    # closed tree has a pair, so asking it against LEAF is a control that
+    # is_isomorphic can answer no
     k = closed.body.tree_class
+    if gropes.is_isomorphic(closed.body, gropes.LEAF):
+        return False
     for tip, _, text in gropes.tip_duals(closed):
         dual = gropes.dual_tree(closed, tip)
         if (gropes.tree_text(dual.body) != text or dual.body.tree_class < k

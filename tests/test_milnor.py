@@ -94,10 +94,10 @@ def test_in_place_scans_match_ring_products(pair):
 
 
 def test_normal_form_matches_the_tower_oracle_at_every_size():
-    # one scan reads every level: the letters after the last m_s letter
-    # reach the lower components only through it, so half the words put
-    # that letter early; from s = 3 on, a level whose digit width is
-    # narrower than the top's repacks its terms
+    # each level reads its letters only up to its last kernel letter, and
+    # the letters after the last m_s letter still reach the lower levels,
+    # so half the words put that letter early; from s = 3 on, levels of
+    # different digit widths each scan in their own ring
     rng = random.Random(131)
     for s in range(1, 11):
         alphabet = default_alphabet(s)
@@ -111,7 +111,8 @@ def test_normal_form_matches_the_tower_oracle_at_every_size():
 
 
 def test_normal_form_matches_the_tower_oracle_on_sparse_words_at_s17():
-    # digit width 5 on top, 4 and less below: every lower level repacks
+    # digit width 5 on top, 4 and less below: each level's keys come out
+    # in its own ring's width
     rng = random.Random(17)
     alphabet = default_alphabet(17)
     for _ in range(40):
@@ -199,6 +200,21 @@ def test_r_map_refuses_a_word_over_the_letter_budget(monkeypatch):
     monkeypatch.setattr(mgk.words, "MAX_LETTERS", 159)
     with pytest.raises(BudgetExceeded, match="letter limit of 159 letters"):
         r_map(rho, A3)
+
+
+def test_r_map_refuses_an_over_budget_term_before_building_it():
+    # a weight-40 commutator has 3 * 2^40 - 2 letters: refused from its
+    # length alone, not after building its halves
+    alphabet = default_alphabet(41)
+    rho = Ring(alphabet[:-1]).element({alphabet[:-1]: 1})
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="letter limit"):
+            r_map(rho, alphabet)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_r_map_rejects_distinguished_variable():

@@ -17,7 +17,7 @@ import textwrap
 
 import pytest
 
-from mgk import composition, gropes, links, milnor, verify
+from mgk import composition, gropes, links, milnor, ring, verify
 from mgk.gropes import GropeTree
 from mgk.ring import RingElement
 from mgk.verify import RunConfig
@@ -55,12 +55,12 @@ def gap(reason):
 
 
 # (section label prefix, owner, attribute the section reads, fault from the
-# original); `milnor` and `links` import `scan` by name, so it is patched there
+# original); `scan` reads `ring._fold`, so the fold is patched in `mgk.ring`
 ROWS = [
     pytest.param("ring axioms", RingElement, "__mul__",
                  swap("if used & vars2:", "if False:"),
                  id="ring product keeps repeated variables"),
-    pytest.param("Magnus expansion", milnor, "scan",
+    pytest.param("Magnus expansion", ring, "_fold",
                  swap("folded.append((g, e + let[1]))", "folded.append((g, e))"),
                  id="scan fold drops the second letter"),
     # the mutant of a property's getter, decorator included, is a property
@@ -68,11 +68,10 @@ ROWS = [
                  lambda prop: mutant(prop.fget, "== 0 and not", "== 0 or not"),
                  id="is_identity asks the exponent or the components"),
     pytest.param("Milnor relations", milnor, "normal_form",
-                 swap("levels[0].get(0, 0)", "running.get(0, 0)"),
-                 id="normal_form exponent read from the expansion"),
+                 swap("scan(kept, t)[1]", "scan(kept, t)[0]"),
+                 id="normal_form component read from the expansion"),
     pytest.param("split exact", milnor, "r_map",
-                 swap("for v in reversed(ring.positions(mono)):",
-                      "for v in ring.positions(mono):"),
+                 swap("for v in reversed(positions):", "for v in positions:"),
                  id="r_map nests commutators the wrong way"),
     pytest.param("split exact", milnor, "r_inverse",
                  swap("RingElement(Ring(alphabet[:-1]), rho)",
@@ -105,15 +104,13 @@ ROWS = [
     pytest.param("duals", gropes, "rerooted",
                  lambda rerooted: gropes.dual_tree,
                  id="rerooted is dual_tree", marks=gap(
-                     "canonical sorts pair members, so the re-root clause holds "
-                     "for any partner order (ROADMAP item 10); no Tier-1 test "
-                     "catches it")),
+                     "the planted fault returns a tree isomorphic to the true "
+                     "re-root, so no isomorphism clause can fail on it, only a "
+                     "text comparison, and member order is rerooted's own "
+                     "convention (ROADMAP item 10); no Tier-1 test catches it")),
     pytest.param("duals", gropes, "is_isomorphic",
                  lambda is_isomorphic: lambda a, b: True,
-                 id="is_isomorphic is always True", marks=gap(
-                     "no case asks for a non-isomorphic pair (ROADMAP item 10); "
-                     "caught by test_gropes.py::test_canonical_sorts and "
-                     "test_grope_duality_check_can_fail[rerooted]")),
+                 id="is_isomorphic is always True"),
     pytest.param("catalog invariants", links, "mu_bar",
                  swap("link.longitudes[idx[-1]]", "link.longitudes[idx[0]]"),
                  id="mu_bar reads the first index's longitude"),
