@@ -15,8 +15,7 @@ the units of the squarefree ring.
 Iterating the splitting expresses every group element uniquely as a tower
 of ring components plus one integer exponent, which makes the word problem
 for M(F) exact.  `magnus` and `normal_form` read the word through the one
-ring kernel, `ring.scan`, on packed-integer monomials; `normal_form` scans
-once per tower level, each in that level's own ring.
+ring kernel, `ring.scan`, on packed-integer monomials, once each.
 
 The tower is a projection of the Magnus expansion: the component for m_j
 is the part of M(w) on monomials mono*y_j with mono over y_1..y_{j-1},
@@ -26,6 +25,9 @@ M(F) (Milnor, *Link groups*, Ann. of Math. 59, 1954; Habegger-Lin, JAMS 3,
 1990).  So one kernel coefficient is one chain scan, `magnus_coefficient`,
 and `r_inverse` is the top level's scan alone: the word is in the kernel iff
 the scan's expansion without the last generator is 1, and rho is the answer.
+`normal_form` is that scan too: rho is the top component, and the
+expansion without the last generator projects to every lower one, which
+`ring.tower` reads off it.
 `magnus` and `lcs_degree` with a cap k scan in R/(degree > k): the
 monomials of degree above k span a two-sided ideal, so that quotient is
 a ring map, and its image of M(w) is exactly M(w)'s terms of degree
@@ -44,8 +46,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, MgkError, NotInKernelError, UnknownGeneratorError
-from .ring import Ring, RingElement, _fold, basis_rank, format_ring_element, scan
-from .words import IDENTITY, Word, _check_length, _inverse
+from .ring import Ring, RingElement, basis_rank, format_ring_element, scan, tower
+from .words import IDENTITY, Word, _check_length, _check_names, _inverse
 
 __all__ = [
     "magnus", "magnus_coefficient", "normal_form", "words_equal", "MilnorElement",
@@ -146,20 +148,22 @@ class MilnorElement:
 def normal_form(word: Word, alphabet) -> MilnorElement:
     """Normal form in M(F) on the alphabet, via the split-extension tower.
 
-    Level t = s-1 .. 1 is the word's kernel coordinate in M(F on m1..m(t+1))
-    -> M(F on m1..mt): a scan, kernel letter t, of the folded letters at
-    positions <= t up to the last one at t (later letters leave it alone).
-    The exponent is m1's exponent sum.  Each level is a homomorphism, so
-    Milnor-equal words get identical forms; the splitting makes it unique.
+    One scan of the whole word: the top generator's letters add
+    +-(expansion of the preceding prefix) to the top coordinate, and the
+    other letters build the expansion without the top generator, which
+    holds every lower level (see the module docstring): the m_j component
+    is its terms whose last variable y_j is their largest, y_j stripped,
+    and the exponent is the coefficient of y_1.  Each level evaluates a
+    homomorphism, so words equal in M(F) get identical forms; the
+    splitting makes the form unique.  One scan keeps the work linear in
+    the word, where a scan per level re-reads the lower letters per level.
     """
     full = tuple(alphabet)
-    letters = _fold(_positions(word, full))
-    last = {g: i for i, (g, _) in enumerate(letters)}  # each position's last letter
-    components = []
-    for t in range(len(full) - 1, 0, -1):  # level t: R on full[:t], kernel letter t
-        kept = [let for let in letters[:last.get(t, -1) + 1] if let[0] <= t]
-        components.append(RingElement(Ring(full[:t]), scan(kept, t)[1]))
-    return MilnorElement(full, tuple(components), sum(e for g, e in letters if g == 0))
+    n = max(len(full) - 1, 0)  # the top position; no alphabet, no letters
+    running, rho = scan(_positions(word, full), n)
+    levels = tower(running, n) + [rho]  # level t: R on full[:t]
+    components = tuple(RingElement(Ring(full[:t]), levels[t]) for t in range(n, 0, -1))
+    return MilnorElement(full, components, levels[0].get(0, 0))
 
 
 def words_equal(u: Word, v: Word, alphabet) -> bool:
@@ -181,6 +185,7 @@ def r_map(rho: RingElement, alphabet) -> Word:
     if not alphabet:
         raise MgkError("alphabet must contain the distinguished generator")
     _positions(IDENTITY, alphabet)  # refuses a repeated generator
+    _check_names(alphabet)  # the letters below are built unchecked
     last = alphabet[-1]
     extra = sorted(set(rho.ring.variables) - set(alphabet[:-1]))
     if extra:

@@ -15,8 +15,9 @@ y_g" is one `&` and `Ring.degree` is the mask's popcount.  `Ring.pack` and
 `Ring.monomial`, `Ring.element`, `RingElement.coefficient`,
 `RingElement.embed`, which maps positions through `ring.variables.index`,
 and `format_ring_element`.  Words enter the ring through one in-place
-kernel on bare term dicts, `scan`.  Elsewhere only `links` reads a key's
-mask, and `milnor.lcs_degree` relies on key order.
+kernel on bare term dicts, `scan`, and `tower` reads the levels of
+`milnor`'s normal form off a scan's expansion.  Elsewhere only `links`
+reads a key's mask, and `milnor.lcs_degree` relies on key order.
 
 >>> R = Ring(("m1", "m2"))
 >>> y1, y2 = R.gen("m1"), R.gen("m2")
@@ -245,22 +246,6 @@ def add_scaled(terms: dict, other: dict, e: int) -> None:
             terms.pop(mono, None)
 
 
-def _fold(letters) -> list:
-    """Adjacent letters of one position folded, on a stack, into one with the
-    summed exponent, so cancellations nest and zero sums drop.  Exact for
-    `scan`: (1 + a*y_g)(1 + b*y_g) = 1 + (a+b)*y_g as y_g*y_g = 0, and two
-    adjacent kernel letters add a*running, then b*running, to rho."""
-    folded = []
-    for let in letters:
-        if folded and folded[-1][0] == let[0]:
-            g, e = folded.pop()
-            if e + let[1]:
-                folded.append((g, e + let[1]))
-        else:
-            folded.append(let)
-    return folded
-
-
 def scan(letters, n: int, cap=None):
     """Read (position, exponent) letters into R on n variables.
 
@@ -274,14 +259,27 @@ def scan(letters, n: int, cap=None):
     degree.  So every coefficient of degree <= cap is exact, and no
     higher one is formed: numeric order is degree order, so a key below
     `1 << w*(cap-1) + n` is extended and a key at the cap is kept as is.
+    Adjacent letters of one position first fold into one letter with the
+    summed exponent, on a stack, so cancellations nest and zero sums drop.
+    That is exact: (1 + a*y_g)(1 + b*y_g) = 1 + (a+b)*y_g as y_g*y_g = 0,
+    and two adjacent kernel letters add a*running, then b*running, to rho
+    with running unchanged in between.
     Only keys without g gain a term and the new keys all contain g, so a
     snapshot of the keys lacking g reads each coefficient before it moves."""
+    folded = []
+    for let in letters:
+        if folded and folded[-1][0] == let[0]:
+            g, e = folded.pop()
+            if e + let[1]:
+                folded.append((g, e + let[1]))
+        else:
+            folded.append(let)
     w, full = n.bit_length(), (1 << n) - 1
     # a key below bound has degree < cap (< n with no cap, as every key
     # lacking a bit has); clamped to n, a huge cap builds no huge int
     bound = 1 << w * (min(n if cap is None else cap, n) - 1) + n
     running, rho = {0: 1}, {}
-    for g, e in _fold(letters):
+    for g, e in folded:
         if g == n:
             add_scaled(rho, running, e)
             continue
@@ -297,6 +295,30 @@ def scan(letters, n: int, cap=None):
             else:
                 del running[key]
     return running, rho
+
+
+def tower(terms: dict, n: int) -> list:
+    """The levels 0..n-1 of an element of R on n variables, as term dicts.
+
+    Level t holds the terms whose largest variable y_t comes last, y_t
+    stripped, keyed in R on t variables; level 0 holds y_0's coefficient
+    as a constant.  The remaining digits, last variable first, are laid
+    again at level t's width, t.bit_length(), above its t-bit mask."""
+    w, full = n.bit_length(), (1 << n) - 1
+    low = (1 << w) - 1
+    levels = [{} for _ in range(n)]
+    for mono, c in terms.items():
+        used = mono & full
+        t = used.bit_length() - 1  # the largest variable
+        digits = mono >> n
+        if t < 0 or digits & low != t + 1:  # the constant, or y_t not last
+            continue
+        key, shift, step = used ^ 1 << t, t, t.bit_length()
+        while digits := digits >> w:
+            key |= (digits & low) << shift
+            shift += step
+        levels[t][key] = c
+    return levels
 
 
 class _Signs(dict):

@@ -6,6 +6,8 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mgk.milnor
+import mgk.ring
 import mgk.words
 from mgk.errors import (BudgetExceeded, MgkError, NotInKernelError,
                         UnknownGeneratorError)
@@ -85,6 +87,24 @@ def assert_normal_forms_agree(word, alphabet):
     assert got.exponent == want.exponent, (word, alphabet)
 
 
+def test_normal_form_reads_the_word_in_one_scan(monkeypatch):
+    # a scan per level would re-read the [m1,m2] block at each of 11 levels
+    alphabet = default_alphabet(12)
+    word = Word.parse("[m1,m2]^50 " + " ".join("[m%d,m1]" % j for j in range(3, 13)))
+    scanned = []
+
+    def counting_scan(letters, n, cap=None):
+        scanned.append(len(letters))
+        return mgk.ring.scan(letters, n, cap)
+
+    monkeypatch.setattr(mgk.milnor, "scan", counting_scan)
+    got = normal_form(word, alphabet)
+    monkeypatch.undo()
+    assert scanned == [len(word.letters)]
+    assert got == normal_form(word, alphabet) and not got.is_identity
+    assert_normal_forms_agree(word, alphabet)
+
+
 @settings(max_examples=60)
 @given(sized_words())
 def test_in_place_scans_match_ring_products(pair):
@@ -94,10 +114,10 @@ def test_in_place_scans_match_ring_products(pair):
 
 
 def test_normal_form_matches_the_tower_oracle_at_every_size():
-    # each level reads its letters only up to its last kernel letter, and
-    # the letters after the last m_s letter still reach the lower levels,
-    # so half the words put that letter early; from s = 3 on, levels of
-    # different digit widths each scan in their own ring
+    # one scan reads every level: the letters after the last m_s letter
+    # reach the lower components only through it, so half the words put
+    # that letter early; from s = 3 on, a level whose digit width is
+    # narrower than the top's repacks its terms
     rng = random.Random(131)
     for s in range(1, 11):
         alphabet = default_alphabet(s)
@@ -111,8 +131,7 @@ def test_normal_form_matches_the_tower_oracle_at_every_size():
 
 
 def test_normal_form_matches_the_tower_oracle_on_sparse_words_at_s17():
-    # digit width 5 on top, 4 and less below: each level's keys come out
-    # in its own ring's width
+    # digit width 5 on top, 4 and less below: every lower level repacks
     rng = random.Random(17)
     alphabet = default_alphabet(17)
     for _ in range(40):
@@ -215,6 +234,12 @@ def test_r_map_refuses_an_over_budget_term_before_building_it():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+def test_r_map_refuses_an_alphabet_with_an_invalid_name():
+    # r_map builds its letters unchecked, so it checks the names first
+    with pytest.raises(MgkError, match="not a generator name"):
+        r_map(Ring(("m1",)).gen("m1"), ("m1", "m 1"))
 
 
 def test_r_map_rejects_distinguished_variable():

@@ -17,7 +17,7 @@ import textwrap
 
 import pytest
 
-from mgk import composition, gropes, links, milnor, ring, verify
+from mgk import composition, gropes, links, milnor, verify
 from mgk.gropes import GropeTree
 from mgk.ring import RingElement
 from mgk.verify import RunConfig
@@ -55,12 +55,12 @@ def gap(reason):
 
 
 # (section label prefix, owner, attribute the section reads, fault from the
-# original); `scan` reads `ring._fold`, so the fold is patched in `mgk.ring`
+# original); `milnor` and `links` import `scan` by name, so it is patched there
 ROWS = [
     pytest.param("ring axioms", RingElement, "__mul__",
                  swap("if used & vars2:", "if False:"),
                  id="ring product keeps repeated variables"),
-    pytest.param("Magnus expansion", ring, "_fold",
+    pytest.param("Magnus expansion", milnor, "scan",
                  swap("folded.append((g, e + let[1]))", "folded.append((g, e))"),
                  id="scan fold drops the second letter"),
     # the mutant of a property's getter, decorator included, is a property
@@ -68,8 +68,8 @@ ROWS = [
                  lambda prop: mutant(prop.fget, "== 0 and not", "== 0 or not"),
                  id="is_identity asks the exponent or the components"),
     pytest.param("Milnor relations", milnor, "normal_form",
-                 swap("scan(kept, t)[1]", "scan(kept, t)[0]"),
-                 id="normal_form component read from the expansion"),
+                 swap("levels[0].get(0, 0)", "running.get(0, 0)"),
+                 id="normal_form exponent read from the expansion"),
     pytest.param("split exact", milnor, "r_map",
                  swap("for v in reversed(positions):", "for v in positions:"),
                  id="r_map nests commutators the wrong way"),
