@@ -300,10 +300,11 @@ def scan(letters, n: int, cap=None):
 def tower(terms: dict, n: int) -> list:
     """The levels 0..n-1 of an element of R on n variables, as term dicts.
 
-    Level t holds the terms whose largest variable y_t comes last, y_t
-    stripped, keyed in R on t variables; level 0 holds y_0's coefficient
-    as a constant.  The remaining digits, last variable first, are laid
-    again at level t's width, t.bit_length(), above its t-bit mask."""
+    Level t holds the terms whose largest variable, at position t, comes
+    last, with that variable stripped, keyed in R on t variables; level 0
+    holds the first variable's coefficient as a constant.  The remaining
+    digits, last variable first, are laid again at level t's width,
+    t.bit_length(), above its t-bit mask."""
     w, full = n.bit_length(), (1 << n) - 1
     low = (1 << w) - 1
     levels = [{} for _ in range(n)]
