@@ -251,6 +251,8 @@ ARGPARSE = [
     ["milnor", "expand", "m1", "--gens", "x"],
     ["grope", "class"],
     ["verify", "all", "--trials"],
+    ["grope", "class", "({* *})", "extra"],
+    ["link", "mu", "hopf", "--index", "2,1", "--bogus"],
 ]
 
 
