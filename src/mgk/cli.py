@@ -4,10 +4,11 @@ Exit codes: 0 all checks pass, 1 check failure, 2 usage or parse error.
 
 Every handler computes its answer once, as a JSON payload plus, where the
 command has one, a text form, hands both to `_write` and returns the exit
-code.  `_write` is the only place that prints: the payload as JSON under
-`--json` or when the command has no text form (`link show`, `compose`),
-the text otherwise, to the `--out` file on the subcommands that have that
-flag and to stdout elsewhere.
+code; a long text form (`grope duals`, `verify`) comes as a function that
+builds it, so `--json` builds no text it drops.  `_write` is the only place
+that prints: the payload as JSON under `--json` or when the command has no
+text form (`link show`, `compose`), the text otherwise, to the `--out` file
+on the subcommands that have that flag and to stdout elsewhere.
 """
 
 from __future__ import annotations
@@ -24,8 +25,11 @@ from .words import Word, bounded_int
 
 
 def _write(args, payload, text=None):
+    """text is the text form, a function that builds it, or None."""
     if text is None or getattr(args, "json", False):
         text = json.dumps(payload, indent=2, sort_keys=True)
+    elif callable(text):
+        text = text()
     out = getattr(args, "out", None)
     if out:
         try:
@@ -123,11 +127,12 @@ def cmd_grope(args):
         rows = [{"tip": path, "dual": text, "class": dc,
                  "bound": "%d >= %d %s" % (dc, k, "ok" if dc >= k else "VIOLATED")}
                 for path, text, dc in duals]
-        lines = ["class %d, rank %d" % (k, closed.body.leaf_count)]
-        lines += ["tip %-10s class %-3d %-12s %s"
-                  % (r["tip"], r["class"], r["bound"], r["dual"]) for r in rows]
         _write(args, {"command": "grope duals", "input": args.tree, "class": k,
-                      "rank": closed.body.leaf_count, "duals": rows}, "\n".join(lines))
+                      "rank": closed.body.leaf_count, "duals": rows},
+               lambda: "\n".join(
+                   ["class %d, rank %d" % (k, closed.body.leaf_count)]
+                   + ["tip %-10s class %-3d %-12s %s"
+                      % (r["tip"], r["class"], r["bound"], r["dual"]) for r in rows]))
         return 0 if all(r["class"] >= k for r in rows) else 1
     tree = (gropes.parse_closed_tree(args.tree) if args.closed
             else gropes.parse_tree(args.tree))
@@ -231,7 +236,7 @@ def cmd_verify(args):
     else:
         report = verify.report("verify certificate", config,
                                [verify.check_certificate])
-    _write(args, report, _report_text(report))
+    _write(args, report, lambda: _report_text(report))
     return 0 if report["summary"]["status"] == "pass" else 1
 
 
@@ -243,6 +248,7 @@ def build_parser():
         description="Exact computations with grope trees, free Milnor "
                     "groups, link invariants and link composition.")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # each command's name to its parser
 
     g = sub.add_parser("grope", help="grope tree operations")
     g.add_argument("action", choices=["class", "duals", "boundary", "dot"])
@@ -307,7 +313,13 @@ def main(argv=None) -> int:
     global _PARSER
     if _PARSER is None:  # built on first use, not at import
         _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = _PARSER.commands.get(argv[0]) if argv else None
+    if command is not None:  # one pass, by the command's own parser
+        args, rest = command.parse_known_args(argv[1:])
+        args.command = argv[0]
+    if command is None or rest:  # help, usage errors, leftovers: argparse's words
+        args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:  # the reader took all it wanted; quiet the exit

@@ -14,7 +14,7 @@ from functools import partial
 
 from . import composition, gropes, links, milnor
 from .errors import MgkError
-from .ring import Ring
+from .ring import Ring, tower
 from .sampling import random_grope_tree, random_ring_element, random_word
 from .words import Word, commutator
 
@@ -128,10 +128,14 @@ def _ring_axioms_hold(u, v, w):
 
 def _magnus_is_homomorphism(alphabet, w1, w2):
     e1, e2 = milnor.magnus(w1, alphabet), milnor.magnus(w2, alphabet)
+    nf, levels = milnor.normal_form(w1, alphabet), tower(e1.terms, len(alphabet))
     return (milnor.magnus(w1 * w2, alphabet) == e1 * e2
             and e1 * milnor.magnus(~w1, alphabet) == 1
             and e1.constant_term == 1
-            and milnor.words_equal(w1, w2, alphabet) == (e1 == e2))  # M is injective
+            and milnor.words_equal(w1, w2, alphabet) == (e1 == e2)  # M is injective
+            # the normal form is the tower of the expansion, level by level
+            and nf.exponent == levels[0].get(0, 0)
+            and [c.terms for c in nf.components] == levels[:0:-1])
 
 
 def _is_identity(alphabet, word):

@@ -19,7 +19,7 @@ from mgk.links import catalog, load_link, save_link
 from mgk.milnor import default_alphabet
 from mgk.words import Word
 
-from golden import DUAL_TREES
+from golden import ARGPARSE, DUAL_TREES
 from helpers import conjugated_relator, shuffled_chain
 from test_composition import over_budget_composition
 from test_links import BAD_LINK_JSON
@@ -152,6 +152,66 @@ def test_parser_is_not_built_at_import():
                            "import mgk.cli; print(mgk.cli._PARSER)"],
                           capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stdout) == (0, "None\n"), proc.stderr
+
+
+# argparse's own help and usage errors, and lines that a command's parser
+# could read apart from the whole parser: tokens left over, `--` before and
+# after options, abbreviated, joined, repeated and negative options, and
+# help after a command
+PARSES = ARGPARSE + [
+    ["grope", "class", "({* *})"],
+    ["grope", "class", "({* *})", "extra", "more"],
+    ["grope", "class", "({* *})", "--bogus"],
+    ["grope", "--", "class", "({* *})"],
+    ["grope", "class", "--", "({* *})"],
+    ["grope", "class", "({* *})", "--"],
+    ["grope", "duals", "--json", "--", "({* *})", "--tip"],
+    ["milnor", "expand", "--", "-m1"],
+    ["milnor", "equal", "m1", "--gens", "2", "--", "m2"],
+    ["verify", "all", "--max-gen", "3", "--tri", "2"],
+    ["link", "mu", "hopf", "--ind", "2,1"],
+    ["link", "mu", "hopf", "--index=2,1"],
+    ["verify", "all", "--seed", "1", "--seed", "2"],
+    ["verify", "all", "--seed", "-3"],
+    ["verify", "all", "--trials", "-3"],
+    ["grope", "class", "-h"],
+    ["milnor", "expand", "m1", "--help"],
+    ["verify", "-h", "all"],
+    ["link", "mu", "-x", "hopf"],
+    ["compose", "borromean", "core", "--target", "2", "--out", "x"],
+    ["--", "grope", "class", "({* *})"],
+    ["-h", "grope"],
+    ["gro", "class", "({* *})"],
+]
+
+
+def _parse_outcome(capsys, parse, argv):
+    """("args", the Namespace's fields but func) or ("exit", code, stdout,
+    stderr) of one parse."""
+    try:
+        args = parse(argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return "exit", exc.code, captured.out, captured.err
+    return "args", {k: v for k, v in vars(args).items() if k != "func"}
+
+
+@pytest.mark.parametrize("argv", PARSES, ids=lambda argv: " ".join(argv) or "-")
+def test_main_parses_as_the_whole_parser_does(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    seen = []
+    for name in ("cmd_grope", "cmd_milnor", "cmd_link", "cmd_compose",
+                 "cmd_certificate", "cmd_verify"):
+        monkeypatch.setattr(mgk.cli, name, seen.append)  # a handler returns args
+    monkeypatch.setattr(mgk.cli, "_PARSER", None)
+    expected = _parse_outcome(capsys, mgk.cli.build_parser().parse_args, list(argv))
+    assert _parse_outcome(capsys, lambda a: main(a) or seen[-1], list(argv)) == expected
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["mgk", "grope", "class", "({* *})"])
+    code, out = main(), capsys.readouterr().out
+    assert (code, out) == (0, "2\n")
 
 
 def test_grope_parse_error_exit_2(capsys):

@@ -70,6 +70,10 @@ ROWS = [
     pytest.param("Milnor relations", milnor, "normal_form",
                  swap("levels[0].get(0, 0)", "running.get(0, 0)"),
                  id="normal_form exponent read from the expansion"),
+    pytest.param("Magnus expansion", milnor, "normal_form",
+                 swap("RingElement(Ring(full[:t]), levels[t])",
+                      "-RingElement(Ring(full[:t]), levels[t])"),
+                 id="normal_form components negated"),
     pytest.param("split exact", milnor, "r_map",
                  swap("for v in reversed(positions):", "for v in positions:"),
                  id="r_map nests commutators the wrong way"),
