@@ -202,7 +202,7 @@ def test_main_parses_as_the_whole_parser_does(argv, monkeypatch, capsys):
     seen = []
     for name in ("cmd_grope", "cmd_milnor", "cmd_link", "cmd_compose",
                  "cmd_certificate", "cmd_verify"):
-        monkeypatch.setattr(mgk.cli, name, seen.append)  # a handler returns args
+        monkeypatch.setattr(mgk.cli, name, seen.append)  # records its args
     monkeypatch.setattr(mgk.cli, "_PARSER", None)
     expected = _parse_outcome(capsys, mgk.cli.build_parser().parse_args, list(argv))
     assert _parse_outcome(capsys, lambda a: main(a) or seen[-1], list(argv)) == expected
