@@ -11,10 +11,11 @@ A `GropeTree` is a plain value with three slots, like a `Word`: its
 pairs, and the class and leaf count that `__init__` fixes from its
 children's in O(1) work per pair.  A tree is its text: `tree_text`
 round-trips, so `==` and `hash` read the texts.  One post-order pass,
-`_subtree_texts`, writes every subtree's text for `tip_duals`, or sorted
-for `canonical` and `is_isomorphic`.  The module keeps no cache, and every
-walk uses an explicit stack, so trees of any depth work under the
-default recursion limit.  `boundary_word`
+`_subtree_texts`, writes every subtree's text for `tip_duals`, or sorts
+members and pairs on (class, text) as it builds `canonical`'s tree;
+`is_isomorphic` writes no text and compares integer shape ids.  The
+module keeps no cache, and every walk uses an explicit stack, so trees
+of any depth work under the default recursion limit.  `boundary_word`
 parses the text that `boundary_expression` renders; its word at least
 doubles in length per stage, so a deep tree's boundary word is refused
 with `BudgetExceeded` once it passes the budget `mgk.words.MAX_LETTERS`.
@@ -47,7 +48,6 @@ from __future__ import annotations
 
 import re
 import sys
-from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -98,6 +98,7 @@ class GropeTree:
 
 
 LEAF = GropeTree()
+_LEAF_KEY = (1, "*", LEAF)  # a Leaf's (class, text, subtree) in `_subtree_texts`
 
 
 @dataclass(frozen=True)
@@ -130,7 +131,7 @@ def parse_tree(text: str) -> GropeTree:
             raise _syntax_error("unexpected end of input", text, k)
         ch = chars[k]
         if ch == "(":
-            if chars[k + 1:k + 2] != "{":
+            if k + 1 == n or chars[k + 1] != "{":
                 raise _syntax_error("a Surface needs at least one pair", text, k + 1)
             open_members.append([])
             k += 2
@@ -149,13 +150,13 @@ def parse_tree(text: str) -> GropeTree:
             members.append(node)
             if len(members) % 2:
                 break  # the right member follows
-            if chars[k:k + 1] != "}":
+            if k == n or chars[k] != "}":
                 raise _syntax_error("expected '}'", text, k)
             k += 1
-            if chars[k:k + 1] == "{":
+            if k < n and chars[k] == "{":
                 k += 1
                 break  # the next pair's left member follows
-            if chars[k:k + 1] != ")":
+            if k == n or chars[k] != ")":
                 raise _syntax_error("expected ')'", text, k)
             open_members.pop()
             node = GropeTree(tuple(zip(members[::2], members[1::2])))
@@ -203,27 +204,31 @@ def tree_text(tree: GropeTree) -> str:
 
 def _subtree_texts(tree: GropeTree, sort=False):
     """(subtree, text) for every subtree in post-order, from one pass that
-    keeps the (class, text) keys of the finished subtrees whose parent is
-    still open; with sort, members and pairs sorted on (class, text)."""
-    done = []  # (class, text) of those subtrees, in depth-first order
-    stack = [(tree, False)]
+    keeps the keys of the finished subtrees whose parent is still open;
+    with sort, canonical subtrees: members and pairs sorted on (class, text)."""
+    done = []  # (class, text, subtree) of those, in depth-first order
+    stack = [tree]  # trees to walk, and (Surface,) once its members are done
     while stack:
-        node, members_done = stack.pop()
-        if not node.pairs:
-            done.append((1, "*"))
-            yield node, "*"
-        elif not members_done:
-            stack.append((node, True))  # members finish in order
-            stack += [(m, False) for pair in node.pairs for m in pair][::-1]
-        else:
+        node = stack.pop()
+        if type(node) is tuple:
+            node, = node
             cut = len(done) - 2 * len(node.pairs)
             pairs = zip(done[cut::2], done[cut + 1::2])
             if sort:
-                pairs = sorted((a, b) if a <= b else (b, a) for a, b in pairs)
+                # a tie on (class, text) is two equal trees: sorts read no more
+                pairs = sorted([(a, b) if a[:2] <= b[:2] else (b, a) for a, b in pairs],
+                               key=lambda pair: (pair[0][:2], pair[1][:2]))
+                node = GropeTree(tuple([(a[2], b[2]) for a, b in pairs]))
             text = "(%s)" % " ".join(["{%s %s}" % (a[1], b[1]) for a, b in pairs])
             del done[cut:]
-            done.append((node.tree_class, text))
+            done.append((node.tree_class, text, node))
             yield node, text
+        elif not node.pairs:
+            done.append(_LEAF_KEY)
+            yield node, "*"
+        else:
+            stack.append((node,))  # members finish in order
+            stack += [m for pair in node.pairs for m in pair][::-1]
 
 
 # -- class and tips ----------------------------------------------------------
@@ -370,20 +375,40 @@ def tip_duals(closed: ClosedGropeTree):
 
 # -- isomorphism and re-rooting ----------------------------------------------
 
-def _canonical_text(tree: GropeTree) -> str:
-    """tree_text of canonical(tree): the last of the sorted subtree texts."""
-    return deque(_subtree_texts(tree, sort=True), maxlen=1)[0][1]
-
-
 def canonical(tree: GropeTree) -> GropeTree:
     """Representative modulo pair swaps and pair permutations: members and
-    pairs sorted on (class, text), bottom-up, then parsed from its text."""
-    return parse_tree(_canonical_text(tree))
+    pairs sorted on (class, text), bottom-up; the last tree of the sorted
+    `_subtree_texts` pass."""
+    for node, _ in _subtree_texts(tree, sort=True):
+        pass
+    return node
 
 
 def is_isomorphic(a, b) -> bool:
-    a, b = (t.body if isinstance(t, ClosedGropeTree) else t for t in (a, b))
-    return _canonical_text(a) == _canonical_text(b)
+    """Equality modulo pair swaps and pair permutations, by shape ids: one
+    post-order walk per tree gives each subtree an int id from a dict that
+    both trees share, 0 for a Leaf, and for a Surface the id of its key, the
+    sorted tuple of its members' id pairs, each pair sorted."""
+    ids, roots = {}, []
+    for tree in (a, b):
+        done = []  # ids of the finished subtrees whose parent is still open
+        # trees to walk, and a Surface's genus once its members are done
+        stack = [tree.body if isinstance(tree, ClosedGropeTree) else tree]
+        while stack:
+            node = stack.pop()
+            if type(node) is int:
+                cut = len(done) - 2 * node
+                key = tuple(sorted([(a, b) if a <= b else (b, a)
+                                    for a, b in zip(done[cut::2], done[cut + 1::2])]))
+                del done[cut:]
+                done.append(ids.setdefault(key, len(ids) + 1))
+            elif not node.pairs:
+                done.append(0)
+            else:
+                stack.append(len(node.pairs))  # members finish in order
+                stack += [m for pair in node.pairs for m in pair][::-1]
+        roots += done
+    return roots[0] == roots[1]
 
 
 def rerooted(closed: ClosedGropeTree, tip) -> ClosedGropeTree:

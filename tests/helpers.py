@@ -13,8 +13,10 @@ expansion substituted, multiplied out on name-keyed terms,
 re-rooting works on a plain adjacency list, the formatter is checked
 against the two-dict formatter it replaced, the word parser is checked
 against the parser it replaced, which reads every prime as a token of its
-own, and a recursive one that checks its token index at every read, and
-the solid-torus pattern checks are written out apart from the link checks,
+own, and a recursive one that checks its token index at every read, the
+tree parser against the one it replaced, which tests one-character
+slices, isomorphism is read as the equality of recursive canonical
+texts, the solid-torus pattern checks are written out apart from the link checks,
 and free reduction, which the library does not use, is kept here.
 """
 
@@ -24,7 +26,7 @@ from mgk.composition import (Certificate, CompositionSpec, _sigma_alphabets,
                              compose, wedge_ring_element)
 from mgk.errors import (CompositionError, LinkFormatError, MgkError,
                         NotInKernelError, WordSyntaxError)
-from mgk.gropes import LEAF, ClosedGropeTree, GropeTree
+from mgk.gropes import LEAF, ClosedGropeTree, GropeTree, _syntax_error
 from mgk.links import (SolidTorusLink, catalog, delete_component,
                        is_almost_trivial)
 from mgk.milnor import MilnorElement, magnus, normal_form, r_inverse
@@ -576,6 +578,56 @@ def reference_canonical(tree: GropeTree) -> GropeTree:
     pairs.sort(key=lambda p: (_reference_sort_key(p[0]),
                               _reference_sort_key(p[1])))
     return GropeTree(tuple(pairs))
+
+
+def reference_is_isomorphic(a, b) -> bool:
+    """Equality of the canonical texts (the library compares shape ids)."""
+    a, b = (t.body if isinstance(t, ClosedGropeTree) else t for t in (a, b))
+    return (reference_tree_text(reference_canonical(a))
+            == reference_tree_text(reference_canonical(b)))
+
+
+def reference_parse_tree(text: str) -> GropeTree:
+    """The library's parser as it was, testing one-character slices where
+    the library tests characters by index after a bounds check."""
+    chars = "".join(text.split())
+    n = len(chars)
+    open_members = []
+    k = 0
+    while True:
+        if k >= n:
+            raise _syntax_error("unexpected end of input", text, k)
+        ch = chars[k]
+        if ch == "(":
+            if chars[k + 1:k + 2] != "{":
+                raise _syntax_error("a Surface needs at least one pair", text, k + 1)
+            open_members.append([])
+            k += 2
+            continue
+        if ch != "*":
+            raise _syntax_error("expected '*' or '('", text, k)
+        node = LEAF
+        k += 1
+        while True:
+            if not open_members:
+                if k != n:
+                    raise _syntax_error("trailing input", text, k)
+                return node
+            members = open_members[-1]
+            members.append(node)
+            if len(members) % 2:
+                break
+            if chars[k:k + 1] != "}":
+                raise _syntax_error("expected '}'", text, k)
+            k += 1
+            if chars[k:k + 1] == "{":
+                k += 1
+                break
+            if chars[k:k + 1] != ")":
+                raise _syntax_error("expected ')'", text, k)
+            open_members.pop()
+            node = GropeTree(tuple(zip(members[::2], members[1::2])))
+            k += 1
 
 
 def reference_all_genus_one(tree: GropeTree) -> bool:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mgk.words
+from mgk import gropes
 from mgk.errors import BudgetExceeded, MgkError, TreeSyntaxError
 from mgk.gropes import (LEAF, ClosedGropeTree, GropeTree, boundary_expression,
                         boundary_word, canonical, dual_class, dual_tree, export_dot, format_tip_path, grope_class,
@@ -19,7 +20,8 @@ from mgk.words import Word
 from helpers import (_reference_grow, reference_all_genus_one,
                      reference_boundary_word, reference_canonical,
                      reference_dual_class, reference_grope_class,
-                     reference_leaf_paths, reference_random_grope_tree,
+                     reference_is_isomorphic, reference_leaf_paths,
+                     reference_parse_tree, reference_random_grope_tree,
                      reference_tree_text, reroot_oracle, shuffled_chain)
 
 TORUS = "({* *})"
@@ -55,6 +57,51 @@ def test_parse_errors():
         assert err.value.position == pos
     with pytest.raises(TreeSyntaxError, match=r"^expected '\}' \(at position 6\)$"):
         parse_tree("({* * *})")
+
+
+def _parsed(parse, text):
+    """The parsed tree's text, or the error's type, message and position."""
+    try:
+        return tree_text(parse(text))
+    except TreeSyntaxError as err:
+        return type(err), str(err), err.position
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(", "a Surface needs at least one pair"),
+    ("({", "unexpected end of input"),
+    ("({*", "unexpected end of input"),
+    ("({* *", "expected '}'"),
+    ("({* *}", "expected ')'"),
+    ("({* *} {", "unexpected end of input"),
+])
+def test_parse_errors_at_the_end_of_input(text, message):
+    expected = (TreeSyntaxError, "%s (at position %d)" % (message, len(text)),
+                len(text))
+    assert _parsed(parse_tree, text) == _parsed(reference_parse_tree, text) == expected
+
+
+def test_parse_agrees_with_the_slice_parser():
+    """Texts joined from the pieces, half of them at random and half from a
+    tree's text with a few characters swapped for pieces and its end cut."""
+    rng = random.Random(1997)
+    pieces = ["(", ")", "{", "}", "*", " ", "x", ""]
+    outcomes = set()
+    for _ in range(4000):
+        if rng.random() < 0.5:
+            chosen = [rng.choice(pieces) for _ in range(rng.randint(0, 14))]
+        else:
+            chosen = list(tree_text(random_grope_tree(rng, rng.randint(1, 4))))
+            for _ in range(rng.randint(0, 2)):
+                chosen[rng.randrange(len(chosen))] = rng.choice(pieces)
+            del chosen[rng.randint(0, len(chosen)):]
+        text = "".join(chosen)
+        got = _parsed(parse_tree, text)
+        assert got == _parsed(reference_parse_tree, text), text
+        outcomes.add(got[1].split(" (at")[0] if type(got) is tuple else "tree")
+    assert outcomes == {"tree", "trailing input", "unexpected end of input",
+                        "a Surface needs at least one pair", "expected '*' or '('",
+                        "expected '}'", "expected ')'"}
 
 
 def test_closed_rejects_leaf_body():
@@ -487,6 +534,21 @@ def test_canonical_sorts():
     assert not is_isomorphic(a, parse_tree(TORUS))
 
 
+def _raise(*args, **kwargs):
+    raise AssertionError("not called on this path")
+
+
+def test_canonical_parses_no_text_and_is_isomorphic_writes_none(monkeypatch):
+    tree = parse_tree("({({* *}) *} {* ({* *} {* *})})")
+    copy, other = parse_tree("({({* *} {* *}) *} {* ({* *})})"), parse_tree(TOWER2)
+    text = tree_text(canonical(tree))
+    monkeypatch.setattr(gropes, "parse_tree", _raise)
+    assert tree_text(canonical(tree)) == text
+    monkeypatch.setattr(gropes, "_subtree_texts", _raise)
+    monkeypatch.setattr(gropes, "_render", _raise)
+    assert is_isomorphic(tree, copy) and not is_isomorphic(tree, other)
+
+
 # -- DOT export ----------------------------------------------------------------------
 
 def test_dot_counts():
@@ -545,6 +607,48 @@ def test_walks_agree_with_recursive_references(kind, seed):
             assert dual_class(closed, tip) == reference_dual_class(closed, tip)
     copy = parse_tree(text)
     assert copy == tree and hash(copy) == hash(tree)
+
+
+def shuffled(rng, tree):
+    """A copy with every pair's members and every Surface's pairs shuffled."""
+    pairs = [tuple(rng.sample([shuffled(rng, l), shuffled(rng, r)], 2))
+             for l, r in tree.pairs]
+    rng.shuffle(pairs)
+    return GropeTree(tuple(pairs))
+
+
+def edited(tree, path, edit):
+    """A copy with the subtree at the (pair, side) steps of path replaced
+    by edit(subtree)."""
+    if not path:
+        return edit(tree)
+    (i, side), rest = path[0], path[1:]
+    pair = list(tree.pairs[i])
+    pair[side] = edited(pair[side], rest, edit)
+    return GropeTree(tree.pairs[:i] + (tuple(pair),) + tree.pairs[i + 1:])
+
+
+@settings(max_examples=90, deadline=None)
+@given(st.sampled_from(sorted(TREE_KINDS)), st.integers(0, 2 ** 30), st.booleans())
+def test_is_isomorphic_agrees_with_the_canonical_texts(kind, seed, closed):
+    rng = random.Random(seed)
+    tree = TREE_KINDS[kind](rng)
+    tips = leaf_paths(tree)
+    copies = [(shuffled(rng, tree), True),
+              (edited(tree, rng.choice(tips), lambda leaf: parse_tree(TORUS)), False)]
+    if tree.pairs:  # drop one pair of the Surface at a proper prefix of a tip
+        tip = rng.choice(tips)
+        def drop(surface):
+            i = rng.randrange(len(surface.pairs))
+            return GropeTree(surface.pairs[:i] + surface.pairs[i + 1:])
+        copies.append((edited(tree, tip[:rng.randrange(len(tip))], drop), False))
+    for copy, iso in copies:
+        a, b = tree, copy
+        if closed and a.pairs:
+            a = ClosedGropeTree(a)
+        if not closed and b.pairs:
+            b = ClosedGropeTree(b)
+        assert is_isomorphic(a, b) == reference_is_isomorphic(a, b) == iso
 
 
 @settings(max_examples=120, deadline=None)

@@ -115,6 +115,10 @@ ROWS = [
     pytest.param("duals", gropes, "is_isomorphic",
                  lambda is_isomorphic: lambda a, b: True,
                  id="is_isomorphic is always True"),
+    # a genus-1 dual_tree pairs (path, partner) and rerooted (partner, path)
+    pytest.param("duals", gropes, "is_isomorphic",
+                 swap("(a, b) if a <= b else (b, a)", "(a, b)"),
+                 id="is_isomorphic keys members unsorted"),
     pytest.param("catalog invariants", links, "mu_bar",
                  swap("link.longitudes[idx[-1]]", "link.longitudes[idx[0]]"),
                  id="mu_bar reads the first index's longitude"),
