@@ -9,11 +9,13 @@ pairs of the sum of the two members' classes.
 
 A `GropeTree` is a plain value with three slots, like a `Word`: its
 pairs, and the class and leaf count that `__init__` fixes from its
-children's in O(1) work per pair.  A tree is its text: `tree_text`
-round-trips, so `==` and `hash` read the texts.  One post-order pass,
-`_subtree_texts`, writes every subtree's text for `tip_duals`, or sorts
-members and pairs on (class, text) as it builds `canonical`'s tree;
-`is_isomorphic` writes no text and compares integer shape ids.  The
+children's in O(1) work per pair, as a running minimum and sum.  A tree
+is its text: `tree_text` round-trips, so `==` and `hash` read the
+texts.  One post-order pass, `_subtree_texts`, writes every subtree's
+text for `tip_duals`, or sorts members and pairs on (class, text) as it
+builds `canonical`'s tree; `is_isomorphic` writes no text and compares
+integer shape ids.  Both sort a Surface's pairs only at genus 2 or more,
+so a one-pair Surface sorts nothing and builds no list of classes.  The
 module keeps no cache, and every walk uses an explicit stack, so trees
 of any depth work under the default recursion limit.  `boundary_word`
 parses the text that `boundary_expression` renders; its word at least
@@ -75,11 +77,13 @@ class GropeTree:
 
     def __init__(self, pairs: tuple[tuple["GropeTree", "GropeTree"], ...] = ()):
         self.pairs = pairs
-        classes, leaf_count = [], 0
+        tree_class = leaf_count = 0  # no pair sums to 0: 0 is "no pair yet"
         for left, right in pairs:
-            classes.append(left.tree_class + right.tree_class)
+            k = left.tree_class + right.tree_class
+            if not tree_class or k < tree_class:
+                tree_class = k
             leaf_count += left.leaf_count + right.leaf_count
-        self.tree_class, self.leaf_count = min(classes, default=1), leaf_count or 1
+        self.tree_class, self.leaf_count = tree_class or 1, leaf_count or 1
 
     def __eq__(self, other):
         if not isinstance(other, GropeTree):
@@ -159,7 +163,7 @@ def parse_tree(text: str) -> GropeTree:
             if k == n or chars[k] != ")":
                 raise _syntax_error("expected ')'", text, k)
             open_members.pop()
-            node = GropeTree(tuple(zip(members[::2], members[1::2])))
+            node = GropeTree(tuple(zip(*[iter(members)] * 2)))
             k += 1
 
 
@@ -215,9 +219,10 @@ def _subtree_texts(tree: GropeTree, sort=False):
             cut = len(done) - 2 * len(node.pairs)
             pairs = zip(done[cut::2], done[cut + 1::2])
             if sort:
-                # a tie on (class, text) is two equal trees: sorts read no more
-                pairs = sorted([(a, b) if a[:2] <= b[:2] else (b, a) for a, b in pairs],
-                               key=lambda pair: (pair[0][:2], pair[1][:2]))
+                pairs = [(a, b) if a[:2] <= b[:2] else (b, a) for a, b in pairs]
+                if len(pairs) > 1:
+                    # a tie on (class, text) is two equal trees: sorts read no more
+                    pairs.sort(key=lambda pair: (pair[0][:2], pair[1][:2]))
                 node = GropeTree(tuple([(a[2], b[2]) for a, b in pairs]))
             text = "(%s)" % " ".join(["{%s %s}" % (a[1], b[1]) for a, b in pairs])
             del done[cut:]
@@ -398,10 +403,12 @@ def is_isomorphic(a, b) -> bool:
             node = stack.pop()
             if type(node) is int:
                 cut = len(done) - 2 * node
-                key = tuple(sorted([(a, b) if a <= b else (b, a)
-                                    for a, b in zip(done[cut::2], done[cut + 1::2])]))
+                key = [(a, b) if a <= b else (b, a)
+                       for a, b in zip(done[cut::2], done[cut + 1::2])]
+                if node > 1:
+                    key.sort()
                 del done[cut:]
-                done.append(ids.setdefault(key, len(ids) + 1))
+                done.append(ids.setdefault(tuple(key), len(ids) + 1))
             elif not node.pairs:
                 done.append(0)
             else:

@@ -3,7 +3,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import mgk.words
 from mgk import gropes
@@ -26,6 +26,11 @@ from helpers import (_reference_grow, reference_all_genus_one,
 
 TORUS = "({* *})"
 TOWER2 = "({({* *}) *})"
+# pairs that tie on class at genus 2 and 3, least pairs that are not the
+# first, and members that tie on (class, text)
+TIES = ["({* ({* *})} {({* *}) *})", "({({* *}) ({* *})} {* ({({* *}) *})})",
+        "({* ({* *} {* *})} {({* *}) *} {* *})", "({* *} {* *} {* *})",
+        "({({* *}) *} {* *})", "({({* *}) ({* *})})"]
 
 
 def genus1_tower(depth):
@@ -82,10 +87,13 @@ def test_parse_errors_at_the_end_of_input(text, message):
 
 
 def test_parse_agrees_with_the_slice_parser():
-    """Texts joined from the pieces, half of them at random and half from a
-    tree's text with a few characters swapped for pieces and its end cut."""
+    """The tie trees, then texts joined from the pieces, half of them at
+    random and half from a tree's text with a few characters swapped for
+    pieces and its end cut."""
     rng = random.Random(1997)
     pieces = ["(", ")", "{", "}", "*", " ", "x", ""]
+    for text in TIES:
+        assert _parsed(parse_tree, text) == _parsed(reference_parse_tree, text) == text
     outcomes = set()
     for _ in range(4000):
         if rng.random() < 0.5:
@@ -589,10 +597,21 @@ TREE_KINDS = {
 }
 
 
+def _on_ties(*rest):
+    """Explicit examples (text, 0, *rest) of a (kind, seed, ...) test for
+    every tie tree."""
+    def decorate(test):
+        for text in TIES:
+            test = example(text, 0, *rest)(test)
+        return test
+    return decorate
+
+
 @settings(max_examples=90, deadline=None)
 @given(st.sampled_from(sorted(TREE_KINDS)), st.integers(0, 2 ** 30))
+@_on_ties()
 def test_walks_agree_with_recursive_references(kind, seed):
-    tree = TREE_KINDS[kind](random.Random(seed))
+    tree = parse_tree(kind) if kind in TIES else TREE_KINDS[kind](random.Random(seed))
     text = tree_text(tree)
     assert text == reference_tree_text(tree)
     assert grope_class(tree) == reference_grope_class(tree)
@@ -630,9 +649,11 @@ def edited(tree, path, edit):
 
 @settings(max_examples=90, deadline=None)
 @given(st.sampled_from(sorted(TREE_KINDS)), st.integers(0, 2 ** 30), st.booleans())
+@_on_ties(False)
+@_on_ties(True)
 def test_is_isomorphic_agrees_with_the_canonical_texts(kind, seed, closed):
     rng = random.Random(seed)
-    tree = TREE_KINDS[kind](rng)
+    tree = parse_tree(kind) if kind in TIES else TREE_KINDS[kind](rng)
     tips = leaf_paths(tree)
     copies = [(shuffled(rng, tree), True),
               (edited(tree, rng.choice(tips), lambda leaf: parse_tree(TORUS)), False)]

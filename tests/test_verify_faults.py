@@ -96,7 +96,7 @@ ROWS = [
                      "test_grope_tree_links_bound_their_boundary_words")),
     # grope_class reads tree_class, which GropeTree computes
     pytest.param("duals", GropeTree, "__init__",
-                 swap("min(classes, default=1)", "max(classes, default=1)"),
+                 swap("k < tree_class", "k > tree_class"),
                  id="grope_class takes the largest pair"),
     pytest.param("duals", gropes, "dual_tree",
                  swap("for partner in _path_partners(closed, tip):",
