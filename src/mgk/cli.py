@@ -81,17 +81,17 @@ def _component(text):
 
 def _alphabet_for(words, gens):
     """m1..mK for K = gens, or else the largest K named as mK (m02 is not m2,
-    so a zero-padded index sizes nothing); K is checked against the
-    alphabet budget before any name is built."""
+    so a zero-padded index sizes nothing); each distinct name is read once,
+    in first-occurrence order, and K is checked against the alphabet budget
+    before any name is built."""
     if gens is None:
         gens = 1
-        for word in words:
-            for g, _ in word.letters:
-                if g.startswith("m") and g[1:].isdigit() and g[1] != "0":
-                    index = bounded_int(g[1:], sys.maxsize)
-                    if index == sys.maxsize:  # no alphabet has that many generators
-                        raise MgkError("generator %s out of range" % g)
-                    gens = max(gens, index)
+        for g in dict.fromkeys(g for word in words for g, _ in word.letters):
+            if g.startswith("m") and g[1:].isdigit() and g[1] != "0":
+                index = bounded_int(g[1:], sys.maxsize)
+                if index == sys.maxsize:  # no alphabet has that many generators
+                    raise MgkError("generator %s out of range" % g)
+                gens = max(gens, index)
     milnor._check_alphabet_size(gens)
     return milnor.default_alphabet(gens)
 
@@ -115,10 +115,7 @@ def cmd_grope(args):
         closed = gropes.parse_closed_tree(args.tree)
         k = gropes.grope_class(closed.body)
         if args.tip is None:
-            # the benchmark tracer times the duals layer only through dual_tree
-            # and dual_class, so the class keeps its own path walk (ROADMAP item 16)
-            duals = [(path, text, gropes.dual_class(closed, tip))
-                     for tip, path, text in gropes.tip_duals(closed)]
+            duals = [dual[1:] for dual in gropes.tip_duals(closed)]
         else:  # '' parses to the root, which dual_tree refuses as no tip
             tip = gropes.parse_tip_path(args.tip)
             dual = gropes.dual_tree(closed, tip).body

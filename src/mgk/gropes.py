@@ -41,9 +41,10 @@ surfaces (the path) carrying the retained partner subtrees, ending at the
 leaf that used to be the extra root edge.  Its class is 1 plus the sum of
 the partner classes, hence at least the class of the original tree.
 No dual tree is needed for its text, which strings the partner texts on a
-chain: `tip_duals` lists every tip's dual from one depth-first walk that
-keeps the current path's steps, step texts and partners on live stacks,
-the walk that `leaf_paths` reads its tips from.
+chain, or its class: `tip_duals` lists both for every tip from one walk
+that keeps the current path's steps, step texts and partners on live
+stacks, the walk that `leaf_paths` reads.  On an all-genus-1 tree the dual
+is the tree re-rooted at the tip, which is all `rerooted` returns.
 """
 
 from __future__ import annotations
@@ -362,20 +363,22 @@ def dual_class(closed: ClosedGropeTree, tip) -> int:
 
 
 def tip_duals(closed: ClosedGropeTree):
-    """(tip, format_tip_path(tip), dual text) for every free tip, in the
-    order of `leaf_paths(closed.body)`, from one depth-first walk; each text
-    is tree_text(dual_tree(closed, tip).body), built from no dual tree.
+    """(tip, format_tip_path(tip), text, class) of the dual at every free
+    tip, in the order of `leaf_paths(closed.body)`, from one depth-first
+    walk that builds no dual tree; text and class are those of dual_tree.
 
     Every subtree below the root is some tip's partner, so `_subtree_texts`
     passes over the root's pair members give each its text, not the root's.
     A dual strings its partners p1..pk, root to tip, on a chain, "({" * k +
-    "* " + text(p1) + "}) " + ... + text(pk) + "})": a tip costs its output.
+    "* " + text(p1) + "}) " + ... + text(pk) + "})", and its class is 1 plus
+    theirs, so a tip costs its output.
     """
     texts = {id(node): text for pair in closed.body.pairs for member in pair
              for node, text in _subtree_texts(member)}
     for steps, step_texts, partners in _tip_walk(closed.body):
         yield (tuple(steps), "/".join(step_texts), "({" * len(partners) + "* "
-               + "}) ".join([texts[id(p)] for p in partners]) + "})")
+               + "}) ".join([texts[id(p)] for p in partners]) + "})",
+               1 + sum(p.tree_class for p in partners))
 
 
 # -- isomorphism and re-rooting ----------------------------------------------
@@ -419,24 +422,15 @@ def is_isomorphic(a, b) -> bool:
 
 
 def rerooted(closed: ClosedGropeTree, tip) -> ClosedGropeTree:
-    """Re-root the underlying unordered tree at a free tip.
-
-    Only defined when every Surface has genus 1: then every vertex of the
-    unordered tree has degree at most 3 and the pairing of children after
-    re-rooting is forced.  For such trees the dual tree is exactly the
-    re-rooted tree.  Each path vertex becomes a genus-1 Surface whose pair
-    is (the sibling subtree it keeps, the rest of the path towards the old
-    root), and the old root edge becomes the last Leaf.
-    """
-    partners = _path_partners(closed, tip)
+    """`dual_tree` of an all-genus-1 tree, which is the tree re-rooted at
+    the tip: every vertex has degree at most 3, so the pairing of children
+    after re-rooting is forced.  A bad tip is refused before the genus is."""
+    dual = dual_tree(closed, tip)
     # class <= leaf count, with equality exactly when every Surface has genus
     # 1: the class takes a minimum over pairs, and a second pair adds leaves
     if closed.body.tree_class != closed.body.leaf_count:
         raise MgkError("re-rooting needs an all-genus-1 tree")
-    chain = LEAF
-    for partner in partners:
-        chain = GropeTree(((partner, chain),))
-    return ClosedGropeTree(chain)
+    return dual
 
 
 # -- DOT export ---------------------------------------------------------------

@@ -106,7 +106,7 @@ def _draw_closed_tree(rng, config):
     k = rng.randint(2, 8)
     genus1 = rng.random() < 0.5
     return (gropes.ClosedGropeTree(random_grope_tree(
-        rng, k, max_genus=1 if genus1 else 2, max_tips=10)), genus1)
+        rng, k, max_genus=1 if genus1 else 2, max_tips=10)),)
 
 
 def _draw_tree_and_word(rng, config):
@@ -163,18 +163,18 @@ def _boundary_has_degree(tree, k):
     return milnor.lcs_degree(gropes.boundary_word(tree, names), names, cap=k) == k
 
 
-def _duals_hold(closed, genus1):
-    # tip_duals' walk and dual_tree's path walk derive each dual apart; a
-    # closed tree has a pair, so asking it against LEAF is a control that
-    # is_isomorphic can answer no
-    k = closed.body.tree_class
-    if gropes.is_isomorphic(closed.body, gropes.LEAF):
+def _duals_hold(closed):
+    # tip_duals' walk and dual_tree's path walk derive each dual apart; as
+    # controls, a closed tree (it has a pair) is not isomorphic to LEAF but
+    # is to its canonical form, which may swap members and pairs
+    body = closed.body
+    if (gropes.is_isomorphic(body, gropes.LEAF)
+            or not gropes.is_isomorphic(body, gropes.canonical(body))):
         return False
-    for tip, _, text in gropes.tip_duals(closed):
-        dual = gropes.dual_tree(closed, tip)
-        if (gropes.tree_text(dual.body) != text or dual.body.tree_class < k
-                or genus1 and not gropes.is_isomorphic(
-                    dual, gropes.rerooted(closed, tip))):
+    for tip, _, text, dual_class in gropes.tip_duals(closed):
+        dual = gropes.dual_tree(closed, tip).body
+        if (gropes.tree_text(dual) != text or dual.tree_class != dual_class
+                or dual_class < body.tree_class):
             return False
     return True
 
@@ -205,8 +205,7 @@ _SWEEPS = (
     ("grope_degree",
      "boundary word of a class-k tree has Magnus degree exactly k",
      _draw_class_tree, _boundary_has_degree, 1),
-    ("grope_duality",
-     "duals: one per tip, class bound holds, genus-1 duals re-root",
+    ("grope_duality", "duals: one per tip, class bound holds",
      _draw_closed_tree, _duals_hold, 1),
     ("roundtrip", "parse/print round trips on trees and words",
      _draw_tree_and_word, _round_trips, 1),

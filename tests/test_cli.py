@@ -17,7 +17,7 @@ from mgk.gropes import tree_text
 from mgk.errors import LinkFormatError
 from mgk.links import catalog, load_link, save_link
 from mgk.milnor import default_alphabet
-from mgk.words import Word
+from mgk.words import Word, bounded_int
 
 from golden import ARGPARSE, DUAL_TREES
 from helpers import conjugated_relator, shuffled_chain
@@ -49,22 +49,26 @@ def test_grope_boundary_rejects_names_that_are_not_generators(capsys, names):
 
 
 def test_grope_duals_builds_each_dual_once(capsys, monkeypatch):
-    # without --tip one walk lists every tip, its path text and its dual's
-    # text, and dual_class walks each tip's path once more for the class
-    # column; no dual tree is built and no tree is rendered node by node
+    # without --tip one walk lists every tip, its path text, its dual's text
+    # and its dual's class; no tip's path is walked apart, no dual tree is
+    # built and no tree is rendered node by node
     walked, built = [], []
     path_partners = mgk.gropes._path_partners
     monkeypatch.setattr(mgk.gropes, "_path_partners", lambda closed, tip:
                         walked.append(tip) or path_partners(closed, tip))
     with monkeypatch.context() as patch:
-        for name in ("dual_tree", "tree_text", "format_tip_path", "leaf_paths"):
+        for name in ("dual_tree", "dual_class", "tree_text", "format_tip_path",
+                     "leaf_paths"):
             patch.setattr(mgk.gropes, name, None)  # a call would raise
         code, out, _ = run(capsys, "grope", "duals", "({({* *}) *} {* *})")
-    assert code == 0 and out.count("tip ") == 5
-    assert walked == [mgk.gropes.parse_tip_path(path) for path in
-                      ["0L/0L", "0L/0R", "0R", "1L", "1R"]]
+    assert code == 0 and out.count("tip ") == 5 and walked == []
+    assert out.splitlines()[1:] == [
+        "tip 0L/0L      class 3   3 >= 2 ok    ({({* *}) *})",
+        "tip 0L/0R      class 3   3 >= 2 ok    ({({* *}) *})",
+        "tip 0R         class 3   3 >= 2 ok    ({* ({* *})})",
+        "tip 1L         class 2   2 >= 2 ok    ({* *})",
+        "tip 1R         class 2   2 >= 2 ok    ({* *})"]
     # one tip builds its one dual tree
-    walked.clear()
     dual_tree = mgk.gropes.dual_tree
     monkeypatch.setattr(mgk.gropes, "dual_tree", lambda closed, tip:
                         built.append(tip) or dual_tree(closed, tip))
@@ -799,6 +803,19 @@ def test_inferred_alphabets_read_long_generator_indices(capsys, monkeypatch,
     code, out, err = run(capsys, "milnor", action, *words)
     assert (code, out, err) == (2, "", "error: %s\n" % message)
     assert "set_int_max_str_digits" not in err
+
+
+def test_an_inferred_alphabet_reads_each_name_once(capsys, monkeypatch):
+    # each distinct name is read once, in first-occurrence order through the
+    # words, so of two names out of range the first one met is refused
+    first, second = "m" + "1" * 4400, "m" + "9" * 19
+    read = []
+    monkeypatch.setattr(mgk.cli, "bounded_int", lambda text, limit: read.append(
+        text) or bounded_int(text, limit))
+    code, out, err = run(capsys, "milnor", "equal", "[m1,m2]^3 m2 m1",
+                         "m2 %s m1 %s %s" % (first, second, first))
+    assert (code, out, err) == (2, "", "error: generator %s out of range\n" % first)
+    assert read == ["1", "2", first[1:]]
 
 
 @pytest.mark.parametrize("argv", [

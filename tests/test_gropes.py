@@ -387,7 +387,7 @@ def test_genus1_dual_is_rerooting():
             random_grope_tree(rng, rng.randint(2, 7), max_genus=1))
         for tip in leaf_paths(closed.body):
             dual = dual_tree(closed, tip)
-            assert is_isomorphic(dual, rerooted(closed, tip))
+            assert tree_text(rerooted(closed, tip).body) == tree_text(dual.body)
             assert is_isomorphic(dual, reroot_oracle(closed, tip))
 
 
@@ -403,7 +403,10 @@ def pooled_tree(rng, max_genus, stages):
 
 
 def dual_text_oracle(closed, tip):
-    return tree_text(dual_tree(closed, tip).body), dual_class(closed, tip)
+    """The dual tree's text at tip, and the class the recursive reference
+    reads off the tip's path."""
+    return (tree_text(dual_tree(closed, tip).body),
+            reference_dual_class(closed, tip))
 
 
 def test_dual_texts_agree_with_the_dual_trees():
@@ -419,9 +422,8 @@ def test_dual_texts_agree_with_the_dual_trees():
         closed = ClosedGropeTree(tree)
         tips = leaf_paths(closed.body)
         assert tips == reference_leaf_paths(tree)
-        # every tip from one walk, with its path text
-        assert [(tip, path, text, reference_dual_class(closed, tip))
-                for tip, path, text in tip_duals(closed)] == \
+        # every tip from one walk, with its path text and dual class
+        assert list(tip_duals(closed)) == \
             [(tip, format_tip_path(tip)) + dual_text_oracle(closed, tip)
              for tip in tips]
         nodes = [tree]
@@ -441,21 +443,24 @@ def test_dual_texts_of_deep_chains(depth):
         if depth <= 300:  # the reference recurses and copies each path
             assert tips == reference_leaf_paths(closed.body)
         walk = list(tip_duals(closed))
-        assert [(tip, path) for tip, path, _ in walk] == \
+        assert [dual[:2] for dual in walk] == \
             [(tip, format_tip_path(tip)) for tip in tips]
         picked = range(len(tips))
         if depth > 40:  # the oracle renders every dual node by node
             picked = [0, len(tips) - 1] + rng.sample(picked, 20)
         for i in picked:
-            assert (walk[i][2], dual_class(closed, tips[i])) == \
-                dual_text_oracle(closed, tips[i])
+            if depth <= 300:
+                assert walk[i][2:] == dual_text_oracle(closed, tips[i])
+            else:  # the reference class recurses down the rest of the chain
+                dual = dual_tree(closed, tips[i]).body
+                assert walk[i][2:] == (tree_text(dual), dual.tree_class)
     # one tip, as `mgk grope duals --tip` renders it: the deepest tip of a
     # chain of Leaves has every Leaf but its own as a partner
     closed = ClosedGropeTree(shuffled_chain(rng, depth))
     tip = max(leaf_paths(closed.body), key=len)
     text = tree_text(dual_tree(closed, tip).body)
     assert text == "({" * depth + "* " + "}) ".join("*" * depth) + "})"
-    assert (tip, format_tip_path(tip), text) in tip_duals(closed)
+    assert (tip, format_tip_path(tip), text, depth + 1) in tip_duals(closed)
 
 
 def test_rerooted_rejects_higher_genus():
@@ -504,14 +509,11 @@ def traversed_children(real):
 
 @pytest.mark.parametrize("name, broken", [
     ("dual_tree", lowered_class),
-    # one leaf more than the re-rooted tree, so never isomorphic to the dual
-    ("rerooted", lambda real: lambda closed, tip: ClosedGropeTree(
-        GropeTree(((real(closed, tip).body, LEAF),)))),
-    # dual_tree and rerooted read _path_partners, tip_duals reads _tip_walk,
-    # and the case compares the two walks' duals
+    # dual_tree reads _path_partners, tip_duals reads _tip_walk, and the
+    # case compares the two walks' duals
     ("_path_partners", lambda real: lambda closed, tip: real(closed, tip)[::-1]),
     ("_tip_walk", traversed_children),
-], ids=["dual-class", "rerooted", "partners-tip-to-root", "traversed-children"])
+], ids=["dual-class", "partners-tip-to-root", "traversed-children"])
 def test_grope_duality_check_can_fail(capsys, monkeypatch, name, broken):
     import mgk.gropes
     from mgk.cli import main
@@ -525,11 +527,8 @@ def test_grope_duality_check_can_fail(capsys, monkeypatch, name, broken):
     monkeypatch.setattr(mgk.gropes, name, broken(getattr(mgk.gropes, name)))
     code, failed = failed_cases()
     assert code == 1 and [c["input"][:6] for c in failed] == ["duals:"]
-    # the witness is a failing sample: (closed tree, genus-1 flag)
-    tree, genus1 = failed[0]["actual"]["witness"].split(", ")
-    assert parse_closed_tree(tree) and genus1 in ("True", "False")
-    if name == "rerooted":
-        assert genus1 == "True"  # only genus-1 samples are re-rooted
+    # the witness is a failing sample, the closed tree's text alone
+    assert parse_closed_tree(failed[0]["actual"]["witness"])
 
 
 # -- canonical form -----------------------------------------------------------------
@@ -622,8 +621,9 @@ def test_walks_agree_with_recursive_references(kind, seed):
         reference_canonical(tree))
     if tree.pairs:
         closed = ClosedGropeTree(tree)
-        for tip in paths:
-            assert dual_class(closed, tip) == reference_dual_class(closed, tip)
+        classes = [reference_dual_class(closed, tip) for tip in paths]
+        assert [dual_class(closed, tip) for tip in paths] == classes
+        assert [dual[3] for dual in tip_duals(closed)] == classes
     copy = parse_tree(text)
     assert copy == tree and hash(copy) == hash(tree)
 
@@ -681,7 +681,7 @@ def test_rerooted_accepts_exactly_the_all_genus_1_trees(kind, seed):
     closed = ClosedGropeTree(tree)
     tip = leaf_paths(tree)[-1]
     if reference_all_genus_one(tree):
-        assert is_isomorphic(rerooted(closed, tip), dual_tree(closed, tip))
+        assert rerooted(closed, tip) == dual_tree(closed, tip)
     else:
         with pytest.raises(ValueError, match="all-genus-1"):
             rerooted(closed, tip)
@@ -741,7 +741,7 @@ def test_depth_5000_chain(default_recursion_limit):
     assert len(deepest) == DEEP
     dual = dual_tree(closed, deepest)
     assert dual_class(closed, deepest) == grope_class(dual.body) == DEEP + 1
-    assert is_isomorphic(rerooted(closed, deepest), dual)
+    assert rerooted(closed, deepest) == dual
 
     names = ["m%d" % (i + 1) for i in range(DEEP + 1)]
     expression = boundary_expression(chain, names)

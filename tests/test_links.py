@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import random
+import time
 
 import pytest
 
@@ -264,6 +265,20 @@ def test_invariants_expand_each_longitude_at_most_once(monkeypatch):
     big = catalog("unlink(64)")
     assert is_homotopically_trivial(big) and is_almost_trivial(big)
     assert rings == []
+
+
+def test_triviality_costs_linear_time_in_the_components():
+    # each longitude costs the same scan, so four times the components cost
+    # about four times the time; a per-longitude step over the whole alphabet
+    # (building each longitude's position map apart) makes it quadratic
+    def best_of_5(n):
+        link, times = catalog("unlink(%d)" % n), []
+        for _ in range(5):
+            start = time.perf_counter()
+            assert is_homotopically_trivial(link) and is_almost_trivial(link)
+            times.append(time.perf_counter() - start)
+        return min(times)
+    assert best_of_5(4096) < 8 * best_of_5(1024)
 
 
 def oracle_answers(n, coords):

@@ -105,17 +105,17 @@ ROWS = [
     pytest.param("duals", gropes, "tip_duals",
                  swap("for p in partners]", "for p in partners[::-1]]"),
                  id="tip_duals reverses the partners"),
-    pytest.param("duals", gropes, "rerooted",
-                 lambda rerooted: gropes.dual_tree,
-                 id="rerooted is dual_tree", marks=gap(
-                     "the planted fault returns a tree isomorphic to the true "
-                     "re-root, so no isomorphism clause can fail on it, only a "
-                     "text comparison, and member order is rerooted's own "
-                     "convention (ROADMAP item 10); no Tier-1 test catches it")),
+    pytest.param("duals", gropes, "tip_duals",
+                 swap("1 + sum(", "2 + sum("),
+                 id="tip_duals' class is off by one"),
     pytest.param("duals", gropes, "is_isomorphic",
                  lambda is_isomorphic: lambda a, b: True,
                  id="is_isomorphic is always True"),
-    # a genus-1 dual_tree pairs (path, partner) and rerooted (partner, path)
+    pytest.param("duals", gropes, "is_isomorphic",
+                 lambda is_isomorphic: lambda a, b: False,
+                 id="is_isomorphic is always False"),
+    # a closed tree whose members the canonical form swaps is no longer
+    # isomorphic to its canonical form
     pytest.param("duals", gropes, "is_isomorphic",
                  swap("(a, b) if a <= b else (b, a)", "(a, b)"),
                  id="is_isomorphic keys members unsorted"),
