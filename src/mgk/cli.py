@@ -25,21 +25,23 @@ from .words import Word, bounded_int
 
 
 def _write(args, payload, text=None):
-    """text is the text form, a function that builds it, or None."""
+    """text is the text form, a function that builds it, or None; the answer
+    ends in exactly one newline on stdout and in the --out file alike."""
     if text is None or getattr(args, "json", False):
         text = json.dumps(payload, indent=2, sort_keys=True)
     elif callable(text):
         text = text()
+    end = "" if text.endswith("\n") else "\n"  # print adds it, copying nothing
     out = getattr(args, "out", None)
-    if out:
+    if out is None:  # '' is a path, which open refuses
+        print(text, end=end, flush=True)  # a closed pipe raises here, not at exit
+    else:
         try:
             fh = open(out, "w")
         except ValueError as exc:  # a NUL byte in the path
             raise MgkError(str(exc)) from None
         with fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text, flush=True)  # a closed pipe raises here, not at exit
+            print(text, end=end, file=fh)
 
 
 def _report_text(report):

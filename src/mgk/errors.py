@@ -24,7 +24,7 @@ class TreeSyntaxError(ParseError):
 
 
 class BudgetExceeded(MgkError):
-    """An input would build a word over the letter budget."""
+    """A word over the letter budget or an alphabet over the alphabet budget."""
 
 
 class UnknownGeneratorError(MgkError):

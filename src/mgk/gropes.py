@@ -40,11 +40,13 @@ pair, then re-root at the chosen tip.  The result is a chain of genus-1
 surfaces (the path) carrying the retained partner subtrees, ending at the
 leaf that used to be the extra root edge.  Its class is 1 plus the sum of
 the partner classes, hence at least the class of the original tree.
-No dual tree is needed for its text, which strings the partner texts on a
-chain, or its class: `tip_duals` lists both for every tip from one walk
-that keeps the current path's steps, step texts and partners on live
-stacks, the walk that `leaf_paths` reads.  On an all-genus-1 tree the dual
-is the tree re-rooted at the tip, which is all `rerooted` returns.
+Every dual comes from one of two walks.  `dual_tree` walks one tip's path
+from the root, checking each step as it strings the partner on the chain,
+and `dual_class` reads its class; `tip_duals` lists every tip's dual text
+and class from one walk that builds no dual tree and keeps the current
+path's steps, step texts and partners on live stacks, the walk that
+`leaf_paths` reads.  On an all-genus-1 tree the dual is the tree re-rooted
+at the tip, which is all `rerooted` returns.
 """
 
 from __future__ import annotations
@@ -322,21 +324,6 @@ def boundary_expression(tree: GropeTree, names) -> str:
 
 # -- duality -----------------------------------------------------------------
 
-def _path_partners(closed: ClosedGropeTree, tip):
-    """Partner subtrees met walking from the body root to the tip."""
-    partners = []
-    node = closed.body
-    for i, side in tip:
-        pairs = node.pairs
-        if not 0 <= i < len(pairs) or side not in (0, 1):  # (LEFT, RIGHT)
-            raise MgkError("tip path %s leaves the tree" % format_tip_path(tip))
-        partners.append(pairs[i][1 - side])
-        node = pairs[i][side]
-    if node.pairs:
-        raise MgkError("tip path %s does not reach a Leaf" % format_tip_path(tip))
-    return partners
-
-
 def dual_tree(closed: ClosedGropeTree, tip) -> ClosedGropeTree:
     """Alexander-dual tree at a free tip.
 
@@ -347,19 +334,21 @@ def dual_tree(closed: ClosedGropeTree, tip) -> ClosedGropeTree:
     was the old root edge) and whose second member is the retained
     partner, deepest partner carried by the new bottom stage.
     """
-    chain = LEAF  # the old root edge, now an ordinary leaf
-    for partner in _path_partners(closed, tip):
-        chain = GropeTree(((chain, partner),))
+    chain, node = LEAF, closed.body  # the old root edge, now an ordinary leaf
+    for i, side in tip:
+        pairs = node.pairs
+        if not 0 <= i < len(pairs) or side not in (0, 1):  # (LEFT, RIGHT)
+            raise MgkError("tip path %s leaves the tree" % format_tip_path(tip))
+        chain = GropeTree(((chain, pairs[i][1 - side]),))
+        node = pairs[i][side]
+    if node.pairs:
+        raise MgkError("tip path %s does not reach a Leaf" % format_tip_path(tip))
     return ClosedGropeTree(chain)
 
 
 def dual_class(closed: ClosedGropeTree, tip) -> int:
-    """1 plus the sum of the partner classes along the tip's path.
-
-    Always agrees with grope_class(dual_tree(...).body) and is at least
-    the class of the closed tree itself.
-    """
-    return 1 + sum(p.tree_class for p in _path_partners(closed, tip))
+    """The class of `dual_tree`'s chain: 1 plus the path's partner classes."""
+    return dual_tree(closed, tip).body.tree_class
 
 
 def tip_duals(closed: ClosedGropeTree):

@@ -214,7 +214,8 @@ def catalog_names():
 
 def catalog(name: str):
     """Built-in models; longitudes match the committed oracle fixtures."""
-    m = _UNLINK.match(name.strip())
+    name = name.strip()
+    m = _UNLINK.match(name)
     if m:
         n = bounded_int(m.group(1), sys.maxsize)
         if n < 1:

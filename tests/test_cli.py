@@ -52,31 +52,30 @@ def test_grope_duals_builds_each_dual_once(capsys, monkeypatch):
     # without --tip one walk lists every tip, its path text, its dual's text
     # and its dual's class; no tip's path is walked apart, no dual tree is
     # built and no tree is rendered node by node
-    walked, built = [], []
-    path_partners = mgk.gropes._path_partners
-    monkeypatch.setattr(mgk.gropes, "_path_partners", lambda closed, tip:
-                        walked.append(tip) or path_partners(closed, tip))
     with monkeypatch.context() as patch:
         for name in ("dual_tree", "dual_class", "tree_text", "format_tip_path",
                      "leaf_paths"):
             patch.setattr(mgk.gropes, name, None)  # a call would raise
         code, out, _ = run(capsys, "grope", "duals", "({({* *}) *} {* *})")
-    assert code == 0 and out.count("tip ") == 5 and walked == []
+    assert code == 0 and out.count("tip ") == 5
     assert out.splitlines()[1:] == [
         "tip 0L/0L      class 3   3 >= 2 ok    ({({* *}) *})",
         "tip 0L/0R      class 3   3 >= 2 ok    ({({* *}) *})",
         "tip 0R         class 3   3 >= 2 ok    ({* ({* *})})",
         "tip 1L         class 2   2 >= 2 ok    ({* *})",
         "tip 1R         class 2   2 >= 2 ok    ({* *})"]
-    # one tip builds its one dual tree
+    # one tip walks its path once, in dual_tree, and its class is its dual
+    # tree's: no other walk and no dual_class call happen
+    walked = []
     dual_tree = mgk.gropes.dual_tree
     monkeypatch.setattr(mgk.gropes, "dual_tree", lambda closed, tip:
-                        built.append(tip) or dual_tree(closed, tip))
+                        walked.append(tip) or dual_tree(closed, tip))
+    for name in ("dual_class", "tip_duals", "_tip_walk"):
+        monkeypatch.setattr(mgk.gropes, name, None)
     code, out, _ = run(capsys, "grope", "duals", "({({* *}) *} {* *})",
                        "--tip", "0L/0R")
     assert code == 0 and out.endswith("3 >= 2 ok    ({({* *}) *})\n")
-    assert built == [((0, 0), (0, 1))]
-    assert walked == [((0, 0), (0, 1))]  # its class is its dual tree's
+    assert walked == [((0, 0), (0, 1))]
 
 
 def test_grope_duals_one_tip_is_its_row_of_every_tip(capsys):
@@ -457,6 +456,17 @@ def test_closed_stdout_pipe_exits_0_quietly():
     assert proc.returncode == 0 and err == b""
 
 
+def test_closed_stdout_pipe_after_the_first_duals_line_exits_0_quietly():
+    # the duals of a depth-300 chain (about 300 kB) outgrow the pipe buffer
+    proc = subprocess.Popen([sys.executable, "-m", "mgk.cli", "grope", "duals",
+                             "({" * 299 + "({* *})" + " *})" * 299],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"class 301, rank 301\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0 and err == b""
+
+
 def test_grope_chain_300_answers():
     proc = subprocess.run([sys.executable, "-m", "mgk.cli", "grope", "class",
                            "({" * 299 + "({* *})" + " *})" * 299],
@@ -498,6 +508,8 @@ def test_compose_and_certificate(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
+    ["grope", "class", "({({* *}) *})"],
+    ["grope", "boundary", "({({* *}) *})", "--names", "a,b,c"],
     ["grope", "dot", "({({* *}) *})"],
     ["grope", "dot", "({* *} {* *})", "--closed"],
     ["grope", "duals", "({({* *}) *})"],
@@ -512,14 +524,22 @@ def test_compose_and_certificate(capsys, tmp_path):
     ["verify", "certificate"],
     ["verify", "certificate", "--json"],
 ], ids=lambda argv: " ".join(argv[:2] + argv[3:]))
-def test_out_file_holds_what_stdout_would(capsys, tmp_path, argv):
-    code, out, err = run(capsys, *argv)
+def test_out_file_holds_what_stdout_would(capsysbinary, tmp_path, argv):
+    # byte for byte: each ends in exactly one newline
+    code, out, err = run(capsysbinary, *argv)
     path = tmp_path / "answer"
-    code_out, out_out, err_out = run(capsys, *argv, "--out", str(path))
-    assert (code_out, out_out, err_out) == (code, "", err)
-    # stdout ends with print's newline; the file ends with exactly one
-    expected = out[:-1] if out.endswith("\n\n") else out
-    assert path.read_bytes() == expected.encode()
+    code_out, out_out, err_out = run(capsysbinary, *argv, "--out", str(path))
+    assert (code_out, out_out, err_out) == (code, b"", err)
+    assert path.read_bytes() == out and out.endswith(b"\n") \
+        and not out.endswith(b"\n\n")
+
+
+def test_an_empty_out_path_is_refused(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "grope", "class", "({* *})", "--out", "")
+    assert (code, out) == (2, "")
+    assert err == "error: [Errno 2] No such file or directory: ''\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_certificate_json(capsys):

@@ -495,6 +495,19 @@ def lowered_class(real):
     return dual_tree
 
 
+def partners_tip_to_root(real):
+    """dual_tree stringing the path's partners on its chain tip to root."""
+    def dual_tree(closed, tip):
+        chain, partners = real(closed, tip).body, []
+        while chain.pairs:  # the partners, tip to root, down to the Leaf
+            (chain, partner), = chain.pairs
+            partners.append(partner)
+        for partner in partners:
+            chain = GropeTree(((chain, partner),))
+        return ClosedGropeTree(chain)
+    return dual_tree
+
+
 def traversed_children(real):
     """_tip_walk handing each tip the traversed children, not the partners."""
     def walk(tree):
@@ -509,9 +522,9 @@ def traversed_children(real):
 
 @pytest.mark.parametrize("name, broken", [
     ("dual_tree", lowered_class),
-    # dual_tree reads _path_partners, tip_duals reads _tip_walk, and the
+    # dual_tree walks the tip's path, tip_duals reads _tip_walk, and the
     # case compares the two walks' duals
-    ("_path_partners", lambda real: lambda closed, tip: real(closed, tip)[::-1]),
+    ("dual_tree", partners_tip_to_root),
     ("_tip_walk", traversed_children),
 ], ids=["dual-class", "partners-tip-to-root", "traversed-children"])
 def test_grope_duality_check_can_fail(capsys, monkeypatch, name, broken):

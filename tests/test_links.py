@@ -91,6 +91,13 @@ def test_catalog_names():
         catalog("unlink(0)")
 
 
+def test_catalog_reads_a_padded_name_as_its_stripped_name():
+    assert catalog(" hopf\t") is catalog("hopf")
+    assert catalog(" unlink(3) ").meridians == ("m1", "m2", "m3")
+    with pytest.raises(LinkFormatError, match="^unknown catalog name 'granny' "):
+        catalog(" granny ")
+
+
 def test_core_pattern():
     core = catalog("core")
     assert str(core.longitudes[0]) == "lambda"

@@ -98,9 +98,12 @@ ROWS = [
     pytest.param("duals", GropeTree, "__init__",
                  swap("k < tree_class", "k > tree_class"),
                  id="grope_class takes the largest pair"),
+    # each partner goes in under the chain, at the old root edge's Leaf
+    # that its text starts with, so the partners end up tip to root
     pytest.param("duals", gropes, "dual_tree",
-                 swap("for partner in _path_partners(closed, tip):",
-                      "for partner in reversed(_path_partners(closed, tip)):"),
+                 swap("chain = GropeTree(((chain, pairs[i][1 - side]),))",
+                      "chain = parse_tree(tree_text(chain).replace("
+                      "'*', '({* %s})' % tree_text(pairs[i][1 - side]), 1))"),
                  id="dual_tree reverses the partners"),
     pytest.param("duals", gropes, "tip_duals",
                  swap("for p in partners]", "for p in partners[::-1]]"),
