@@ -37,7 +37,7 @@ def _write(args, payload, text=None):
         print(text, end=end, flush=True)  # a closed pipe raises here, not at exit
     else:
         try:
-            fh = open(out, "w")
+            fh = open(out, "w", encoding="utf-8")
         except ValueError as exc:  # a NUL byte in the path
             raise MgkError(str(exc)) from None
         with fh:
@@ -182,8 +182,6 @@ def cmd_link(args):
     if args.action == "show":
         _write(args, links.link_to_dict(model))
         return 0
-    if isinstance(model, links.SolidTorusLink):
-        model = model.ambient_model()
     if args.action == "mu":
         if not args.index:
             raise MgkError("link mu needs --index i1,...,ik,j")
@@ -322,7 +320,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except BrokenPipeError:  # the reader took all it wanted; quiet the exit
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 0
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)

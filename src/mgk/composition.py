@@ -188,7 +188,7 @@ def essentiality_certificate(spec: CompositionSpec) -> Certificate:
         raise CompositionError(
             "certificate refused: the ambient link is not almost "
             "homotopically trivial")
-    if not is_almost_trivial(q.ambient_model()):
+    if not is_almost_trivial(q):
         raise CompositionError(
             "certificate refused: the pattern with its wedge is not almost "
             "homotopically trivial")

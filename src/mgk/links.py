@@ -11,7 +11,10 @@ Triviality tests index the meridians once, then scan each longitude once.
 
 A solid-torus pattern is a link model plus a wedge word, the word of the
 solid torus' meridian circle, and a core symbol ("lambda" in the catalog)
-that its longitudes use for traversals of the S1 direction.
+that its longitudes use for traversals of the S1 direction.  Every
+invariant reads a pattern one way, with its wedge circle: `mu_bar` and the
+triviality tests see `ambient_model()`, whose last component "wedge" has
+the meridian "w" that replaces the core symbol.
 
 The catalog entries come from the committed Wirtinger-oracle fixtures
 (tests/oracles, tests/fixtures).
@@ -24,7 +27,7 @@ import re
 import sys
 from dataclasses import dataclass
 
-from .errors import LinkFormatError, UnknownGeneratorError
+from .errors import LinkFormatError
 from .milnor import _check_alphabet_size, default_alphabet, magnus_coefficient
 from .ring import scan
 from .words import Word, bounded_int
@@ -121,10 +124,16 @@ class SolidTorusLink(LinkModel):
 
 # -- invariants ---------------------------------------------------------------
 
+def _in_s3(link: LinkModel) -> LinkModel:
+    """The link an invariant reads: a pattern with its wedge circle."""
+    return link.ambient_model() if isinstance(link, SolidTorusLink) else link
+
+
 def mu_bar(link: LinkModel, indices) -> int:
     """mu-bar with distinct indices (i1, ..., ik, j): the coefficient of
     y_i1 ... y_ik in the Magnus expansion of component j's longitude, read
     by one chain scan (`magnus_coefficient`)."""
+    link = _in_s3(link)
     idx = [link.index_of(i) for i in indices]
     if len(idx) < 2:
         raise LinkFormatError("need at least two indices (i1, ..., ik, j)")
@@ -153,11 +162,8 @@ def _coordinates(link: LinkModel):
     dict or None outside the kernel of deleting the last; one scan each."""
     index = {g: i for i, g in enumerate(link.meridians)}
     for k, word in enumerate(link.longitudes):
-        try:  # past k, positions move down one: the last is the kernel letter
-            letters = [(index[g] - (index[g] > k), e) for g, e in word.letters]
-        except KeyError as exc:  # only a pattern's core symbol is no meridian
-            raise UnknownGeneratorError("generator %r is not in the alphabet %r" % (
-                exc.args[0], link.meridians[:k] + link.meridians[k + 1:])) from None
+        # past k, positions move down one: the last is the kernel letter
+        letters = [(index[g] - (index[g] > k), e) for g, e in word.letters]
         running, rho = scan(letters, link.n - 2)
         yield rho if running == {0: 1} else None
 
@@ -166,6 +172,7 @@ def is_homotopically_trivial(link: LinkModel) -> bool:
     """True iff every longitude is in the kernel with coordinate 0, i.e. is
     1 in the Milnor group of the other meridians.  Sublinks then are trivial
     too: deleting m_k fixes 1.  Knots are always trivial."""
+    link = _in_s3(link)
     return link.n == 1 or all(rho == {} for rho in _coordinates(link))
 
 
@@ -174,6 +181,7 @@ def is_almost_trivial(link: LinkModel) -> bool:
     link (n >= 2): every longitude w = r(rho) is in the kernel with rho of
     full degree n - 2, so M(w) is 1 plus terms in all n - 1 variables (rho
     is M(w) on monomials ending in the last one).  Always True for n = 2."""
+    link = _in_s3(link)
     if link.n < 2:
         raise LinkFormatError("almost-triviality needs at least 2 components")
     full = (1 << link.n - 2) - 1  # degree n - 2 on n - 2 variables: a full mask
@@ -287,7 +295,7 @@ def link_from_dict(data: dict):
 
 
 def load_link(path: str):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except ValueError as exc:  # malformed JSON or undecodable bytes
@@ -299,6 +307,6 @@ def load_link(path: str):
 
 
 def save_link(link, path: str) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(link_to_dict(link), fh, indent=2, sort_keys=True)
         fh.write("\n")

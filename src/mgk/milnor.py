@@ -34,10 +34,13 @@ a ring map, and its image of M(w) is exactly M(w)'s terms of degree
 <= k, read without forming a term of higher degree.
 
 The tower holds s prefix rings, about s^2/2 names in all, so the command
-line and the catalog refuse an alphabet of more than `MAX_GENERATORS`
-generators (the alphabet budget) with `BudgetExceeded` before they build
-one.  `default_alphabet` itself is unbounded: it names the tips of deep
-grope trees, whose boundary words the letter budget already bounds.
+line refuses an alphabet of more than `MAX_GENERATORS` generators (the
+alphabet budget) with `BudgetExceeded` before it builds one.  The catalog
+refuses `unlink(n)` over the same budget, though its triviality tests
+build no tower and no ring, only one scan per longitude: there the budget
+bounds the model, 2n names and n longitudes, and so the n scans.
+`default_alphabet` itself is unbounded: it names the tips of deep grope
+trees, whose boundary words the letter budget already bounds.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import subprocess
 import sys
@@ -15,14 +16,16 @@ from mgk import verify
 from mgk.cli import main
 from mgk.gropes import tree_text
 from mgk.errors import LinkFormatError
-from mgk.links import catalog, load_link, save_link
+from mgk.links import (catalog, is_almost_trivial, is_homotopically_trivial,
+                       load_link, mu_bar, save_link)
 from mgk.milnor import default_alphabet
 from mgk.words import Word, bounded_int
 
 from golden import ARGPARSE, DUAL_TREES
 from helpers import conjugated_relator, shuffled_chain
 from test_composition import over_budget_composition
-from test_links import BAD_LINK_JSON
+from test_gropes import lowered_class
+from test_links import BAD_LINK_JSON, PATTERN_ANSWERS
 
 
 def run(capsys, *argv):
@@ -116,6 +119,25 @@ def test_grope_duals_rerooting_row(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["duals"][0]["dual"] == "({* ({* *})})"
+
+
+def test_grope_duals_reports_a_violated_bound_and_exits_1(capsys, monkeypatch):
+    real = mgk.gropes.tip_duals
+    with monkeypatch.context() as patch:  # each dual's class one lower
+        patch.setattr(mgk.gropes, "tip_duals", lambda closed: (
+            dual[:3] + (dual[3] - 1,) for dual in real(closed)))
+        code, out, _ = run(capsys, "grope", "duals", "({* *})")
+        assert (code, out) == (1, "class 2, rank 2\n"
+                               "tip 0L         class 1   1 >= 2 VIOLATED ({* *})\n"
+                               "tip 0R         class 1   1 >= 2 VIOLATED ({* *})\n")
+        code, out, _ = run(capsys, "grope", "duals", "({* *})", "--json")
+        assert code == 1
+        assert [row["bound"] for row in json.loads(out)["duals"]] \
+            == ["1 >= 2 VIOLATED"] * 2
+    monkeypatch.setattr(mgk.gropes, "dual_tree", lowered_class(mgk.gropes.dual_tree))
+    code, out, _ = run(capsys, "grope", "duals", "({* *})", "--tip", "0L")
+    assert (code, out) == (1, "class 2, rank 2\n"
+                           "tip 0L         class 1   1 >= 2 VIOLATED ({* *})\n")
 
 
 def test_grope_dot(capsys):
@@ -282,6 +304,21 @@ def test_link_file_input(capsys, tmp_path):
     save_link(catalog("hopf"), str(path))
     code, out, _ = run(capsys, "link", "mu", str(path), "--index", "2,1")
     assert code == 0 and abs(int(out.strip())) == 1
+
+
+def test_link_answers_on_a_pattern_are_the_api_answers(capsys, tmp_path):
+    # both read a pattern with its wedge circle
+    path = str(tmp_path / "bing_double.json")
+    save_link(catalog("bing_double"), path)
+    for name, _, _, mus in PATTERN_ANSWERS + [(path,) + PATTERN_ANSWERS[1][1:]]:
+        pattern = mgk.cli._model(name)
+        asks = [(["trivial"], str(is_homotopically_trivial(pattern)).lower()),
+                (["almost-trivial"], str(is_almost_trivial(pattern)).lower())]
+        asks += [(["mu", "--index", ",".join(map(str, indices))],
+                  str(mu_bar(pattern, indices))) for indices in mus]
+        for (action, *options), answer in asks:
+            assert run(capsys, "link", action, name, *options) \
+                == (0, answer + "\n", ""), (name, action)
 
 
 def test_link_unknown_model(capsys):
@@ -465,6 +502,27 @@ def test_closed_stdout_pipe_after_the_first_duals_line_exits_0_quietly():
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 0 and err == b""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd to count open descriptors")
+def test_closed_stdout_pipe_leaves_no_descriptor_open():
+    # main in-process, stdout a pipe whose reader is gone: the quiet exit
+    # points stdout at the null device and closes what it opened for that
+    script = (
+        "import os, sys\n"
+        "from mgk.cli import main\n"
+        "r, w = os.pipe()\n"
+        "os.close(r)\n"
+        "os.dup2(w, 1)\n"
+        "os.close(w)\n"
+        "before = len(os.listdir('/proc/self/fd'))\n"
+        "code = main(['grope', 'duals', '({* *})'])\n"
+        "print(code, before, len(os.listdir('/proc/self/fd')), file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120)
+    code, before, after = proc.stderr.split()
+    assert proc.returncode == 0 and code == "0" and after == before
 
 
 def test_grope_chain_300_answers():

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from mgk.composition import compose
-from mgk.errors import LinkFormatError, UnknownGeneratorError
+from mgk.errors import LinkFormatError
 from mgk.links import (LinkModel, SolidTorusLink, _coordinates, catalog,
                        catalog_names, delete_component, is_almost_trivial,
                        is_homotopically_trivial, link_from_dict, link_to_dict,
@@ -318,11 +318,30 @@ def test_coordinates_agree_with_the_per_component_r_inverse_oracle():
     assert answers == {(True, True), (False, True), (False, False)}
 
 
-def test_triviality_tests_on_a_pattern_name_its_core_symbol():
+# each pattern's triviality, almost triviality and mu-bar on the golden
+# fixture's index tuples, which `mgk link` prints for the catalog entries
+PATTERN_ANSWERS = [
+    ("core", False, True, {(1, 2): 1, (2, 1): 1}),
+    ("bing_double", False, True, {(1, 2, 3): 1, (3, 1, 2): 1, (2, 3): 0}),
+]
+
+
+def test_triviality_tests_read_a_pattern_with_its_wedge_circle(tmp_path):
+    path = tmp_path / "pattern.json"
+    path.write_text(json.dumps({"components": ["a", "b"],
+                                "longitudes": {"a": "[z2,t]", "b": "[t,z1]"},
+                                "wedge": "[z1,z2]", "core_symbol": "t"}))
+    patterns = [(catalog(name), *answers) for name, *answers in PATTERN_ANSWERS]
+    patterns.append((load_link(str(path)), *PATTERN_ANSWERS[1][1:]))
+    for pattern, trivial, almost, mus in patterns:
+        qhat = pattern.ambient_model()
+        assert is_homotopically_trivial(pattern) == trivial \
+            == is_homotopically_trivial(qhat)
+        assert is_almost_trivial(pattern) == almost == is_almost_trivial(qhat)
+        for indices, mu in mus.items():
+            assert mu_bar(pattern, indices) == mu == mu_bar(qhat, indices)
+        assert mu_bar(pattern, ("wedge", 1)) == mu_bar(qhat, ("wedge", 1))
     pattern = catalog("bing_double")
-    for test in (is_homotopically_trivial, is_almost_trivial):
-        with pytest.raises(UnknownGeneratorError, match="'lambda'"):
-            test(pattern)
     assert mu_bar(pattern, (1, 2)) == mu_bar(pattern, (2, 1)) == 0
 
 

@@ -16,7 +16,7 @@ README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def command_examples():
-    with open(README) as fh:
+    with open(README, encoding="utf-8") as fh:
         block = fh.read().split("## Command line", 1)[1]
     block = block.split("```sh\n", 1)[1].split("```", 1)[0]
     examples = []
