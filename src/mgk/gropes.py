@@ -43,10 +43,12 @@ the partner classes, hence at least the class of the original tree.
 Every dual comes from one of two walks.  `dual_tree` walks one tip's path
 from the root, checking each step as it strings the partner on the chain,
 and `dual_class` reads its class; `tip_duals` lists every tip's dual text
-and class from one walk that builds no dual tree and keeps the current
-path's steps, step texts and partners on live stacks, the walk that
-`leaf_paths` reads.  On an all-genus-1 tree the dual is the tree re-rooted
-at the tip, which is all `rerooted` returns.
+and class from one walk that builds no dual tree, the walk that
+`leaf_paths` reads.  It keeps the current path's steps, step texts and
+partner texts on live stacks and carries each node's class sum, so a tip
+costs O(1) interpreted steps besides the copies of its row.  On an
+all-genus-1 tree the dual is the tree re-rooted at the tip, which is all
+`rerooted` returns.
 """
 
 from __future__ import annotations
@@ -246,31 +248,35 @@ def grope_class(tree: GropeTree) -> int:
     return tree.tree_class
 
 
-def _tip_walk(tree: GropeTree):
+def _tip_walk(tree: GropeTree, texts):
     """At each Leaf, in depth-first order, the live stacks of the path to
-    it: its (pair, side) steps, their texts ("0L") and the partner of the
-    traversed child at each step.  The lists change as the walk goes on."""
-    steps, step_texts, partners = [], [], []
-    stack = [(tree, 0, None, None, None)]  # (node, depth, step, text, partner)
+    it (its (pair, side) steps, their texts "0L" and its partners' texts,
+    looked up by id in `texts` once as the walk enters each node) and its
+    class sum, 1 plus those partners' classes, which each stack entry
+    carries.  The lists change as the walk goes on."""
+    steps, step_texts, partner_texts = [], [], []
+    # (node, depth, pair, side, partner, class sum); the step texts are made
+    # on entry, so the entries still waiting hold none
+    stack = [(tree, 0, None, None, None, 1)]
     while stack:
-        node, depth, step, text, partner = stack.pop()
+        node, depth, i, side, partner, total = stack.pop()
         if depth:  # leave the previous path at this node's parent
-            del steps[depth - 1:], step_texts[depth - 1:], partners[depth - 1:]
-            steps.append(step)
-            step_texts.append(text)
-            partners.append(partner)
+            del steps[depth - 1:], step_texts[depth - 1:], partner_texts[depth - 1:]
+            steps.append((i, side))
+            step_texts.append(("%dL", "%dR")[side] % i)
+            partner_texts.append(texts.get(id(partner)))
         if not node.pairs:
-            yield steps, step_texts, partners
+            yield steps, step_texts, partner_texts, total
             continue
         for i in range(len(node.pairs) - 1, -1, -1):
             left, right = node.pairs[i]
-            stack.append((right, depth + 1, (i, RIGHT), "%dR" % i, left))
-            stack.append((left, depth + 1, (i, LEFT), "%dL" % i, right))
+            stack.append((right, depth + 1, i, RIGHT, left, total + left.tree_class))
+            stack.append((left, depth + 1, i, LEFT, right, total + right.tree_class))
 
 
 def leaf_paths(tree: GropeTree):
     """Every Leaf position in depth-first order, as (pair, side) steps."""
-    return tuple(tuple(steps) for steps, _, _ in _tip_walk(tree))
+    return tuple(tuple(walk[0]) for walk in _tip_walk(tree, {}))
 
 
 def format_tip_path(tip) -> str:
@@ -360,14 +366,14 @@ def tip_duals(closed: ClosedGropeTree):
     passes over the root's pair members give each its text, not the root's.
     A dual strings its partners p1..pk, root to tip, on a chain, "({" * k +
     "* " + text(p1) + "}) " + ... + text(pk) + "})", and its class is 1 plus
-    theirs, so a tip costs its output.
+    theirs.  `_tip_walk` hands over the partner texts and the class sum, so
+    a tip costs O(1) interpreted steps and C-level copies of its row.
     """
     texts = {id(node): text for pair in closed.body.pairs for member in pair
              for node, text in _subtree_texts(member)}
-    for steps, step_texts, partners in _tip_walk(closed.body):
-        yield (tuple(steps), "/".join(step_texts), "({" * len(partners) + "* "
-               + "}) ".join([texts[id(p)] for p in partners]) + "})",
-               1 + sum(p.tree_class for p in partners))
+    for steps, step_texts, partner_texts, total in _tip_walk(closed.body, texts):
+        yield (tuple(steps), "/".join(step_texts), "({" * len(partner_texts)
+               + "* " + "}) ".join(partner_texts) + "})", total)
 
 
 # -- isomorphism and re-rooting ----------------------------------------------

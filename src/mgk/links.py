@@ -145,7 +145,8 @@ def mu_bar(link: LinkModel, indices) -> int:
 
 def delete_component(link: LinkModel, which) -> LinkModel:
     """Remove a component and erase its meridian from the other longitudes
-    (the quotient setting that meridian to 1)."""
+    (the quotient setting that meridian to 1); a pattern is read in S^3."""
+    link = _in_s3(link)
     i = link.index_of(which)
     if link.n == 1:
         raise LinkFormatError("cannot delete the last component")

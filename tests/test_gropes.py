@@ -463,6 +463,57 @@ def test_dual_texts_of_deep_chains(depth):
     assert (tip, format_tip_path(tip), text, depth + 1) in tip_duals(closed)
 
 
+def dual_tree_rows(closed, tips):
+    """tip_duals' rows at tips as dual_tree builds them, one tip at a time."""
+    rows = []
+    for tip in tips:
+        dual = dual_tree(closed, tip).body
+        rows.append((tip, format_tip_path(tip), tree_text(dual), dual.tree_class))
+    return rows
+
+
+def test_tip_walk_rows_are_the_dual_trees_rows():
+    # seeded trees, API-built trees that share subtrees by identity, and
+    # shuffled chains, some carrying one shared partner object at every stage
+    rng = random.Random(41)
+    trees = []
+    while len(trees) < 600:
+        genus = 1 + len(trees) % 3
+        trees.append(random_grope_tree(rng, rng.randint(2, 14), max_genus=genus,
+                                       max_tips=14))
+        pooled = pooled_tree(rng, genus, rng.randint(1, 6))
+        if pooled.pairs and pooled.leaf_count <= 14:
+            trees.append(pooled)
+    shared = pooled_tree(rng, 2, 3)
+    for depth in (1, 2, 3, rng.randint(4, 100), 500):
+        trees += [shuffled_chain(rng, depth),
+                  shuffled_chain(rng, min(depth, 30), shared, shared)]
+    for tree in trees:
+        closed = ClosedGropeTree(tree)
+        tips = leaf_paths(tree)
+        assert tips == reference_leaf_paths(tree)
+        rows = list(tip_duals(closed))
+        assert rows == dual_tree_rows(closed, tips)
+        # a parsed copy shares no subtree but LEAF, and gets the same rows
+        assert rows == list(tip_duals(parse_closed_tree(tree_text(tree))))
+
+
+def test_tip_duals_is_linear_in_the_node_count(monkeypatch):
+    # the rows are quadratic in the depth, so no timing ratio can tell the
+    # walk's own work: count the class reads, O(nodes) against O(tips * depth)
+    # when each tip sums its partners' classes again
+    depth = 2000
+    closed = ClosedGropeTree(shuffled_chain(random.Random(depth), depth))
+    reads, slot = [], GropeTree.__dict__["tree_class"]
+    monkeypatch.setattr(GropeTree, "tree_class", property(
+        lambda tree: reads.append(1) or slot.__get__(tree), slot.__set__))
+    rows = 0
+    for _, _, _, dual_class in tip_duals(closed):
+        rows += 1
+    assert rows == depth + 1 and dual_class == depth + 1
+    assert len(reads) <= 2 * (2 * depth + 1)  # the chain's nodes, twice
+
+
 def test_rerooted_rejects_higher_genus():
     closed = parse_closed_tree("({* *} {* *})")
     with pytest.raises(ValueError):
@@ -509,14 +560,16 @@ def partners_tip_to_root(real):
 
 
 def traversed_children(real):
-    """_tip_walk handing each tip the traversed children, not the partners."""
-    def walk(tree):
-        for steps, step_texts, _ in real(tree):
-            node, children = tree, []
+    """_tip_walk handing each tip the texts and class sums of the traversed
+    children, not of the partners."""
+    def walk(tree, texts):
+        for steps, step_texts, _, _ in real(tree, texts):
+            node, children, total = tree, [], 1
             for i, side in steps:
                 node = node.pairs[i][side]
-                children.append(node)
-            yield steps, step_texts, children
+                children.append(texts.get(id(node)))
+                total += node.tree_class
+            yield steps, step_texts, children, total
     return walk
 
 

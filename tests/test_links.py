@@ -404,6 +404,19 @@ def test_delete_commutes_with_mu():
     assert mu_bar(sub, ("l3", "l2")) == mu_bar(borr, ("l3", "l2"))
 
 
+def test_delete_reads_a_pattern_with_its_wedge_circle():
+    # as every invariant does: the pattern's component 3 is the wedge
+    for name in ("bing_double", "core"):
+        pattern = catalog(name)
+        for which in range(1, pattern.n + 2):
+            assert delete_component(pattern, which) \
+                == delete_component(pattern.ambient_model(), which)
+    sub = delete_component(catalog("bing_double"), 1)
+    assert (sub.components, sub.meridians) == (("q2", "wedge"), ("z2", "w"))
+    assert [str(w) for w in sub.longitudes] == ["w w'", "z2 z2'"]
+    assert delete_component(catalog("core"), 1).components == ("wedge",)
+
+
 def test_delete_last_component_rejected():
     with pytest.raises(LinkFormatError):
         delete_component(catalog("unlink(1)"), 1)

@@ -106,10 +106,11 @@ ROWS = [
                       "'*', '({* %s})' % tree_text(pairs[i][1 - side]), 1))"),
                  id="dual_tree reverses the partners"),
     pytest.param("duals", gropes, "tip_duals",
-                 swap("for p in partners]", "for p in partners[::-1]]"),
+                 swap('"}) ".join(partner_texts)', '"}) ".join(partner_texts[::-1])'),
                  id="tip_duals reverses the partners"),
-    pytest.param("duals", gropes, "tip_duals",
-                 swap("1 + sum(", "2 + sum("),
+    # tip_duals reads the class sums of _tip_walk, whose root entry holds 1
+    pytest.param("duals", gropes, "_tip_walk",
+                 swap("None, None, 1)]", "None, None, 2)]"),
                  id="tip_duals' class is off by one"),
     pytest.param("duals", gropes, "is_isomorphic",
                  lambda is_isomorphic: lambda a, b: True,
