@@ -9,14 +9,20 @@ builds it, so `--json` builds no text it drops.  `_write` is the only place
 that prints: the payload as JSON under `--json` or when the command has no
 text form (`link show`, `compose`), the text otherwise, to the `--out` file
 on the subcommands that have that flag and to stdout elsewhere.
+
+Each command's arguments are declared once, in `_COMMANDS`, in argparse's
+`add_argument` terms.  `_plain_args` reads a plain line (command, positionals,
+exact option names) straight into argparse's fields; any other line, help and
+usage errors included, goes to the parser `build_parser` makes from the same
+table, and argparse is imported only then, so its words stay its own.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import composition, gropes, links, milnor, verify
 from .errors import LinkFormatError, MgkError, ParseError
@@ -239,68 +245,106 @@ def cmd_verify(args):
 
 # -- argument parsing ----------------------------------------------------------
 
+_FLAG, _INT = {"action": "store_true"}, {"type": int}
+
+_COMMANDS = {
+    "grope": ("grope tree operations", [
+        ("action", {"choices": ["class", "duals", "boundary", "dot"]}),
+        ("tree", {"help": "tree text, e.g. \"({* *})\""}),
+        ("--names", {"help": "comma-separated tip generator names"}),
+        ("--tip", {"help": "tip path like 0L/1R (duals only)"}),
+        ("--closed", dict(_FLAG, help="treat the tree as closed (dot only)")),
+        ("--json", _FLAG), ("--out", {})]),
+    "milnor": ("Milnor-group and ring operations", [
+        ("action", {"choices": ["expand", "nf", "equal", "lcs-degree", "rinv"]}),
+        ("words", {"nargs": "+", "help": "word text, e.g. \"[m2,m3]\""}),
+        ("--gens", dict(_INT, help="alphabet size (default: largest mK in the input)")),
+        ("--json", _FLAG)]),
+    "link": ("link models and invariants", [
+        ("action", {"choices": ["mu", "trivial", "almost-trivial", "show"]}),
+        ("model", {"help": "catalog name or JSON file"}),
+        ("--index", {"help": "mu-bar indices, e.g. 2,3,1"}),
+        ("--json", _FLAG)]),
+    "compose": ("compose a pattern into a link", [
+        ("lhat", {"help": "ambient link (catalog name or JSON file)"}),
+        ("q", {"help": "solid-torus pattern (catalog name or JSON file)"}),
+        ("--target", dict(_INT, help="1-based target component")),
+        ("--out", {})]),
+    "certificate": ("essentiality certificate (a, b, c)", [
+        ("lhat", {}), ("q", {}), ("--target", _INT), ("--json", _FLAG)]),
+    "verify": ("randomized property sweeps", [
+        ("what", {"choices": ["sigma", "certificate", "all"]}),
+        ("--lhat", {}), ("--q", {}), ("--target", _INT), ("--trials", _INT),
+        ("--seed", _INT), ("--max-generators", _INT), ("--json", _FLAG),
+        ("--out", {})]),
+}
+
+
 def build_parser():
+    import argparse  # only help and usage errors need it
     parser = argparse.ArgumentParser(
         prog="mgk",
         description="Exact computations with grope trees, free Milnor "
                     "groups, link invariants and link composition.")
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices  # each command's name to its parser
-
-    g = sub.add_parser("grope", help="grope tree operations")
-    g.add_argument("action", choices=["class", "duals", "boundary", "dot"])
-    g.add_argument("tree", help="tree text, e.g. \"({* *})\"")
-    g.add_argument("--names", help="comma-separated tip generator names")
-    g.add_argument("--tip", help="tip path like 0L/1R (duals only)")
-    g.add_argument("--closed", action="store_true",
-                   help="treat the tree as closed (dot only)")
-    g.add_argument("--json", action="store_true")
-    g.add_argument("--out")
-    g.set_defaults(func=cmd_grope)
-
-    m = sub.add_parser("milnor", help="Milnor-group and ring operations")
-    m.add_argument("action",
-                   choices=["expand", "nf", "equal", "lcs-degree", "rinv"])
-    m.add_argument("words", nargs="+", help="word text, e.g. \"[m2,m3]\"")
-    m.add_argument("--gens", type=int,
-                   help="alphabet size (default: largest mK in the input)")
-    m.add_argument("--json", action="store_true")
-    m.set_defaults(func=cmd_milnor)
-
-    l = sub.add_parser("link", help="link models and invariants")
-    l.add_argument("action", choices=["mu", "trivial", "almost-trivial", "show"])
-    l.add_argument("model", help="catalog name or JSON file")
-    l.add_argument("--index", help="mu-bar indices, e.g. 2,3,1")
-    l.add_argument("--json", action="store_true")
-    l.set_defaults(func=cmd_link)
-
-    c = sub.add_parser("compose", help="compose a pattern into a link")
-    c.add_argument("lhat", help="ambient link (catalog name or JSON file)")
-    c.add_argument("q", help="solid-torus pattern (catalog name or JSON file)")
-    c.add_argument("--target", type=int, help="1-based target component")
-    c.add_argument("--out")
-    c.set_defaults(func=cmd_compose)
-
-    e = sub.add_parser("certificate", help="essentiality certificate (a, b, c)")
-    e.add_argument("lhat")
-    e.add_argument("q")
-    e.add_argument("--target", type=int)
-    e.add_argument("--json", action="store_true")
-    e.set_defaults(func=cmd_certificate)
-
-    v = sub.add_parser("verify", help="randomized property sweeps")
-    v.add_argument("what", choices=["sigma", "certificate", "all"])
-    v.add_argument("--lhat")
-    v.add_argument("--q")
-    v.add_argument("--target", type=int)
-    v.add_argument("--trials", type=int)
-    v.add_argument("--seed", type=int)
-    v.add_argument("--max-generators", type=int)
-    v.add_argument("--json", action="store_true")
-    v.add_argument("--out")
-    v.set_defaults(func=cmd_verify)
-
+    for command, (summary, arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for name, keywords in arguments:
+            p.add_argument(name, **keywords)
+        p.set_defaults(func=globals()["cmd_" + command])
     return parser
+
+
+def _reader(command, arguments):
+    """One command's positionals, options and argparse's default fields."""
+    positionals, options, fields = [], {}, {"command": command}
+    for name, keywords in arguments:
+        if name.startswith("--"):
+            dest = name[2:].replace("-", "_")
+            flag = keywords.get("action") == "store_true"
+            options[name] = dest, flag or keywords.get("type")  # True, int or None
+            fields[dest] = False if flag else None
+        else:
+            positionals.append((name, keywords.get("choices"), keywords.get("nargs")))
+    return positionals, options, fields
+
+
+_READERS = {command: _reader(command, arguments)
+            for command, (_, arguments) in _COMMANDS.items()}
+
+
+def _plain_args(argv):
+    """argparse's fields for a plain line, or None for any other.  A plain
+    line is a command, its positionals, then exact option names each with
+    its value; no other token starts with '-' and an int value is int()'s."""
+    reader = _READERS.get(argv[0]) if argv else None
+    if reader is None:
+        return None
+    positionals, options, fields = reader
+    end = next((k for k, arg in enumerate(argv) if arg.startswith("-")), len(argv))
+    given = argv[1:end]
+    if len(given) < len(positionals) or (
+            len(given) > len(positionals) and positionals[-1][2] != "+"):
+        return None
+    fields = dict(fields, func=globals()["cmd_" + argv[0]])  # a replaced handler too
+    for k, (dest, choices, nargs) in enumerate(positionals):
+        fields[dest] = value = given[k:] if nargs else given[k]
+        if choices is not None and value not in choices:
+            return None
+    rest = iter(argv[end:])
+    for name in rest:
+        dest, kind = options.get(name, (None, None))
+        if kind is True:
+            fields[dest] = True
+            continue
+        value = next(rest, "-")  # a missing value reads as an option
+        if dest is None or value.startswith("-"):
+            return None
+        try:
+            fields[dest] = int(value) if kind is int else value
+        except ValueError:
+            return None
+    return SimpleNamespace(**fields)
 
 
 _PARSER = None
@@ -308,14 +352,15 @@ _PARSER = None
 
 def main(argv=None) -> int:
     global _PARSER
-    if _PARSER is None:  # built on first use, not at import
-        _PARSER = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = _PARSER.commands.get(argv[0]) if argv else None
-    if command is not None:  # one pass, by the command's own parser
-        args, rest = command.parse_known_args(argv[1:])
-        args.command = argv[0]
-    if command is None or rest:  # help, usage errors, leftovers: argparse's words
+    for arg in argv:
+        if not isinstance(arg, str):  # argparse would raise inside itself
+            print("error: argument %r is not a string" % (arg,), file=sys.stderr)
+            return 2
+    args = _plain_args(argv)
+    if args is None:  # help and usage errors: argparse's words
+        if _PARSER is None:  # built on first use, not at import
+            _PARSER = build_parser()
         args = _PARSER.parse_args(argv)
     try:
         return args.func(args)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -6,6 +8,7 @@ import sys
 from functools import partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mgk.cli
 import mgk.gropes
@@ -24,6 +27,7 @@ from mgk.words import Word, bounded_int
 from golden import ARGPARSE, DUAL_TREES
 from helpers import conjugated_relator, shuffled_chain
 from test_composition import over_budget_composition
+from test_golden import RECORD
 from test_gropes import lowered_class
 from test_links import BAD_LINK_JSON, PATTERN_ANSWERS
 
@@ -161,6 +165,9 @@ def test_parser_is_built_once_and_answers_alike(monkeypatch, capsys):
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
+    # a plain line builds no parser; help and usage errors build it once
+    assert outcome(["grope", "class", "({* *})"]) == (0, "2\n", "")
+    assert built == []
     cases = [["--help"], ["milnor", "--help"], ["bogus"],
              ["grope", "bogus", "({* *})"], ["grope", "class", "({* *})"]]
     first = [outcome(argv) for argv in cases]
@@ -177,6 +184,25 @@ def test_parser_is_not_built_at_import():
                            "import mgk.cli; print(mgk.cli._PARSER)"],
                           capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stdout) == (0, "None\n"), proc.stderr
+
+
+def test_a_plain_line_imports_no_argparse():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mgk.cli; code = mgk.cli.main(['grope', 'class', '({* *})']);"
+         " print(code, 'argparse' in sys.modules, mgk.cli._PARSER)"],
+        capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "2\n0 False None\n"), proc.stderr
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (["verify", "all", "--seed", 5], "5"),
+    (["grope", "class", None], "None"),
+    ([b"grope"], "b'grope'"),
+], ids=["int", "none", "bytes"])
+def test_an_argument_that_is_not_a_string_is_one_error_line(capsys, argv, shown):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: argument %s is not a string\n" % shown)
 
 
 # argparse's own help and usage errors, and lines that a command's parser
@@ -207,6 +233,27 @@ PARSES = ARGPARSE + [
     ["--", "grope", "class", "({* *})"],
     ["-h", "grope"],
     ["gro", "class", "({* *})"],
+    # lines the plain reader declines or must read as argparse does: a
+    # positional after an option, a missing value, an option or a '-' text
+    # as a value, a bad choice, empty texts, int texts that int() refuses
+    # or takes, a repeated flag, a wrong count
+    ["grope", "class", "--json", "({* *})"],
+    ["grope", "duals", "({* *})", "--tip"],
+    ["grope", "duals", "({* *})", "--tip", "--json"],
+    ["grope", "boundary", "({* *})", "--names", "-a"],
+    ["grope", "", "({* *})"],
+    ["grope", "class", ""],
+    ["grope", "duals", "({* *})", "--tip", "", "--json", "--json"],
+    ["grope", "class", "({* *})", "--json", ""],
+    ["verify", "all", "--seed", "7.0"],
+    ["verify", "all", "--seed", "x", "--trials", "2"],
+    ["verify", "all", "--seed", " 7", "--trials", "+7"],
+    ["verify", "all", "--seed", "\u0663", "--max-generators", "1_0"],
+    ["milnor", "expand", "m1", "m2", "--gens", "3"],
+    ["milnor", "expand", "m1", "-"],
+    ["link", "mu", "hopf", "extra", "--index", "2,1"],
+    ["certificate", "borromean"],
+    ["compose", "borromean", "core", "--target"],
 ]
 
 
@@ -231,6 +278,67 @@ def test_main_parses_as_the_whole_parser_does(argv, monkeypatch, capsys):
     monkeypatch.setattr(mgk.cli, "_PARSER", None)
     expected = _parse_outcome(capsys, mgk.cli.build_parser().parse_args, list(argv))
     assert _parse_outcome(capsys, lambda a: main(a) or seen[-1], list(argv)) == expected
+
+
+OPTIONS = sorted({name for _, rows in mgk.cli._COMMANDS.values()
+                  for name, _ in rows if name.startswith("--")})
+CHOICES = sorted({choice for _, rows in mgk.cli._COMMANDS.values()
+                  for _, keywords in rows for choice in keywords.get("choices", ())})
+# int texts that int() takes and refuses, values that start with '-', '--',
+# help and empty texts
+VALUES = st.sampled_from([" 7", "+7", "\u0663", "1_0", "7", "x", "7.0", "-7",
+                          "-x", "-", "--", "-h", "--help", "", "({* *})", "m1",
+                          "hopf", "core"]) | st.text(max_size=3)
+TOKENS = (st.sampled_from(CHOICES) | VALUES | st.sampled_from(OPTIONS)
+          | st.sampled_from(OPTIONS).map(lambda name: name[:4])
+          | st.tuples(st.sampled_from(OPTIONS), VALUES).map("=".join))
+
+
+@st.composite
+def command_lines(draw):
+    """A command with its positionals and some of its options, now and then
+    with a value missing or after a flag, stray tokens put anywhere or the
+    tail shuffled."""
+    command = draw(st.sampled_from(sorted(mgk.cli._COMMANDS)))
+    rows = dict(mgk.cli._COMMANDS[command][1])
+    argv = [command]
+    for name, keywords in rows.items():
+        if not name.startswith("--"):
+            argv += draw(st.lists(
+                st.sampled_from(keywords["choices"]) if "choices" in keywords
+                else VALUES, min_size=1, max_size=3 if "nargs" in keywords else 1))
+    options = [name for name in rows if name.startswith("--")]
+    for name in draw(st.lists(st.sampled_from(options), max_size=4)):
+        odd = draw(st.integers(0, 3)) == 0
+        argv += [name, draw(VALUES)] if ("action" in rows[name]) == odd else [name]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        argv.insert(draw(st.integers(1, len(argv))), draw(TOKENS))
+    if draw(st.integers(0, 7)) == 0:
+        argv[1:] = draw(st.permutations(argv[1:]))
+    return argv
+
+
+WHOLE_PARSER = mgk.cli.build_parser()
+
+
+@settings(max_examples=600, deadline=None)
+@given(argv=command_lines())
+def test_a_plain_reading_is_the_whole_parsers(argv):
+    plain = mgk.cli._plain_args(argv)
+    if plain is not None:
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                parsed = WHOLE_PARSER.parse_args(argv)
+            except SystemExit:
+                raise AssertionError((argv, vars(plain), err.getvalue()))
+        assert vars(plain) == vars(parsed), argv  # the handler too
+
+
+def test_every_golden_command_line_is_read_plainly():
+    for case in RECORD["outputs"] + RECORD["wide"]:
+        plain = mgk.cli._plain_args(case["argv"])
+        assert vars(plain) == vars(WHOLE_PARSER.parse_args(case["argv"]))
+    assert [argv for argv in ARGPARSE if mgk.cli._plain_args(argv)] == []
 
 
 def test_main_reads_sys_argv(monkeypatch, capsys):
